@@ -255,7 +255,7 @@ fn mcode_workload(name: &str, g: &Graph, repeats: usize) -> WorkloadResult {
 ///
 /// | name | what is timed |
 /// |---|---|
-/// | `pearson-yng` | tiled parallel Pearson network build, YNG preset |
+/// | `pearson-yng` | projection-pruned parallel Pearson network build, YNG preset |
 /// | `pearson-cre` | same on the large CRE preset |
 /// | `dsw-yng` | steady-state DSW chordal extraction on the YNG network (scratch-threaded) |
 /// | `dsw-cre` | same on the larger CRE network |

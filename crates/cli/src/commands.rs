@@ -154,11 +154,20 @@ over every input surface (see `casbn fuzz --help`).
 pub const BENCH_USAGE: &str = "\
 casbn bench — pinned-seed perf baseline of the pipeline hot paths
 
-Runs the named workloads (Pearson network build on the YNG and CRE
-presets, sequential DSW, MCODE, the no-comm parallel chordal filter at
-1/4/8 ranks, and the streaming pipeline: YNG replay batch ingest plus
-incremental chordal delta maintenance) at a pinned scale and seed, then
-optionally diffs the measurements against a committed baseline JSON.
+Runs these workloads at a pinned scale and seed, then optionally diffs
+the measurements against a committed baseline JSON:
+
+  pearson-yng, pearson-cre      projection-pruned Pearson network build
+  dsw-yng, dsw-cre              steady-state sequential DSW extraction
+  mcode-yng, mcode-cre          steady-state MCODE clustering
+  store-load-yng                eager .csbn load: checksums + CSR rebuild
+  store-open-lazy-yng           lazy .csbn open: header + section table
+  nocomm-yng-p1, nocomm-yng-p4, nocomm-yng-p8
+                                no-comm parallel chordal filter, 1/4/8 ranks
+  stream-yng                    YNG replay through the streaming pipeline
+  inc-chordal-yng               incremental chordal delta maintenance
+  serve-qps-yng                 serving under concurrent ingest
+
 Every workload record carries the deterministic telemetry counters of
 one instrumented pass (context for baseline diffs — never a gate).
 

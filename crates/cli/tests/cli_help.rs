@@ -2,6 +2,7 @@
 //! [`commands::USAGE`], and `USAGE` documents exactly the flags the
 //! subcommands parse.
 
+use casbn_bench::perfbase::PerfBaseline;
 use casbn_cli::commands::{BENCH_USAGE, FUZZ_USAGE, SERVE_USAGE, STREAM_USAGE, USAGE};
 use std::process::Command;
 
@@ -157,6 +158,29 @@ fn bench_usage_documents_every_bench_flag() {
         assert!(
             BENCH_USAGE.contains(flag),
             "BENCH_USAGE is missing `{flag}`"
+        );
+    }
+}
+
+#[test]
+fn bench_usage_names_every_baseline_workload() {
+    let baseline = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_pipeline.json"
+    ))
+    .expect("BENCH_pipeline.json at the repository root");
+    let doc: PerfBaseline = serde_json::from_str(&baseline).expect("baseline parses");
+    let names: Vec<&str> = doc
+        .suites
+        .iter()
+        .flat_map(|s| &s.results)
+        .map(|r| r.name.as_str())
+        .collect();
+    assert!(!names.is_empty(), "baseline lists no workloads");
+    for name in names {
+        assert!(
+            BENCH_USAGE.contains(name),
+            "BENCH_USAGE does not list workload `{name}`"
         );
     }
 }

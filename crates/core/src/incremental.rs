@@ -35,7 +35,7 @@
 //! Every neighbourhood intersection, BFS step and rebuild op is charged
 //! to a [`casbn_distsim`] LogP clock, so the simulated cost of
 //! maintenance is directly comparable against a from-scratch
-//! tiled-Pearson + DSW recompute (the streaming perf-baseline workloads
+//! all-pairs Pearson + DSW recompute (the streaming perf-baseline workloads
 //! record both).
 
 use casbn_chordal::{

@@ -67,19 +67,8 @@ impl ExpressionMatrix {
     /// two genes is `dot(row_a, row_b) / samples`.
     pub fn standardized(&self) -> ExpressionMatrix {
         let mut out = self.clone();
-        let s = self.samples as f64;
         for g in 0..self.genes {
-            let row = out.row_mut(g);
-            let mean = row.iter().sum::<f64>() / s;
-            let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / s;
-            if var > 0.0 {
-                let sd = var.sqrt();
-                for x in row.iter_mut() {
-                    *x = (*x - mean) / sd;
-                }
-            } else {
-                row.fill(0.0);
-            }
+            standardize_row(out.row_mut(g));
         }
         out
     }
@@ -124,6 +113,24 @@ impl ExpressionMatrix {
         } else {
             cov / (va.sqrt() * vb.sqrt())
         }
+    }
+}
+
+/// Z-score one expression row in place — the single expression behind
+/// [`ExpressionMatrix::standardized`], so a row standardized on its own
+/// is bit-identical to the same row of the standardized matrix. A row
+/// with zero or NaN variance becomes all zeros.
+pub(crate) fn standardize_row(row: &mut [f64]) {
+    let s = row.len() as f64;
+    let mean = row.iter().sum::<f64>() / s;
+    let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / s;
+    if var > 0.0 {
+        let sd = var.sqrt();
+        for x in row.iter_mut() {
+            *x = (*x - mean) / sd;
+        }
+    } else {
+        row.fill(0.0);
     }
 }
 

@@ -1,7 +1,51 @@
 //! All-pairs Pearson correlation with significance thresholding — the
 //! correlation-network construction of §IV-A.
+//!
+//! [`CorrelationNetwork::from_expression`] keeps exactly the pairs that
+//! the plain double loop of [`CorrelationNetwork::from_expression_seq`]
+//! keeps, with bit-identical ρ, but it computes ρ for only a small
+//! candidate set (about 0.1% of all pairs at the paper's thresholds).
+//! The pruning follows the bound-then-verify scheme of Bayardo, Ma &
+//! Srikant, "Scaling Up All Pairs Similarity Search" (WWW 2007).
+//!
+//! **Distance bound.** A standardized row `z` over `n` samples has
+//! `‖z‖² = n`, and `ρᵢⱼ = zᵢ·zⱼ / n`. Hence
+//! `‖zᵢ − zⱼ‖² = 2n(1 − ρᵢⱼ)`, so `ρ ≥ t` implies
+//! `‖zᵢ − zⱼ‖ ≤ r = √(2n(1 − t))`. An orthonormal projection `P` never
+//! lengthens a vector, so every edge also has `‖P(zᵢ − zⱼ)‖ ≤ r`.
+//!
+//! **Basis.** `P` projects onto the DCT-II directions
+//! `cₖ[s] = √(2/n)·cos(πk(2s + 1)/2n)` for `k = 1..K`, with
+//! `K = min(6, n − 1)`. They are orthonormal and orthogonal to the
+//! constant vector, which standardization has already removed. The basis
+//! is fixed: no random state and nothing to tune.
+//!
+//! **Candidates.** Genes are bucketed into a 3-D grid on their first
+//! three projected coordinates, with cell side `r`. The endpoints of an
+//! edge therefore lie in the same or in adjacent cells. Each cell meets
+//! itself and its 13 forward neighbours: that half-stencil of 14 cells
+//! reaches every pair of adjacent cells exactly once. A candidate pair
+//! is scored only if its full `K`-dimensional projected distance is
+//! within `r`.
+//!
+//! **Slack.** Floating point perturbs each step of that chain: the
+//! computed ρ, `‖z‖²`, the basis, the projections and the cell
+//! coordinates. Each error is a small multiple of `ε = (n + 8)·2⁻⁵²`
+//! relative to `n`. The squared radius is therefore widened by
+//! `2n·(10⁻⁶ + 1024ε)`, orders of magnitude more than those errors, so
+//! no pair the reference keeps is ever pruned. This includes a pair
+//! whose ρ equals `min_rho` to the bit. The bound needs `‖z‖² ≈ n`. A
+//! row whose computed `‖z‖²` is neither within `64ε·n` of `n` nor
+//! exactly zero, such as one with a subnormal variance or one that
+//! overflowed to NaN, bypasses the grid and is scored against every
+//! other row.
+//!
+//! **Bit-identity.** Survivors are scored by `rho_of`, the dot product
+//! the reference uses, over the same samples in the same order, and
+//! pass the same `min_rho` and p-value tests. So ρ is bit-identical, and
+//! one sort of the few kept edges restores canonical order.
 
-use crate::matrix::ExpressionMatrix;
+use crate::matrix::{standardize_row, ExpressionMatrix};
 use casbn_graph::{Edge, Graph};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -36,16 +80,24 @@ pub struct CorrelationNetwork {
     pub weights: Vec<(Edge, f64)>,
 }
 
-/// Gene-block width of the tiled parallel kernel. 128 standardized rows of
-/// a typical (≤ 32-sample) array fit comfortably in L2, so a 128×128 tile
-/// streams each row once per tile instead of once per pair.
-const DEFAULT_TILE: usize = 128;
+/// Projected dimensions `K` before clipping to `samples − 1`.
+const PROJ_DIMS: usize = 6;
+/// Bits of one grid coordinate in a packed cell key (three per key).
+const CELL_BITS: u32 = 20;
+/// Largest grid coordinate; coordinates are clamped into `0..=CELL_MAX`.
+const CELL_MAX: u64 = (1 << CELL_BITS) - 1;
+/// Sort key of a row that bypasses the grid: after every cell.
+const UNBOUNDED: u64 = u64::MAX;
+/// Parallel work units, cut to equal candidate-check work. The rayon
+/// shim hands each thread a contiguous run of units, so equal units keep
+/// the threads equally busy at any thread count.
+const WORK_UNITS: usize = 1024;
 
-/// Retained `(edge, ρ)` entries of one gene×gene tile, sorted by edge.
-type TileChunk = Vec<(Edge, f64)>;
+/// A row's coordinates on the `K` DCT directions (zero past `K`).
+type Proj = [f64; PROJ_DIMS];
 
 /// `ρ` of the standardized rows `i` and `j` — the **single** dot-product
-/// expression shared by the sequential and tiled paths, so both produce
+/// expression shared by the sequential and pruned paths, so both produce
 /// bit-identical coefficients.
 #[inline]
 fn rho_of(z: &ExpressionMatrix, i: usize, j: usize, inv: f64) -> f64 {
@@ -57,39 +109,233 @@ fn rho_of(z: &ExpressionMatrix, i: usize, j: usize, inv: f64) -> f64 {
         * inv
 }
 
-/// Row-block index `bi` of the `t`-th tile when the upper-triangular tile
-/// pairs `(bi, bj)`, `bj ≥ bi`, are enumerated lexicographically.
-#[inline]
-fn tile_coords(t: usize, nblocks: usize) -> (usize, usize) {
-    let mut bi = 0usize;
-    let mut offset = 0usize;
-    while offset + (nblocks - bi) <= t {
-        offset += nblocks - bi;
-        bi += 1;
-    }
-    (bi, bi + (t - offset))
+/// The DCT-II directions `1..=K` as one `Proj` of coefficients per sample.
+fn dct_basis(samples: usize) -> Vec<Proj> {
+    let n = samples as f64;
+    let dims = PROJ_DIMS.min(samples.saturating_sub(1));
+    let scale = (2.0 / n).sqrt();
+    (0..samples)
+        .map(|s| {
+            let mut c = [0.0; PROJ_DIMS];
+            for (k, ck) in c.iter_mut().enumerate().take(dims) {
+                let angle = std::f64::consts::PI * (k + 1) as f64 * (2 * s + 1) as f64 / (2.0 * n);
+                *ck = scale * angle.cos();
+            }
+            c
+        })
+        .collect()
 }
 
-/// First tile index of row-block `bi` in the lexicographic enumeration.
+/// Project a standardized row onto the basis.
 #[inline]
-fn tile_row_offset(bi: usize, nblocks: usize) -> usize {
-    bi * (2 * nblocks - bi + 1) / 2
+fn project(basis: &[Proj], row: &[f64]) -> Proj {
+    let mut p = [0.0; PROJ_DIMS];
+    for (c, &x) in basis.iter().zip(row) {
+        for (pk, ck) in p.iter_mut().zip(c) {
+            *pk += ck * x;
+        }
+    }
+    p
+}
+
+/// Squared distance of two projected rows.
+#[inline]
+fn dist2(a: &Proj, b: &Proj) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// Packed grid cell of the first three projected coordinates. Each
+/// coordinate is `⌊(p + offset) / side⌋` clamped into `0..=CELL_MAX`. The
+/// clamp is monotone, so two rows within one side of each other still
+/// land in the same or adjacent cells.
+fn cell_key(p: &Proj, offset: f64, side: f64) -> u64 {
+    p[..3].iter().fold(0, |key, &x| {
+        let c = ((x + offset) / side).floor();
+        let c = if c >= CELL_MAX as f64 {
+            CELL_MAX
+        } else if c > 0.0 {
+            c as u64
+        } else {
+            0 // also NaN: 0/0 when n = 0, or a NaN radius
+        };
+        key << CELL_BITS | c
+    })
+}
+
+/// Packed key of grid coordinates `(x, y, z)`.
+#[inline]
+fn pack(x: u64, y: u64, z: u64) -> u64 {
+    (x << CELL_BITS | y) << CELL_BITS | z
 }
 
 impl CorrelationNetwork {
-    /// Build the network from an expression matrix. All `O(genes²)` pairs
-    /// are evaluated by the blocked parallel kernel
-    /// ([`CorrelationNetwork::from_expression_tiled`] at the default tile
-    /// width); a pair becomes an edge iff it passes both thresholds.
+    /// Build the network from an expression matrix with the exact
+    /// projection-pruned kernel described in the [module docs](self).
+    /// A pair becomes an edge iff it passes both thresholds. The output
+    /// is bit-identical to [`CorrelationNetwork::from_expression_seq`]
+    /// at any thread count.
+    ///
+    /// Telemetry: `expr.tiles` counts occupied grid cells,
+    /// `expr.tile_pairs` the pairs whose ρ was computed, and
+    /// `expr.edges_retained` the kept edges. All three depend on the
+    /// input alone.
     pub fn from_expression(m: &ExpressionMatrix, params: NetworkParams) -> Self {
-        Self::from_expression_tiled(m, params, DEFAULT_TILE)
+        let genes = m.genes();
+        let samples = m.samples();
+        let n = samples as f64;
+        let inv = 1.0 / n;
+        let eps = (n + 8.0) * f64::EPSILON;
+        // the candidate radius², widened by the slack; NaN or negative
+        // means no pair of bounded rows can reach `min_rho`
+        let r2 = 2.0 * n * (1.0 - params.min_rho) + 2.0 * n * (1e-6 + 1024.0 * eps);
+        let prune_all = r2.is_nan() || r2 < 0.0;
+        let side = r2.sqrt();
+        let basis = dct_basis(samples);
+
+        // key every gene by its grid cell, or as unbounded when its norm
+        // breaks the distance bound; (key, gene) sorts into cell order
+        let mut row = vec![0.0; samples];
+        let mut keyed: Vec<(u64, u32)> = (0..genes)
+            .map(|g| {
+                row.copy_from_slice(m.row(g));
+                standardize_row(&mut row);
+                let norm2: f64 = row.iter().map(|x| x * x).sum();
+                let bounded = (norm2 - n).abs() <= 64.0 * eps * n || row.iter().all(|&x| x == 0.0);
+                let key = if bounded {
+                    cell_key(&project(&basis, &row), n.sqrt(), side)
+                } else {
+                    UNBOUNDED
+                };
+                (key, g as u32)
+            })
+            .collect();
+        keyed.sort_unstable();
+
+        // occupied cells: their keys and first rows (plus an end sentinel)
+        let grid_rows = keyed.partition_point(|&(k, _)| k != UNBOUNDED);
+        let mut cell_keys: Vec<u64> = Vec::new();
+        let mut cell_start: Vec<usize> = Vec::new();
+        for (q, &(k, _)) in keyed[..grid_rows].iter().enumerate() {
+            if cell_keys.last() != Some(&k) {
+                cell_keys.push(k);
+                cell_start.push(q);
+            }
+        }
+        cell_start.push(grid_rows);
+        let order: Vec<u32> = keyed.into_iter().map(|(_, g)| g).collect();
+
+        // the one standardized copy and the projections, built directly
+        // in cell order (same row expression, so the same bits)
+        let mut data = vec![0.0; genes * samples];
+        let mut proj: Vec<Proj> = Vec::with_capacity(genes);
+        for (q, &g) in order.iter().enumerate() {
+            let row = &mut data[q * samples..(q + 1) * samples];
+            row.copy_from_slice(m.row(g as usize));
+            standardize_row(row);
+            proj.push(project(&basis, row));
+        }
+        let z = ExpressionMatrix::from_rows(genes, samples, data);
+
+        // each cell's half-stencil as five row ranges: the rest of its own
+        // (x, y) column up to dz = +1, then the forward columns
+        // (0, 1), (1, −1), (1, 0), (1, 1), each spanning dz ∈ {−1, 0, 1}
+        let rows_of = |lo: u64, hi: u64| {
+            let a = cell_keys.partition_point(|&k| k < lo);
+            let b = cell_keys.partition_point(|&k| k <= hi);
+            (cell_start[a], cell_start[b])
+        };
+        let stencils: Vec<[(usize, usize); 5]> = cell_keys
+            .iter()
+            .map(|&key| {
+                let (x, y, cz) = (
+                    key >> (2 * CELL_BITS),
+                    key >> CELL_BITS & CELL_MAX,
+                    key & CELL_MAX,
+                );
+                let z_hi = (cz + 1).min(CELL_MAX);
+                let mut s = [(0, 0); 5];
+                s[0] = rows_of(key, pack(x, y, z_hi));
+                for (slot, (dx, dy)) in s[1..].iter_mut().zip([(0, 1), (1, -1), (1, 0), (1, 1)]) {
+                    let (nx, ny) = (x + dx, y as i64 + dy);
+                    if nx <= CELL_MAX && (0..=CELL_MAX as i64).contains(&ny) {
+                        let ny = ny as u64;
+                        *slot = rows_of(pack(nx, ny, cz.saturating_sub(1)), pack(nx, ny, z_hi));
+                    }
+                }
+                s
+            })
+            .collect();
+
+        // the rows row q is compared against, all after it in cell order
+        // except for an unbounded row, which meets every row before it
+        let candidates = |q: usize| -> [(usize, usize); 5] {
+            let mut s = [(0, 0); 5];
+            if q >= grid_rows {
+                s[0] = (0, q);
+            } else if !prune_all {
+                s = stencils[cell_start.partition_point(|&c| c <= q) - 1];
+                s[0].0 = q + 1;
+            }
+            s
+        };
+
+        // cut the rows into units of equal candidate work
+        let units = WORK_UNITS.min(genes.max(1));
+        let cuts: Vec<usize> = {
+            let mut work = Vec::with_capacity(genes + 1);
+            work.push(0u64);
+            for q in 0..genes {
+                let w: usize = candidates(q).iter().map(|&(lo, hi)| hi - lo).sum();
+                work.push(work[q] + w as u64);
+            }
+            let total = work[genes];
+            (0..units)
+                .map(|u| work[..genes].partition_point(|&w| w < total * u as u64 / units as u64))
+                .chain([genes])
+                .collect()
+        };
+
+        // score the candidates that pass the projected-distance test
+        let mut weights: Vec<(Edge, f64)> = (0..units)
+            .into_par_iter()
+            .flat_map_iter(|u| {
+                let mut kept = Vec::new();
+                let mut scored = 0u64;
+                for q in cuts[u]..cuts[u + 1] {
+                    let unbounded = q >= grid_rows;
+                    let pq = proj[q];
+                    for (lo, hi) in candidates(q) {
+                        for (j, pj) in (lo..hi).zip(&proj[lo..hi]) {
+                            if unbounded || dist2(&pq, pj) <= r2 {
+                                scored += 1;
+                                let rho = rho_of(&z, q, j, inv);
+                                if rho >= params.min_rho
+                                    && pearson_p_value(rho, samples) <= params.max_p
+                                {
+                                    let (a, b) = (order[q], order[j]);
+                                    kept.push(((a.min(b), a.max(b)), rho));
+                                }
+                            }
+                        }
+                    }
+                }
+                // unit totals depend on the input alone, so the summed
+                // counter is thread-count-invariant
+                casbn_obs::counter_add("expr.tile_pairs", scored);
+                kept
+            })
+            .collect();
+        weights.sort_unstable_by_key(|&(e, _)| e);
+        casbn_obs::counter_add("expr.tiles", cell_keys.len() as u64);
+        casbn_obs::counter_add("expr.edges_retained", weights.len() as u64);
+        Self::from_sorted_weights(genes, weights)
     }
 
     /// Sequential reference implementation: a plain `i < j` double loop in
     /// canonical edge order. This is the differential-testing oracle — the
-    /// tiled parallel kernel must reproduce its output **bit-identically**
-    /// (same edge list, same order, same `ρ` values) for every tile width
-    /// and thread count.
+    /// pruned kernel of [`CorrelationNetwork::from_expression`] must
+    /// reproduce its output **bit-identically** (same edge list, same
+    /// order, same `ρ` values) at every thread count.
     pub fn from_expression_seq(m: &ExpressionMatrix, params: NetworkParams) -> Self {
         let z = m.standardized();
         let genes = m.genes();
@@ -104,81 +350,6 @@ impl CorrelationNetwork {
                 }
             }
         }
-        Self::from_sorted_weights(genes, weights)
-    }
-
-    /// Blocked parallel kernel with an explicit `tile` width (exposed so
-    /// tests can sweep awkward widths; use
-    /// [`CorrelationNetwork::from_expression`] for the tuned default).
-    ///
-    /// The gene×gene upper triangle is cut into `tile`×`tile` blocks.
-    /// Tiles are evaluated in parallel — each producing a chunk already
-    /// sorted by canonical edge — and the chunks are then merged with a
-    /// cursor walk per row-block (tiles of one row-block cover disjoint,
-    /// ascending column ranges, so the merge is a linear scan, not a
-    /// sort). The merged output is deterministic and identical to
-    /// [`CorrelationNetwork::from_expression_seq`] regardless of thread
-    /// count.
-    pub fn from_expression_tiled(m: &ExpressionMatrix, params: NetworkParams, tile: usize) -> Self {
-        assert!(tile > 0, "tile width must be positive");
-        let z = m.standardized();
-        let genes = m.genes();
-        let samples = m.samples();
-        let inv = 1.0 / samples as f64;
-        let nblocks = genes.div_ceil(tile);
-        let ntiles = nblocks * (nblocks + 1) / 2;
-
-        // phase 1: evaluate tiles in parallel, each chunk sorted by edge
-        let chunks: Vec<TileChunk> = (0..ntiles)
-            .into_par_iter()
-            .map(|t| {
-                let (bi, bj) = tile_coords(t, nblocks);
-                let rows = bi * tile..((bi + 1) * tile).min(genes);
-                let cols_end = ((bj + 1) * tile).min(genes);
-                let mut chunk = TileChunk::new();
-                let mut pairs = 0u64;
-                for i in rows {
-                    let cols_start = (bj * tile).max(i + 1);
-                    for j in cols_start..cols_end {
-                        let rho = rho_of(&z, i, j, inv);
-                        if rho >= params.min_rho && pearson_p_value(rho, samples) <= params.max_p {
-                            chunk.push(((i as u32, j as u32), rho));
-                        }
-                    }
-                    pairs += cols_end.saturating_sub(cols_start) as u64;
-                }
-                // tile totals are a function of the tiling alone, so the
-                // counters are thread-count-invariant
-                casbn_obs::counter_inc("expr.tiles");
-                casbn_obs::counter_add("expr.tile_pairs", pairs);
-                casbn_obs::counter_add("expr.edges_retained", chunk.len() as u64);
-                chunk
-            })
-            .collect();
-
-        // phase 2: merge each row-block's chunks (disjoint ascending
-        // column ranges per row) with cursors — in parallel per row-block
-        let merged: Vec<TileChunk> = (0..nblocks)
-            .into_par_iter()
-            .map(|bi| {
-                let row_tiles = &chunks
-                    [tile_row_offset(bi, nblocks)..tile_row_offset(bi, nblocks) + (nblocks - bi)];
-                let mut cursors = vec![0usize; row_tiles.len()];
-                let mut out = TileChunk::with_capacity(row_tiles.iter().map(Vec::len).sum());
-                for i in (bi * tile) as u32..(((bi + 1) * tile).min(genes)) as u32 {
-                    for (k, t) in row_tiles.iter().enumerate() {
-                        let c = &mut cursors[k];
-                        while *c < t.len() && t[*c].0 .0 == i {
-                            out.push(t[*c]);
-                            *c += 1;
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-
-        let weights: Vec<(Edge, f64)> = merged.into_iter().flatten().collect();
         Self::from_sorted_weights(genes, weights)
     }
 
@@ -426,10 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn tiled_kernel_matches_sequential_reference_bitwise() {
+    fn pruned_kernel_matches_sequential_reference_bitwise() {
         let arr = SyntheticMicroarray::generate(
             &SyntheticParams {
-                genes: 301, // deliberately not a multiple of any tile width
+                genes: 301,
                 samples: 12,
                 modules: 6,
                 module_size: 9,
@@ -437,25 +608,25 @@ mod tests {
             },
             17,
         );
-        let params = NetworkParams {
-            min_rho: 0.8,
-            max_p: 0.01,
-        };
-        let seq = CorrelationNetwork::from_expression_seq(&arr.matrix, params);
-        assert!(seq.graph.m() > 0, "reference network must be non-trivial");
-        for tile in [1, 3, 37, 128, 301, 1000] {
-            let par = CorrelationNetwork::from_expression_tiled(&arr.matrix, params, tile);
+        for min_rho in [0.5, 0.8, 0.95] {
+            let params = NetworkParams {
+                min_rho,
+                max_p: 0.01,
+            };
+            let seq = CorrelationNetwork::from_expression_seq(&arr.matrix, params);
+            assert!(seq.graph.m() > 0, "reference network must be non-trivial");
+            let par = CorrelationNetwork::from_expression(&arr.matrix, params);
             assert_eq!(
                 par.weights.len(),
                 seq.weights.len(),
-                "tile={tile}: edge count drifted"
+                "min_rho={min_rho}: edge count drifted"
             );
             for (a, b) in par.weights.iter().zip(&seq.weights) {
-                assert_eq!(a.0, b.0, "tile={tile}: edge order drifted");
+                assert_eq!(a.0, b.0, "min_rho={min_rho}: edge order drifted");
                 assert_eq!(
                     a.1.to_bits(),
                     b.1.to_bits(),
-                    "tile={tile}: ρ not bit-identical"
+                    "min_rho={min_rho}: ρ not bit-identical"
                 );
             }
             assert!(par.graph.same_edges(&seq.graph));
@@ -463,20 +634,45 @@ mod tests {
     }
 
     #[test]
-    fn default_entry_point_is_the_tiled_kernel_output() {
-        let arr = SyntheticMicroarray::generate(
-            &SyntheticParams {
-                genes: 150,
-                samples: 10,
-                modules: 3,
-                module_size: 8,
-                loading_sq: 0.98,
-            },
-            23,
-        );
-        let a = CorrelationNetwork::from_expression(&arr.matrix, NetworkParams::default());
-        let b = CorrelationNetwork::from_expression_seq(&arr.matrix, NetworkParams::default());
-        assert_eq!(a.weights, b.weights);
+    fn dct_basis_is_orthonormal_and_mean_free() {
+        for samples in 0usize..=12 {
+            let basis = dct_basis(samples);
+            assert_eq!(basis.len(), samples);
+            let dims = PROJ_DIMS.min(samples.saturating_sub(1));
+            for a in 0..PROJ_DIMS {
+                let sum: f64 = basis.iter().map(|c| c[a]).sum();
+                assert!(
+                    sum.abs() < 1e-12,
+                    "n={samples}: direction {a} not mean-free"
+                );
+                for b in 0..PROJ_DIMS {
+                    let dot: f64 = basis.iter().map(|c| c[a] * c[b]).sum();
+                    let want = if a == b && a < dims { 1.0 } else { 0.0 };
+                    assert!(
+                        (dot - want).abs() < 1e-12,
+                        "n={samples}: <c{a}, c{b}> = {dot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_keys_clamp_monotonically() {
+        let side = 0.5;
+        let key = |x: f64| cell_key(&[x, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0, side) >> (2 * CELL_BITS);
+        // below the offset clamps to 0, far above clamps to CELL_MAX
+        assert_eq!(key(-5.0), 0);
+        assert_eq!(key(f64::MAX), CELL_MAX);
+        // points within one side of each other stay in adjacent cells
+        let xs: Vec<f64> = (-40..40).map(|i| i as f64 * 0.0625).collect();
+        for &a in &xs {
+            for &b in &xs {
+                if (a - b).abs() <= side {
+                    assert!(key(a).abs_diff(key(b)) <= 1, "{a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -488,25 +684,6 @@ mod tests {
             assert_eq!(net.graph.m(), 0, "genes={genes} samples={samples}");
             let seq = CorrelationNetwork::from_expression_seq(&m, NetworkParams::default());
             assert_eq!(net.weights, seq.weights);
-        }
-    }
-
-    #[test]
-    fn tile_coords_roundtrip() {
-        for nblocks in 1usize..9 {
-            let mut t = 0usize;
-            for bi in 0..nblocks {
-                assert_eq!(
-                    tile_row_offset(bi, nblocks),
-                    t,
-                    "offset bi={bi} nb={nblocks}"
-                );
-                for bj in bi..nblocks {
-                    assert_eq!(tile_coords(t, nblocks), (bi, bj), "nb={nblocks}");
-                    t += 1;
-                }
-            }
-            assert_eq!(t, nblocks * (nblocks + 1) / 2);
         }
     }
 

@@ -583,7 +583,7 @@ fn jaccard(a: &[VertexId], b: &[VertexId]) -> f64 {
 /// Simulated seconds a from-scratch rebuild of one window would cost
 /// under `cost`: re-standardising every gene over all `samples` seen,
 /// re-evaluating all `genes·(genes−1)/2` pairs with `samples`-long dot
-/// products (the tiled-Pearson work), plus `dsw_ops` for the from-scratch
+/// products (the all-pairs Pearson work), plus `dsw_ops` for the from-scratch
 /// DSW extraction. This is the baseline the incremental per-window
 /// `sim_chordal`/`sim_ingest` numbers are judged against.
 pub fn rebuild_sim_seconds(genes: usize, samples: usize, dsw_ops: u64, cost: CostModel) -> f64 {

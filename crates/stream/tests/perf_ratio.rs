@@ -1,6 +1,6 @@
 //! The acceptance bound of the streaming subsystem: per-batch simulated
 //! cost of incremental chordal maintenance must be **≥ 5× below** a full
-//! tiled-Pearson + DSW recompute of the same window, on the YNG preset at
+//! all-pairs Pearson + DSW recompute of the same window, on the YNG preset at
 //! dataset scale 0.15 (the committed perf-baseline scale).
 
 use casbn_core::IncrementalChordal;
@@ -31,7 +31,7 @@ fn incremental_maintenance_is_5x_cheaper_than_rebuild_at_scale_015() {
         let stats = inc.apply(&delta, &net);
 
         // what a batch pipeline would pay instead for this window: re-run
-        // the tiled Pearson kernel over all samples seen so far plus a
+        // all-pairs Pearson over all samples seen so far plus a
         // from-scratch DSW of the resulting network
         let scratch = casbn_chordal::maximal_chordal_subgraph(
             &net.snapshot(),

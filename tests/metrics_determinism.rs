@@ -16,11 +16,11 @@ use casbn::store::{Store, StoreWriter};
 use casbn::stream::{synthesize_replay, StreamConfig, StreamDriver};
 use std::collections::BTreeMap;
 
-/// The instrumented pipeline under test: a multi-tile Pearson network
-/// build (rayon-parallel phase 1) followed by a windowed stream replay
+/// The instrumented pipeline under test: a pruned Pearson network build
+/// (rayon-parallel over many work units) followed by a windowed stream replay
 /// (online correlation, incremental chordal, MCODE, span timers).
 fn run_workload(matrix: &ExpressionMatrix) {
-    let net = CorrelationNetwork::from_expression_tiled(matrix, NetworkParams::default(), 16);
+    let net = CorrelationNetwork::from_expression(matrix, NetworkParams::default());
     assert!(net.graph.m() > 0, "workload must do real work");
     let mut driver = StreamDriver::new(matrix.genes(), StreamConfig::default());
     let mut lo = 0;

@@ -17,7 +17,7 @@ use casbn::prelude::*;
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
-// Pearson: tiled parallel kernel vs sequential reference
+// Pearson: pruned parallel kernel vs sequential reference
 // ---------------------------------------------------------------------
 
 #[test]
@@ -50,11 +50,6 @@ fn parallel_pearson_equals_sequential_reference_bitwise() {
             assert_eq!(a.1.to_bits(), b.1.to_bits(), "seed {seed}: ρ drifted");
         }
         assert!(par.graph.same_edges(&seq.graph));
-        // and for deliberately awkward tile widths
-        for tile in [1usize, 7, 64] {
-            let t = CorrelationNetwork::from_expression_tiled(&arr.matrix, params, tile);
-            assert_eq!(t.weights, seq.weights, "seed {seed} tile {tile}");
-        }
     }
 }
 
