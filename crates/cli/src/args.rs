@@ -44,12 +44,16 @@ impl Args {
         self.get(key).ok_or_else(|| format!("missing --{key}"))
     }
 
+    /// Parsed value, if given.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|s| s.parse().map_err(|_| format!("invalid --{key}: {s}")))
+            .transpose()
+    }
+
     /// Parsed value with a default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|_| format!("invalid --{key}: {s}")),
-        }
+        Ok(self.parsed(key)?.unwrap_or(default))
     }
 
     /// Whether the bare switch was given.

@@ -7,7 +7,7 @@ use casbn_core::{
     ParallelRandomWalkFilter, RandomEdgeFilter, RandomNodeFilter, SequentialChordalFilter,
 };
 use casbn_expr::{DatasetPreset, ExpressionMatrix, NetworkParams};
-use casbn_fuzz::{Execution, FuzzConfig};
+use casbn_fuzz::{ArgvSurface, Execution, FuzzConfig};
 use casbn_graph::io::{read_edge_list, write_edge_list};
 use casbn_graph::{store as graph_store, Graph, PartitionKind};
 use casbn_mcode::{mcode_cluster, store as mcode_store, Cluster, McodeParams};
@@ -19,9 +19,8 @@ use casbn_store::io::{append_durable, save_atomic, write_atomic, RealFs, RetryPo
 use casbn_store::{is_store_bytes, SectionKind, Store, StoreWriter};
 use casbn_stream::{read_replay, synthesize_replay, write_replay, StreamConfig, StreamDriver};
 
-/// Help text. Kept in sync with the flags each subcommand actually parses;
-/// `cli_help` tests assert every flag below is real and every parsed flag is
-/// documented here.
+/// Help text. The `cli_help` tests assert it documents every flag of
+/// every [`COMMANDS`] row.
 pub const USAGE: &str = "\
 casbn — chordal adaptive sampling for biological networks
 
@@ -361,9 +360,309 @@ FLAGS:
 Exit codes: 0 ok, 1 checksum mismatch, 2 usage/configuration error.
 ";
 
+/// The work of one validated command line; returns the exit code (`Err`
+/// exits 2 with `error: …` on stderr).
+pub type Job<'a> = Box<dyn FnOnce() -> Result<i32, String> + 'a>;
+
+/// One `casbn` subcommand: its flags, its help page and its body. The
+/// shared prelude ([`run`], [`fuzz_argv_check`]) derives dispatch, flag
+/// validation and help from these rows. Adding a flag means adding it to
+/// its row and a line to the help page; if it takes a typed value, the
+/// body parses it before returning its [`Job`], which is what makes
+/// [`fuzz_argv_check`] see the parse too.
+pub struct Command {
+    /// Subcommand name (`casbn <name>`).
+    pub name: &'static str,
+    /// Flags that take a value (`--key value`).
+    pub valued: &'static [&'static str],
+    /// Bare switches (`--key`).
+    pub switches: &'static [&'static str],
+    /// Page printed by `casbn <name> --help`.
+    pub help: &'static str,
+    /// The body, called on flags the prelude accepted. It parses and
+    /// checks every flag value without touching a file (`Err` exits 2
+    /// with `error: …` on stderr), then returns the [`Job`] that does
+    /// the work.
+    pub run: fn(&Args) -> Result<Job<'_>, String>,
+}
+
+/// Every subcommand, in `USAGE` order.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        valued: &["preset", "scale", "out", "metrics"],
+        switches: &[],
+        help: USAGE,
+        run: run_generate,
+    },
+    Command {
+        name: "filter",
+        valued: &["in", "algo", "ranks", "partition", "seed", "out", "metrics"],
+        switches: &[],
+        help: USAGE,
+        run: run_filter,
+    },
+    Command {
+        name: "cluster",
+        valued: &["in", "min-score", "min-size", "metrics"],
+        switches: &["json"],
+        help: USAGE,
+        run: run_cluster,
+    },
+    Command {
+        name: "stats",
+        valued: &["in", "metrics"],
+        switches: &["centrality"],
+        help: USAGE,
+        run: run_stats,
+    },
+    Command {
+        name: "compare",
+        valued: &["original", "filtered", "metrics"],
+        switches: &[],
+        help: USAGE,
+        run: run_compare,
+    },
+    Command {
+        name: "bench",
+        valued: &[
+            "scale",
+            "repeats",
+            "out",
+            "baseline",
+            "threshold",
+            "summary",
+            "metrics",
+        ],
+        switches: &["wall"],
+        help: BENCH_USAGE,
+        run: run_bench,
+    },
+    Command {
+        name: "stream",
+        valued: &[
+            "preset",
+            "scale",
+            "samples",
+            "in",
+            "batch",
+            "min-rho",
+            "min-score",
+            "out",
+            "replay-out",
+            "expect-checksum",
+            "checkpoint",
+            "resume",
+            "windows",
+            "io-retries",
+            "metrics",
+        ],
+        switches: &["json", "degraded"],
+        help: STREAM_USAGE,
+        run: run_stream,
+    },
+    Command {
+        name: "serve",
+        valued: &[
+            "in",
+            "preset",
+            "scale",
+            "samples",
+            "script",
+            "listen",
+            "threads",
+            "batch",
+            "checkpoint",
+            "expect-checksum",
+            "io-retries",
+            "metrics",
+        ],
+        switches: &[],
+        help: SERVE_USAGE,
+        run: run_serve,
+    },
+    Command {
+        name: "pack",
+        valued: &["in", "kind", "out"],
+        switches: &[],
+        help: USAGE,
+        run: run_pack,
+    },
+    Command {
+        name: "inspect",
+        valued: &["in", "metrics"],
+        switches: &["json", "degraded"],
+        help: USAGE,
+        run: run_inspect,
+    },
+    Command {
+        name: "verify",
+        valued: &["in", "metrics"],
+        switches: &[],
+        help: USAGE,
+        run: run_verify,
+    },
+    Command {
+        name: "fuzz",
+        valued: &["target", "iters", "seed", "corpus", "minimize"],
+        switches: &[],
+        help: FUZZ_USAGE,
+        run: run_fuzz,
+    },
+];
+
+/// The row for subcommand `name`: `Ok(None)` for the names that print
+/// [`USAGE`] (`help`, `--help`, `-h`), `Err` for an unknown name.
+fn lookup(name: &str) -> Result<Option<&'static Command>, String> {
+    match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => Ok(Some(cmd)),
+        None if matches!(name, "help" | "--help" | "-h") => Ok(None),
+        None => Err(format!("unknown subcommand: {name}")),
+    }
+}
+
+/// The prelude every subcommand shares: `None` when `--help`/`-h`
+/// appears anywhere (help short-circuits parsing), else the parsed
+/// flags. A typo'd or value-less flag is an error, never dropped: a
+/// dropped flag could silently disable a gate or run a different
+/// experiment than the one asked for.
+fn prelude(cmd: &Command, argv: &[String]) -> Result<Option<Args>, String> {
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(None);
+    }
+    let args = Args::parse(argv)?;
+    args.reject_unknown(cmd.valued, cmd.switches)?;
+    Ok(Some(args))
+}
+
+/// Run `cmd` on its flags: prelude, body, then its job between
+/// [`metrics_begin`] and [`metrics_finish`].
+fn run_command(cmd: &Command, argv: &[String]) -> i32 {
+    let args = match prelude(cmd, argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            print!("{}", cmd.help);
+            return 0;
+        }
+        Err(e) => return fail(&e),
+    };
+    let job = match (cmd.run)(&args) {
+        Ok(job) => job,
+        Err(e) => return fail(&e),
+    };
+    let metrics = metrics_begin(&args);
+    job()
+        .and_then(|code| metrics_finish(metrics).map(|()| code))
+        .unwrap_or_else(|e| fail(&e))
+}
+
+/// `casbn ARGV…`: dispatch `argv` (subcommand first) through
+/// [`COMMANDS`] and return the process exit code.
+pub fn run(argv: &[String]) -> i32 {
+    match lookup(argv.first().map_or("help", String::as_str)) {
+        Ok(Some(cmd)) => run_command(cmd, &argv[1..]),
+        Ok(None) => {
+            print!("{USAGE}");
+            0
+        }
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            2
+        }
+    }
+}
+
+/// In-process `casbn <name> ARGV…` for the row `name`.
+fn run_named(name: &str, argv: &[String]) -> i32 {
+    let cmd = lookup(name).ok().flatten();
+    run_command(cmd.expect("a COMMANDS row"), argv)
+}
+
+/// `casbn generate ARGV…`, in process.
+pub fn generate(argv: &[String]) -> i32 {
+    run_named("generate", argv)
+}
+
+/// `casbn filter ARGV…`, in process.
+pub fn filter(argv: &[String]) -> i32 {
+    run_named("filter", argv)
+}
+
+/// `casbn cluster ARGV…`, in process.
+pub fn cluster(argv: &[String]) -> i32 {
+    run_named("cluster", argv)
+}
+
+/// `casbn stats ARGV…`, in process.
+pub fn stats(argv: &[String]) -> i32 {
+    run_named("stats", argv)
+}
+
+/// `casbn compare ARGV…`, in process.
+pub fn compare(argv: &[String]) -> i32 {
+    run_named("compare", argv)
+}
+
+/// `casbn stream ARGV…`, in process.
+pub fn stream(argv: &[String]) -> i32 {
+    run_named("stream", argv)
+}
+
+/// Validate a full `casbn` argv vector (subcommand plus flags) exactly
+/// as [`run`] would — same table lookup, same prelude, same body — but
+/// drop the body's [`Job`] unrun, so nothing executes and no file is
+/// touched. This is the driver the fuzzing harness's `cli-argv` target
+/// injects: it must return `Ok`/`Err`, never panic, on arbitrary argv
+/// vectors.
+pub fn fuzz_argv_check(argv: &[String]) -> Result<(), String> {
+    let Some(cmd) = lookup(argv.first().map_or("help", String::as_str))? else {
+        return Ok(());
+    };
+    let Some(args) = prelude(cmd, &argv[1..])? else {
+        return Ok(());
+    };
+    (cmd.run)(&args).map(drop)
+}
+
+/// The `cli-argv` fuzz target's view of the CLI: [`fuzz_argv_check`]
+/// and every subcommand and flag name of [`COMMANDS`].
+pub fn argv_surface() -> ArgvSurface {
+    let mut flags: Vec<String> = Vec::new();
+    for cmd in COMMANDS {
+        for flag in cmd.valued.iter().chain(cmd.switches) {
+            let flag = format!("--{flag}");
+            if !flags.contains(&flag) {
+                flags.push(flag);
+            }
+        }
+    }
+    ArgvSurface {
+        check: fuzz_argv_check,
+        subcommands: COMMANDS.iter().map(|c| c.name).collect(),
+        flags,
+    }
+}
+
 fn fail(msg: &str) -> i32 {
     eprintln!("error: {msg}");
     2
+}
+
+/// `--scale` as a finite dataset fraction > 0 (`default` when absent).
+fn scale(args: &Args, default: f64) -> Result<f64, String> {
+    let scale: f64 = args.get_or("scale", default)?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err("need --scale > 0".into());
+    }
+    Ok(scale)
+}
+
+/// `--ranks` as a simulated processor count > 0 (default 1).
+fn ranks(args: &Args) -> Result<usize, String> {
+    match args.get_or("ranks", 1)? {
+        0 => Err("need --ranks > 0".into()),
+        ranks => Ok(ranks),
+    }
 }
 
 /// Route an artifact write through the crash-safe I/O layer: the bytes
@@ -424,7 +723,7 @@ fn metrics_finish(dest: Option<&str>) -> Result<(), String> {
 /// here); the single dispatch body keeps the format routing in one
 /// place.
 fn load_with(path: &str, on_container: impl FnOnce(&Store<'_>, usize)) -> Result<Graph, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
+    let bytes = read(path)?;
     if is_store_bytes(&bytes) {
         // lazy open: the header/table validate up front in O(header),
         // and only the sections actually decoded get checksummed — a
@@ -442,6 +741,11 @@ fn load(path: &str) -> Result<Graph, String> {
     load_with(path, |_, _| {})
 }
 
+/// The bytes of the input file `path`.
+fn read(path: &str) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("open {path}: {e}"))
+}
+
 fn save(g: &Graph, path: Option<&str>, header: &str) -> Result<(), String> {
     match path {
         Some(p) => {
@@ -455,19 +759,77 @@ fn save(g: &Graph, path: Option<&str>, header: &str) -> Result<(), String> {
     }
 }
 
+/// Where `stream` and `serve` read from: `--in FILE` (format-sniffed by
+/// the caller) or the replay synthesized from `--preset P [--scale F]
+/// [--samples N]`.
+enum Source<'a> {
+    File(&'a str),
+    Preset(DatasetPreset, f64, Option<usize>),
+}
+
+/// Resolve the `--in`/`--preset` source. Preset-only knobs given with
+/// `--in` are rejected, not ignored: a user who believes they rescaled
+/// the replay would pin a checksum for a different run than they think.
+fn source(args: &Args) -> Result<Source<'_>, String> {
+    match (args.get("in"), args.get("preset")) {
+        (Some(_), Some(_)) => Err("--in and --preset are mutually exclusive".into()),
+        (Some(path), None) => {
+            for flag in ["scale", "samples"] {
+                if args.get(flag).is_some() {
+                    return Err(format!("--{flag} only applies to --preset, not --in files"));
+                }
+            }
+            Ok(Source::File(path))
+        }
+        (None, Some(preset)) => Ok(Source::Preset(
+            preset.parse()?,
+            scale(args, 1.0)?,
+            args.parsed("samples")?,
+        )),
+        (None, None) => Err("need --in FILE or --preset".into()),
+    }
+}
+
+/// Write a checkpoint to `path`. When `path` already holds a `.csbn`
+/// container the new state is appended *in place* as a durable
+/// generation: only the suffix is written, payloads and table are
+/// fsynced before the committing footer, and earlier generations
+/// survive as a bit-exact prefix (a torn tail from an earlier crash is
+/// truncated away first). Anything else is atomically replaced with a
+/// fresh base-layout container. Returns whether it appended.
+fn write_checkpoint(path: &str, w: &StoreWriter, policy: RetryPolicy) -> Result<bool, String> {
+    if !is_csbn_file(path) {
+        save_atomic(&RealFs, path, w, policy).map_err(|e| format!("write {path}: {e}"))?;
+        return Ok(false);
+    }
+    let out = append_durable(&RealFs, path, w, policy)
+        .map_err(|e| format!("append checkpoint {path}: {e}"))?;
+    if out.recovered_bytes > 0 {
+        eprintln!(
+            "warning: {path} had a torn tail; dropped {} byte(s) before appending",
+            out.recovered_bytes
+        );
+    }
+    Ok(true)
+}
+
+/// The `--expect-checksum N` gate: exit code 1 (and a stderr
+/// diagnostic) when N was given and differs from `got`, else 0.
+fn checksum_gate(want: Option<u64>, got: u64) -> i32 {
+    match want {
+        Some(want) if want != got => {
+            eprintln!("checksum mismatch: expected {want}, got {got}");
+            1
+        }
+        _ => 0,
+    }
+}
+
 /// `casbn generate` — build a preset correlation network.
-pub fn generate(argv: &[String]) -> i32 {
-    let run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        let metrics = metrics_begin(&args);
-        let preset = match args.require("preset")? {
-            "yng" => DatasetPreset::Yng,
-            "mid" => DatasetPreset::Mid,
-            "unt" => DatasetPreset::Unt,
-            "cre" => DatasetPreset::Cre,
-            other => return Err(format!("unknown preset {other}")),
-        };
-        let scale: f64 = args.get_or("scale", 1.0)?;
+fn run_generate(args: &Args) -> Result<Job<'_>, String> {
+    let preset: DatasetPreset = args.require("preset")?.parse()?;
+    let scale = scale(args, 1.0)?;
+    Ok(Box::new(move || {
         let ds = if (scale - 1.0).abs() < 1e-12 {
             preset.build()
         } else {
@@ -485,36 +847,29 @@ pub fn generate(argv: &[String]) -> i32 {
             args.get("out"),
             &format!("{} correlation network (rho >= 0.95)", ds.name),
         )?;
-        metrics_finish(metrics)
-    };
-    run().map(|_| 0).unwrap_or_else(|e| fail(&e))
+        Ok(0)
+    }))
 }
 
 /// `casbn filter` — apply a sampling filter to an edge-list network.
-pub fn filter(argv: &[String]) -> i32 {
-    let run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        let metrics = metrics_begin(&args);
-        let g = load(args.require("in")?)?;
-        let ranks: usize = args.get_or("ranks", 1)?;
-        let seed: u64 = args.get_or("seed", 0)?;
-        let part = match args.get("partition").unwrap_or("bfs") {
-            "block" => PartitionKind::Block,
-            "rr" => PartitionKind::RoundRobin,
-            "bfs" => PartitionKind::BfsBlock,
-            other => return Err(format!("unknown partition {other}")),
-        };
-        let algo = args.require("algo")?;
-        let out = match algo {
-            "chordal-seq" => SequentialChordalFilter::new().filter(&g, seed),
-            "chordal-nocomm" => ParallelChordalNoCommFilter::new(ranks, part).filter(&g, seed),
-            "chordal-comm" => ParallelChordalCommFilter::new(ranks, part).filter(&g, seed),
-            "randomwalk" => ParallelRandomWalkFilter::new(ranks, part).filter(&g, seed),
-            "forestfire" => ForestFireFilter::default().filter(&g, seed),
-            "randomnode" => RandomNodeFilter::default().filter(&g, seed),
-            "randomedge" => RandomEdgeFilter::default().filter(&g, seed),
-            other => return Err(format!("unknown algorithm {other}")),
-        };
+fn run_filter(args: &Args) -> Result<Job<'_>, String> {
+    let input = args.require("in")?;
+    let ranks = ranks(args)?;
+    let seed: u64 = args.get_or("seed", 0)?;
+    let part: PartitionKind = args.get("partition").unwrap_or("bfs").parse()?;
+    let algo = args.require("algo")?;
+    let filter: Box<dyn Filter> = match algo {
+        "chordal-seq" => Box::new(SequentialChordalFilter::new()),
+        "chordal-nocomm" => Box::new(ParallelChordalNoCommFilter::new(ranks, part)),
+        "chordal-comm" => Box::new(ParallelChordalCommFilter::new(ranks, part)),
+        "randomwalk" => Box::new(ParallelRandomWalkFilter::new(ranks, part)),
+        "forestfire" => Box::new(ForestFireFilter::default()),
+        "randomnode" => Box::new(RandomNodeFilter::default()),
+        "randomedge" => Box::new(RandomEdgeFilter::default()),
+        other => return Err(format!("unknown algorithm {other}")),
+    };
+    Ok(Box::new(move || {
+        let out = filter.filter(&load(input)?, seed);
         eprintln!(
             "{}: {} -> {} edges ({:.1}% retained, noise estimate {:.1}%); \
              borders {} dups {} msgs {} sim {:.3} ms",
@@ -529,23 +884,20 @@ pub fn filter(argv: &[String]) -> i32 {
             out.stats.sim_makespan * 1e3,
         );
         save(&out.graph, args.get("out"), &format!("filtered by {algo}"))?;
-        metrics_finish(metrics)
-    };
-    run().map(|_| 0).unwrap_or_else(|e| fail(&e))
+        Ok(0)
+    }))
 }
 
 /// `casbn cluster` — MCODE clusters of an edge-list network.
-pub fn cluster(argv: &[String]) -> i32 {
-    let run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        let metrics = metrics_begin(&args);
-        let g = load(args.require("in")?)?;
-        let params = McodeParams {
-            min_score: args.get_or("min-score", 3.0)?,
-            min_size: args.get_or("min-size", 4)?,
-            ..Default::default()
-        };
-        let clusters = mcode_cluster(&g, &params);
+fn run_cluster(args: &Args) -> Result<Job<'_>, String> {
+    let input = args.require("in")?;
+    let params = McodeParams {
+        min_score: args.get_or("min-score", 3.0)?,
+        min_size: args.get_or("min-size", 4)?,
+        ..Default::default()
+    };
+    Ok(Box::new(move || {
+        let clusters = mcode_cluster(&load(input)?, &params);
         if args.has("json") {
             println!(
                 "{}",
@@ -568,9 +920,8 @@ pub fn cluster(argv: &[String]) -> i32 {
                 );
             }
         }
-        metrics_finish(metrics)
-    };
-    run().map(|_| 0).unwrap_or_else(|e| fail(&e))
+        Ok(0)
+    }))
 }
 
 /// Render a parsed container's metadata block: version, creator, and
@@ -700,11 +1051,10 @@ fn container_json(store: &Store<'_>, file_len: usize) -> String {
 /// input the container metadata (section sizes, checksums, creator
 /// version) is reported on stderr alongside the graph statistics, so
 /// stdout stays parseable regardless of the input format.
-pub fn stats(argv: &[String]) -> i32 {
-    let run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        let metrics = metrics_begin(&args);
-        let g = load_with(args.require("in")?, |store, len| {
+fn run_stats(args: &Args) -> Result<Job<'_>, String> {
+    let input = args.require("in")?;
+    Ok(Box::new(move || {
+        let g = load_with(input, |store, len| {
             eprint!("{}", container_metadata(store, len))
         })?;
         let (_, comps) = casbn_graph::algo::connected_components(&g);
@@ -732,46 +1082,24 @@ pub fn stats(argv: &[String]) -> i32 {
                 );
             }
         }
-        metrics_finish(metrics)
-    };
-    run().map(|_| 0).unwrap_or_else(|e| fail(&e))
+        Ok(0)
+    }))
 }
 
 /// `casbn bench` — run the pinned perf-baseline workloads and optionally
 /// diff against a committed baseline JSON. Exit codes: 0 ok, 1 regression,
 /// 2 usage/configuration error.
-pub fn bench(argv: &[String]) -> i32 {
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{BENCH_USAGE}");
-        return 0;
+fn run_bench(args: &Args) -> Result<Job<'_>, String> {
+    let scale = scale(args, perfbase::DEFAULT_SCALE)?;
+    let repeats: usize = args.get_or("repeats", perfbase::DEFAULT_REPEATS)?;
+    let threshold: f64 = args.get_or("threshold", perfbase::DEFAULT_THRESHOLD)?;
+    if !threshold.is_finite() || threshold < 0.0 {
+        return Err("need --threshold >= 0".into());
     }
-    let mut regressed = false;
-    let mut run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        // a typo'd or value-less flag here would silently disable the
-        // regression gate (e.g. `--baseline` without a file) — reject
-        args.reject_unknown(
-            &[
-                "scale",
-                "repeats",
-                "out",
-                "baseline",
-                "threshold",
-                "summary",
-                "metrics",
-            ],
-            &["wall"],
-        )?;
-        let metrics = metrics_begin(&args);
-        let scale: f64 = args.get_or("scale", perfbase::DEFAULT_SCALE)?;
-        let repeats: usize = args.get_or("repeats", perfbase::DEFAULT_REPEATS)?;
-        let threshold: f64 = args.get_or("threshold", perfbase::DEFAULT_THRESHOLD)?;
-        if !scale.is_finite() || scale <= 0.0 || !threshold.is_finite() || threshold < 0.0 {
-            return Err("need --scale > 0 and --threshold >= 0".into());
-        }
-        if args.get("summary").is_some() && args.get("baseline").is_none() {
-            return Err("--summary needs --baseline to compare against".into());
-        }
+    if args.get("summary").is_some() && args.get("baseline").is_none() {
+        return Err("--summary needs --baseline to compare against".into());
+    }
+    Ok(Box::new(move || {
         eprintln!("running perf baseline at scale {scale} ({repeats} repeats)…");
         let suite = perfbase::run_suite(scale, repeats);
         // diagnostics: the timing table and diff report are for the
@@ -789,6 +1117,7 @@ pub fn bench(argv: &[String]) -> i32 {
                 r.checksum
             );
         }
+        let mut code = 0;
         if let Some(path) = args.get("baseline") {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             let base: perfbase::PerfBaseline =
@@ -803,7 +1132,7 @@ pub fn bench(argv: &[String]) -> i32 {
             if report.compared == 0 {
                 return Err(format!("baseline {path} has no suite at scale {scale}"));
             }
-            regressed = report.is_regression();
+            code = i32::from(report.is_regression());
         }
         if let Some(out) = args.get("out") {
             // an absent file starts a fresh baseline, but an existing file
@@ -821,92 +1150,49 @@ pub fn bench(argv: &[String]) -> i32 {
             write_artifact(out, (json + "\n").as_bytes(), RetryPolicy::default())?;
             eprintln!("wrote {out}");
         }
-        metrics_finish(metrics)
-    };
-    match run() {
-        Err(e) => fail(&e),
-        Ok(()) if regressed => 1,
-        Ok(()) => 0,
-    }
+        Ok(code)
+    }))
 }
 
 /// `casbn stream` — replay a sample stream through the incremental
 /// pipeline (online correlation → delta graph → incremental chordal →
 /// MCODE). Exit codes: 0 ok, 1 checksum mismatch, 2 usage error.
-pub fn stream(argv: &[String]) -> i32 {
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{STREAM_USAGE}");
-        return 0;
+fn run_stream(args: &Args) -> Result<Job<'_>, String> {
+    // per-operation transient-I/O retry budget for every artifact
+    // this run writes (checkpoints, edge lists, replays)
+    let policy = RetryPolicy::new(args.get_or("io-retries", 4)?);
+    let resume_path = args.get("resume");
+    if args.has("degraded") && resume_path.is_none() {
+        return Err("--degraded only applies when resuming (--resume FILE)".into());
     }
-    let mut checksum_mismatch = false;
-    let mut run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        // a typo'd flag here could silently drop the checksum gate
-        args.reject_unknown(
-            &[
-                "preset",
-                "scale",
-                "samples",
-                "in",
-                "batch",
-                "min-rho",
-                "min-score",
-                "out",
-                "replay-out",
-                "expect-checksum",
-                "checkpoint",
-                "resume",
-                "windows",
-                "io-retries",
-                "metrics",
-            ],
-            &["json", "degraded"],
-        )?;
-        let metrics = metrics_begin(&args);
-        // per-operation transient-I/O retry budget for every artifact
-        // this run writes (checkpoints, edge lists, replays)
-        let policy = RetryPolicy::new(args.get_or("io-retries", 4)?);
-        let resume_path = args.get("resume");
-        if args.has("degraded") && resume_path.is_none() {
-            return Err("--degraded only applies when resuming (--resume FILE)".into());
-        }
-        if resume_path.is_some() {
-            // the checkpoint carries the run configuration; a silently
-            // overridden batch size or threshold would diverge from the
-            // interrupted run while claiming to continue it
-            for flag in ["batch", "min-rho", "min-score"] {
-                if args.get(flag).is_some() {
-                    return Err(format!("--{flag} comes from the checkpoint when resuming"));
-                }
+    if resume_path.is_some() {
+        // the checkpoint carries the run configuration; a silently
+        // overridden batch size or threshold would diverge from the
+        // interrupted run while claiming to continue it
+        for flag in ["batch", "min-rho", "min-score"] {
+            if args.get(flag).is_some() {
+                return Err(format!("--{flag} comes from the checkpoint when resuming"));
             }
         }
-        let batch: usize = args.get_or("batch", 2)?;
-        let min_rho: f64 = args.get_or("min-rho", NetworkParams::default().min_rho)?;
-        if batch == 0 || !(0.0..=1.0).contains(&min_rho) {
-            return Err("need --batch > 0 and 0 <= --min-rho <= 1".into());
-        }
-        let max_windows: usize = args.get_or("windows", usize::MAX)?;
-        if max_windows == 0 {
-            return Err("need --windows > 0".into());
-        }
+    }
+    let batch: usize = args.get_or("batch", 2)?;
+    let min_rho: f64 = args.get_or("min-rho", NetworkParams::default().min_rho)?;
+    if batch == 0 || !(0.0..=1.0).contains(&min_rho) {
+        return Err("need --batch > 0 and 0 <= --min-rho <= 1".into());
+    }
+    let max_windows: usize = args.get_or("windows", usize::MAX)?;
+    if max_windows == 0 {
+        return Err("need --windows > 0".into());
+    }
+    let min_score: f64 = args.get_or("min-score", 3.0)?;
+    let expect = args.parsed("expect-checksum")?;
+    let src = source(args)?;
 
-        // replay source: a file, or a preset-synthesized stream
-        let matrix = match (args.get("in"), args.get("preset")) {
-            (Some(_), Some(_)) => {
-                return Err("--in and --preset are mutually exclusive".into());
-            }
-            (Some(path), None) => {
-                // preset-only knobs must not be silently ignored — a user
-                // who believes they rescaled the replay would pin a
-                // checksum for a different run than they think
-                for flag in ["scale", "samples"] {
-                    if args.get(flag).is_some() {
-                        return Err(format!(
-                            "--{flag} only applies to --preset replays, not --in files"
-                        ));
-                    }
-                }
-                let bytes = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
+    Ok(Box::new(move || {
+        let matrix = match src {
+            Source::Preset(preset, scale, samples) => synthesize_replay(preset, scale, samples),
+            Source::File(path) => {
+                let bytes = read(path)?;
                 if is_store_bytes(&bytes) {
                     let store = Store::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
                     casbn_expr::store::load_first_matrix(&store)
@@ -915,28 +1201,6 @@ pub fn stream(argv: &[String]) -> i32 {
                     read_replay(&bytes[..]).map_err(|e| format!("parse {path}: {e}"))?
                 }
             }
-            (None, Some(preset)) => {
-                let preset = match preset {
-                    "yng" => DatasetPreset::Yng,
-                    "mid" => DatasetPreset::Mid,
-                    "unt" => DatasetPreset::Unt,
-                    "cre" => DatasetPreset::Cre,
-                    other => return Err(format!("unknown preset {other}")),
-                };
-                let scale: f64 = args.get_or("scale", 1.0)?;
-                if !scale.is_finite() || scale <= 0.0 {
-                    return Err("need --scale > 0".into());
-                }
-                let samples = match args.get("samples") {
-                    Some(s) => Some(
-                        s.parse::<usize>()
-                            .map_err(|_| format!("invalid --samples: {s}"))?,
-                    ),
-                    None => None,
-                };
-                synthesize_replay(preset, scale, samples)
-            }
-            (None, None) => return Err("need --in FILE or --preset".into()),
         };
         if let Some(path) = args.get("replay-out") {
             let mut buf = Vec::new();
@@ -958,7 +1222,7 @@ pub fn stream(argv: &[String]) -> i32 {
         // available for --out and the driver state for --checkpoint
         let mut driver = match resume_path {
             Some(ckpath) => {
-                let ckbytes = std::fs::read(ckpath).map_err(|e| format!("open {ckpath}: {e}"))?;
+                let ckbytes = read(ckpath)?;
                 if !is_store_bytes(&ckbytes) {
                     return Err(format!("{ckpath} is not a .csbn checkpoint"));
                 }
@@ -1018,7 +1282,7 @@ pub fn stream(argv: &[String]) -> i32 {
                         ..Default::default()
                     },
                     mcode: McodeParams {
-                        min_score: args.get_or("min-score", 3.0)?,
+                        min_score,
                         ..Default::default()
                     },
                     ..Default::default()
@@ -1047,35 +1311,16 @@ pub fn stream(argv: &[String]) -> i32 {
             ran += 1;
         }
         if let Some(path) = args.get("checkpoint") {
-            // when the target already holds a .csbn container the new
-            // state is appended *in place* as a durable generation —
-            // only the suffix is written, payloads and table are
-            // fsynced before the committing footer, and earlier
-            // generations survive as a bit-exact prefix (a torn tail
-            // from an earlier crash is truncated away first). Anything
-            // else is atomically replaced with a fresh base-layout
-            // container. Either way the sections stream straight from
-            // the writer; the container is never materialized twice.
+            // the sections stream straight from the writer; the container
+            // is never materialized twice
             let w = driver
                 .checkpoint_writer()
                 .map_err(|e| format!("checkpoint: {e}"))?;
-            let existing = is_csbn_file(path);
-            if existing {
-                let out = append_durable(&RealFs, path, &w, policy)
-                    .map_err(|e| format!("append checkpoint {path}: {e}"))?;
-                if out.recovered_bytes > 0 {
-                    eprintln!(
-                        "warning: {path} had a torn tail; dropped {} byte(s) before appending",
-                        out.recovered_bytes
-                    );
-                }
-            } else {
-                save_atomic(&RealFs, path, &w, policy).map_err(|e| format!("write {path}: {e}"))?;
-            }
+            let appended = write_checkpoint(path, &w, policy)?;
             eprintln!(
                 "wrote checkpoint {path} ({} samples ingested{})",
                 driver.samples_ingested(),
-                if existing { ", appended" } else { "" }
+                if appended { ", appended" } else { "" }
             );
         }
         let chordal = driver.chordal().clone();
@@ -1142,88 +1387,42 @@ pub fn stream(argv: &[String]) -> i32 {
             write_artifact(path, &buf, policy)?;
             eprintln!("wrote {path}");
         }
-        if let Some(expect) = args.get("expect-checksum") {
-            let expect: u64 = expect
-                .parse()
-                .map_err(|_| format!("invalid --expect-checksum: {expect}"))?;
-            if expect != summary.checksum {
-                eprintln!(
-                    "checksum mismatch: expected {expect}, got {}",
-                    summary.checksum
-                );
-                checksum_mismatch = true;
-            }
-        }
-        metrics_finish(metrics)
-    };
-    match run() {
-        Err(e) => fail(&e),
-        Ok(()) if checksum_mismatch => 1,
-        Ok(()) => 0,
-    }
+        Ok(checksum_gate(expect, summary.checksum))
+    }))
 }
 
 /// `casbn serve` — resident concurrent query daemon over the pipeline
 /// (see [`SERVE_USAGE`] for the protocol and mode reference).
 /// Exit codes: 0 ok, 1 checksum mismatch, 2 usage/configuration error.
-pub fn serve(argv: &[String]) -> i32 {
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{SERVE_USAGE}");
-        return 0;
+fn run_serve(args: &Args) -> Result<Job<'_>, String> {
+    let policy = RetryPolicy::new(args.get_or("io-retries", 4)?);
+    let threads: usize = args.get_or("threads", 1)?;
+    let batch: usize = args.get_or("batch", BATCH_MAX)?;
+    if threads == 0 || batch == 0 || batch > BATCH_MAX {
+        return Err(format!(
+            "need --threads > 0 and 1 <= --batch <= {BATCH_MAX}"
+        ));
     }
-    let mut checksum_mismatch = false;
-    let mut run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        // a typo'd flag here could silently drop the checksum gate
-        args.reject_unknown(
-            &[
-                "in",
-                "preset",
-                "scale",
-                "samples",
-                "script",
-                "listen",
-                "threads",
-                "batch",
-                "checkpoint",
-                "expect-checksum",
-                "io-retries",
-                "metrics",
-            ],
-            &[],
-        )?;
-        let metrics = metrics_begin(&args);
-        let policy = RetryPolicy::new(args.get_or("io-retries", 4)?);
-        let threads: usize = args.get_or("threads", 1)?;
-        let batch: usize = args.get_or("batch", BATCH_MAX)?;
-        if threads == 0 || batch == 0 || batch > BATCH_MAX {
-            return Err(format!(
-                "need --threads > 0 and 1 <= --batch <= {BATCH_MAX}"
-            ));
-        }
-        let cfg = SessionConfig {
-            threads,
-            batch_max: batch,
-        };
-        if args.get("expect-checksum").is_some() && args.get("script").is_none() {
-            return Err("--expect-checksum gates a --script run".into());
-        }
+    let cfg = SessionConfig {
+        threads,
+        batch_max: batch,
+    };
+    let expect = args.parsed("expect-checksum")?;
+    if expect.is_some() && args.get("script").is_none() {
+        return Err("--expect-checksum gates a --script run".into());
+    }
+    let src = source(args)?;
 
+    Ok(Box::new(move || {
         // source → engine: a .csbn graph section (or edge list) serves a
         // static snapshot; a matrix section or --preset replay streams
-        let mut engine = match (args.get("in"), args.get("preset")) {
-            (Some(_), Some(_)) => {
-                return Err("--in and --preset are mutually exclusive".into());
-            }
-            (Some(path), None) => {
-                for flag in ["scale", "samples"] {
-                    if args.get(flag).is_some() {
-                        return Err(format!(
-                            "--{flag} only applies to --preset sources, not --in files"
-                        ));
-                    }
-                }
-                let bytes = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
+        let mut engine = match src {
+            Source::Preset(preset, scale, samples) => ServeEngine::from_replay(
+                synthesize_replay(preset, scale, samples),
+                StreamConfig::default(),
+            ),
+            Source::File(path) => {
+                let bytes = read(path)?;
                 if is_store_bytes(&bytes) {
                     let store = Store::open_lazy(&bytes).map_err(|e| format!("{path}: {e}"))?;
                     match graph_store::load_first_graph(&store) {
@@ -1241,31 +1440,6 @@ pub fn serve(argv: &[String]) -> i32 {
                     ServeEngine::from_graph(g, &McodeParams::default())
                 }
             }
-            (None, Some(preset)) => {
-                let preset = match preset {
-                    "yng" => DatasetPreset::Yng,
-                    "mid" => DatasetPreset::Mid,
-                    "unt" => DatasetPreset::Unt,
-                    "cre" => DatasetPreset::Cre,
-                    other => return Err(format!("unknown preset {other}")),
-                };
-                let scale: f64 = args.get_or("scale", 1.0)?;
-                if !scale.is_finite() || scale <= 0.0 {
-                    return Err("need --scale > 0".into());
-                }
-                let samples = match args.get("samples") {
-                    Some(s) => Some(
-                        s.parse::<usize>()
-                            .map_err(|_| format!("invalid --samples: {s}"))?,
-                    ),
-                    None => None,
-                };
-                ServeEngine::from_replay(
-                    synthesize_replay(preset, scale, samples),
-                    StreamConfig::default(),
-                )
-            }
-            (None, None) => return Err("need --in FILE or --preset".into()),
         };
 
         if let Some(path) = args.get("checkpoint") {
@@ -1276,20 +1450,12 @@ pub fn serve(argv: &[String]) -> i32 {
                         .into(),
                 );
             }
-            // same durability discipline as `casbn stream --checkpoint`:
-            // a fresh FILE is written atomically, an existing container
-            // gains durable in-place generations — one per window
-            // boundary plus the final shutdown checkpoint
+            // same durability discipline as `casbn stream --checkpoint`,
+            // one generation per window boundary plus the final shutdown
+            // checkpoint
             let path = path.to_string();
             engine.set_checkpoint_sink(Box::new(move |w| {
-                if is_csbn_file(&path) {
-                    append_durable(&RealFs, &path, w, policy)
-                        .map(drop)
-                        .map_err(|e| format!("append checkpoint {path}: {e}"))
-                } else {
-                    save_atomic(&RealFs, &path, w, policy)
-                        .map_err(|e| format!("write checkpoint {path}: {e}"))
-                }
+                write_checkpoint(&path, w, policy).map(drop)
             }));
         }
 
@@ -1321,19 +1487,9 @@ pub fn serve(argv: &[String]) -> i32 {
                 "responses {} checksum {}",
                 report.requests, report.responses_checksum
             );
-            if let Some(expect) = args.get("expect-checksum") {
-                let expect: u64 = expect
-                    .parse()
-                    .map_err(|_| format!("invalid --expect-checksum: {expect}"))?;
-                if expect != report.responses_checksum {
-                    eprintln!(
-                        "checksum mismatch: expected {expect}, got {}",
-                        report.responses_checksum
-                    );
-                    checksum_mismatch = true;
-                }
-            }
-        } else if let Some(addr) = args.get("listen") {
+            return Ok(checksum_gate(expect, report.responses_checksum));
+        }
+        if let Some(addr) = args.get("listen") {
             let listener =
                 std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
             install_sigint_handler();
@@ -1358,62 +1514,78 @@ pub fn serve(argv: &[String]) -> i32 {
                 Ok(sessions)
             })?;
             eprintln!("served {sessions} session(s)");
-        } else {
-            // pipe mode: one full (writer) session over stdin/stdout
-            install_sigint_handler();
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let report = serve_session(
-                &mut engine,
-                stdin.lock(),
-                stdout.lock(),
-                &cfg,
-                shutdown_flag(),
-            )
-            .map_err(|e| format!("session: {e}"))?;
-            engine.final_checkpoint()?;
-            eprintln!(
-                "session over: {} request(s) in {} batch(es), checksum {}{}",
-                report.requests,
-                report.batches,
-                report.responses_checksum,
-                if report.drained_on_shutdown {
-                    " (drained on shutdown)"
-                } else {
-                    ""
-                }
-            );
+            return Ok(0);
         }
-        metrics_finish(metrics)
-    };
-    match run() {
-        Err(e) => fail(&e),
-        Ok(()) if checksum_mismatch => 1,
-        Ok(()) => 0,
+        // pipe mode: one full (writer) session over stdin/stdout
+        install_sigint_handler();
+        let stdin = std::io::stdin();
+        let stdout = std::io::stdout();
+        let report = serve_session(
+            &mut engine,
+            stdin.lock(),
+            stdout.lock(),
+            &cfg,
+            shutdown_flag(),
+        )
+        .map_err(|e| format!("session: {e}"))?;
+        engine.final_checkpoint()?;
+        eprintln!(
+            "session over: {} request(s) in {} batch(es), checksum {}{}",
+            report.requests,
+            report.batches,
+            report.responses_checksum,
+            if report.drained_on_shutdown {
+                " (drained on shutdown)"
+            } else {
+                ""
+            }
+        );
+        Ok(0)
+    }))
+}
+
+/// What `casbn pack` reads from `--in`.
+enum PackKind {
+    Graph,
+    Replay,
+    Clusters,
+}
+
+impl std::str::FromStr for PackKind {
+    type Err = String;
+
+    /// Parse the `--kind` name: `graph`, `replay` or `clusters`.
+    fn from_str(s: &str) -> Result<PackKind, String> {
+        match s {
+            "graph" => Ok(PackKind::Graph),
+            "replay" => Ok(PackKind::Replay),
+            "clusters" => Ok(PackKind::Clusters),
+            other => Err(format!(
+                "unknown --kind {other} (expected graph | replay | clusters)"
+            )),
+        }
     }
 }
 
 /// `casbn pack` — convert a text artifact (edge-list graph, sample-major
 /// replay, or `cluster --json` output) into a `.csbn` container.
-pub fn pack(argv: &[String]) -> i32 {
-    let run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        args.reject_unknown(&["in", "kind", "out"], &[])?;
-        let input = args.require("in")?;
-        let out = args.require("out")?;
-        let kind = args.require("kind")?;
-        let bytes = std::fs::read(input).map_err(|e| format!("open {input}: {e}"))?;
+fn run_pack(args: &Args) -> Result<Job<'_>, String> {
+    let input = args.require("in")?;
+    let out = args.require("out")?;
+    let kind: PackKind = args.require("kind")?.parse()?;
+    Ok(Box::new(move || {
+        let bytes = read(input)?;
         if is_store_bytes(&bytes) {
             return Err(format!("{input} is already a .csbn container"));
         }
         let mut w = StoreWriter::new();
         match kind {
-            "graph" => {
+            PackKind::Graph => {
                 let (g, _) = read_edge_list(&bytes[..], 0).map_err(|e| e.to_string())?;
                 graph_store::add_graph(&mut w, 0, &g);
                 eprintln!("packed graph: {} vertices, {} edges", g.n(), g.m());
             }
-            "replay" => {
+            PackKind::Replay => {
                 let m: ExpressionMatrix =
                     read_replay(&bytes[..]).map_err(|e| format!("parse {input}: {e}"))?;
                 casbn_expr::store::add_matrix(&mut w, 0, &m);
@@ -1423,7 +1595,7 @@ pub fn pack(argv: &[String]) -> i32 {
                     m.samples()
                 );
             }
-            "clusters" => {
+            PackKind::Clusters => {
                 let text = std::str::from_utf8(&bytes)
                     .map_err(|_| format!("{input} is not UTF-8 cluster JSON"))?;
                 let cs: Vec<Cluster> =
@@ -1431,199 +1603,66 @@ pub fn pack(argv: &[String]) -> i32 {
                 mcode_store::add_clusters(&mut w, 0, &cs);
                 eprintln!("packed {} clusters", cs.len());
             }
-            other => {
-                return Err(format!(
-                    "unknown --kind {other} (expected graph | replay | clusters)"
-                ))
-            }
         }
         w.save(out).map_err(|e| format!("write {out}: {e}"))?;
         eprintln!("wrote {out}");
-        Ok(())
-    };
-    run().map(|_| 0).unwrap_or_else(|e| fail(&e))
+        Ok(0)
+    }))
 }
 
-/// `casbn inspect` — print a container's header and section table
-/// (`--json` for the machine-readable layout document). Opens lazily,
-/// so the cost is O(header + table) regardless of payload size; payload
-/// checksums are deferred (`casbn verify` sweeps them).
-/// Exit codes: 0 ok, 1 structurally corrupt container, 2 usage error.
-pub fn inspect(argv: &[String]) -> i32 {
-    container_report(argv, true)
+fn run_inspect(args: &Args) -> Result<Job<'_>, String> {
+    let path = args.require("in")?;
+    Ok(Box::new(move || container_report(args, path, true)))
 }
 
-/// `casbn verify` — validate a container end to end (magic, version,
-/// endianness, header and per-section checksums, padding). Exit codes:
-/// 0 clean, 1 corrupt, 2 usage error.
-pub fn verify(argv: &[String]) -> i32 {
-    container_report(argv, false)
+fn run_verify(args: &Args) -> Result<Job<'_>, String> {
+    let path = args.require("in")?;
+    Ok(Box::new(move || container_report(args, path, false)))
 }
 
-/// Shared body of `inspect`/`verify`. `verify` runs the eager
-/// [`Store::parse`] (full checksum sweep); `inspect` uses
-/// [`Store::open_lazy`] so printing the table stays O(header + table).
-fn container_report(argv: &[String], table: bool) -> i32 {
-    let mut corrupt = false;
-    let mut run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        if table {
-            args.reject_unknown(&["in", "metrics"], &["json", "degraded"])?;
-        } else {
-            args.reject_unknown(&["in", "metrics"], &[])?;
-        }
-        let metrics = metrics_begin(&args);
-        let path = args.require("in")?;
-        let bytes = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
-        let opened = if table && args.has("degraded") {
-            // best-effort open: a torn tail resolves to the newest
-            // fully valid generation and checksum-failing sections are
-            // quarantined — the report then says exactly what survives
-            Store::open_degraded(&bytes)
-        } else if table {
-            Store::open_lazy(&bytes)
-        } else {
-            Store::parse(&bytes)
-        };
-        match opened {
-            Ok(store) => {
-                if table && args.has("json") {
-                    print!("{}", container_json(&store, bytes.len()));
-                } else if table {
-                    print!("{}", container_metadata(&store, bytes.len()));
-                } else {
-                    println!(
-                        "ok: {} sections, {} bytes, all checksums verified",
-                        store.sections().len(),
-                        bytes.len()
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                corrupt = true;
-            }
-        }
-        metrics_finish(metrics)
+/// Job of `casbn inspect` (`table`) and `casbn verify`.
+///
+/// `inspect` prints a container's header and section table (`--json`
+/// for the machine-readable layout document). It opens with
+/// [`Store::open_lazy`], so the cost is O(header + table) regardless of
+/// payload size; payload checksums are deferred.
+///
+/// `verify` validates a container end to end (magic, version,
+/// endianness, header and per-section checksums, padding) with the
+/// eager [`Store::parse`].
+///
+/// Exit codes: 0 ok, 1 corrupt container, 2 usage error.
+fn container_report(args: &Args, path: &str, table: bool) -> Result<i32, String> {
+    let bytes = read(path)?;
+    let opened = if table && args.has("degraded") {
+        // best-effort open: a torn tail resolves to the newest
+        // fully valid generation and checksum-failing sections are
+        // quarantined — the report then says exactly what survives
+        Store::open_degraded(&bytes)
+    } else if table {
+        Store::open_lazy(&bytes)
+    } else {
+        Store::parse(&bytes)
     };
-    match run() {
-        Err(e) => fail(&e),
-        Ok(()) if corrupt => 1,
-        Ok(()) => 0,
-    }
-}
-
-/// Parse a full `casbn` argv vector (subcommand plus flags) exactly as
-/// the real subcommands would — same flag tables, same typed value
-/// parses — without executing anything or touching the filesystem.
-/// This is the driver the fuzzing harness's `cli-argv` target injects:
-/// it must return `Ok`/`Err`, never panic, on arbitrary argv vectors.
-pub fn fuzz_argv_check(argv: &[String]) -> Result<(), String> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        return Ok(()); // bare `casbn` prints usage
+    let store = match opened {
+        Ok(store) => store,
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            return Ok(1);
+        }
     };
-    let (valued, switches): (&[&str], &[&str]) = match cmd.as_str() {
-        "generate" => (&["preset", "scale", "out", "metrics"], &[]),
-        "filter" => (
-            &["in", "algo", "ranks", "partition", "seed", "out", "metrics"],
-            &[],
-        ),
-        "cluster" => (&["in", "min-score", "min-size", "metrics"], &["json"]),
-        "stats" => (&["in", "metrics"], &["centrality"]),
-        "compare" => (&["original", "filtered", "metrics"], &[]),
-        "bench" => (
-            &[
-                "scale",
-                "repeats",
-                "out",
-                "baseline",
-                "threshold",
-                "summary",
-                "metrics",
-            ],
-            &["wall"],
-        ),
-        "stream" => (
-            &[
-                "preset",
-                "scale",
-                "samples",
-                "in",
-                "batch",
-                "min-rho",
-                "min-score",
-                "out",
-                "replay-out",
-                "expect-checksum",
-                "checkpoint",
-                "resume",
-                "windows",
-                "io-retries",
-                "metrics",
-            ],
-            &["json", "degraded"],
-        ),
-        "serve" => (
-            &[
-                "in",
-                "preset",
-                "scale",
-                "samples",
-                "script",
-                "listen",
-                "threads",
-                "batch",
-                "checkpoint",
-                "expect-checksum",
-                "io-retries",
-                "metrics",
-            ],
-            &[],
-        ),
-        "pack" => (&["in", "kind", "out"], &[]),
-        "inspect" => (&["in", "metrics"], &["json", "degraded"]),
-        "verify" => (&["in", "metrics"], &[]),
-        "fuzz" => (&["target", "iters", "seed", "corpus", "minimize"], &[]),
-        "help" | "--help" | "-h" => return Ok(()),
-        other => return Err(format!("unknown subcommand: {other}")),
-    };
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        return Ok(()); // help short-circuits before parsing everywhere
+    if table && args.has("json") {
+        print!("{}", container_json(&store, bytes.len()));
+    } else if table {
+        print!("{}", container_metadata(&store, bytes.len()));
+    } else {
+        println!(
+            "ok: {} sections, {} bytes, all checksums verified",
+            store.sections().len(),
+            bytes.len()
+        );
     }
-    let args = Args::parse(rest)?;
-    args.reject_unknown(valued, switches)?;
-    // the same typed value parses the real subcommands perform (absent
-    // flags fall through to the default, so one list serves them all)
-    for key in ["scale", "min-rho", "min-score", "threshold"] {
-        let _: f64 = args.get_or(key, 0.0)?;
-    }
-    for key in [
-        "ranks", "repeats", "min-size", "samples", "batch", "windows", "threads",
-    ] {
-        let _: usize = args.get_or(key, 1)?;
-    }
-    for key in ["seed", "iters", "expect-checksum"] {
-        let _: u64 = args.get_or(key, 0)?;
-    }
-    let _: u32 = args.get_or("io-retries", 4)?;
-    if let Some(p) = args.get("preset") {
-        if !matches!(p, "yng" | "mid" | "unt" | "cre") {
-            return Err(format!("unknown preset {p}"));
-        }
-    }
-    if let Some(p) = args.get("partition") {
-        if !matches!(p, "block" | "rr" | "bfs") {
-            return Err(format!("unknown partition {p}"));
-        }
-    }
-    if let Some(k) = args.get("kind") {
-        if !matches!(k, "graph" | "replay" | "clusters") {
-            return Err(format!(
-                "unknown --kind {k} (expected graph | replay | clusters)"
-            ));
-        }
-    }
-    Ok(())
+    Ok(0)
 }
 
 /// Load every file under one target's corpus directory, sorted by file
@@ -1652,39 +1691,33 @@ fn read_corpus_dir(dir: &str) -> Result<Vec<(String, Vec<u8>)>, String> {
 
 /// `casbn fuzz` — run the deterministic fuzzing and differential-oracle
 /// harness. Exit codes: 0 clean, 1 crashes found, 2 usage error.
-pub fn fuzz(argv: &[String]) -> i32 {
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{FUZZ_USAGE}");
-        return 0;
-    }
-    let mut found = false;
-    let mut run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        // a typo'd flag would silently fuzz the wrong campaign — reject
-        args.reject_unknown(&["target", "iters", "seed", "corpus", "minimize"], &[])?;
-        let mut targets = casbn_fuzz::all_targets(fuzz_argv_check);
-        if let Some(name) = args.get("target") {
-            if name != "all" {
-                targets.retain(|t| t.name() == name);
-                if targets.is_empty() {
-                    return Err(format!(
-                        "unknown --target {name} (expected all | {})",
-                        casbn_fuzz::TARGET_NAMES.join(" | ")
-                    ));
-                }
-            }
+fn run_fuzz(args: &Args) -> Result<Job<'_>, String> {
+    let only = args.get("target").filter(|&name| name != "all");
+    if let Some(name) = only {
+        if !casbn_fuzz::TARGET_NAMES.contains(&name) {
+            return Err(format!(
+                "unknown --target {name} (expected all | {})",
+                casbn_fuzz::TARGET_NAMES.join(" | ")
+            ));
         }
-        let cfg = FuzzConfig {
-            iters: args.get_or("iters", 1000)?,
-            seed: args.get_or("seed", 0)?,
-            ..Default::default()
-        };
+    }
+    let cfg = FuzzConfig {
+        iters: args.get_or("iters", 1000)?,
+        seed: args.get_or("seed", 0)?,
+        ..Default::default()
+    };
+    let minimize = args.get("minimize");
+    if minimize.is_some() && only.is_none() {
+        return Err("--minimize needs a single --target to run the input against".into());
+    }
 
-        if let Some(path) = args.get("minimize") {
-            let [target] = &mut targets[..] else {
-                return Err("--minimize needs a single --target to run the input against".into());
-            };
-            let input = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
+    Ok(Box::new(move || {
+        let mut targets = casbn_fuzz::all_targets(argv_surface());
+        targets.retain(|t| only.is_none_or(|name| t.name() == name));
+        if let Some(path) = minimize {
+            // the body checked that --target names exactly one target
+            let target = &mut targets[0];
+            let input = read(path)?;
             let min = casbn_fuzz::minimize(target.as_mut(), &input, cfg.max_alloc);
             match casbn_fuzz::execute_one(target.as_mut(), &min, cfg.max_alloc) {
                 Execution::Failed(kind, msg) => {
@@ -1706,9 +1739,10 @@ pub fn fuzz(argv: &[String]) -> i32 {
                     ));
                 }
             }
-            return Ok(());
+            return Ok(0);
         }
 
+        let mut found = false;
         let corpus = args.get("corpus");
         for target in &mut targets {
             let name = target.name();
@@ -1751,22 +1785,17 @@ pub fn fuzz(argv: &[String]) -> i32 {
             }
             found |= !report.crashes.is_empty();
         }
-        Ok(())
-    };
-    match run() {
-        Err(e) => fail(&e),
-        Ok(()) if found => 1,
-        Ok(()) => 0,
-    }
+        Ok(i32::from(found))
+    }))
 }
 
 /// `casbn compare` — cluster-level comparison of two networks.
-pub fn compare(argv: &[String]) -> i32 {
-    let run = || -> Result<(), String> {
-        let args = Args::parse(argv)?;
-        let metrics = metrics_begin(&args);
-        let orig = load(args.require("original")?)?;
-        let filt = load(args.require("filtered")?)?;
+fn run_compare(args: &Args) -> Result<Job<'_>, String> {
+    let original = args.require("original")?;
+    let filtered = args.require("filtered")?;
+    Ok(Box::new(move || {
+        let orig = load(original)?;
+        let filt = load(filtered)?;
         let params = McodeParams::default();
         let co = mcode_cluster(&orig, &params);
         let cf = mcode_cluster(&filt, &params);
@@ -1790,7 +1819,6 @@ pub fn compare(argv: &[String]) -> i32 {
                 );
             }
         }
-        metrics_finish(metrics)
-    };
-    run().map(|_| 0).unwrap_or_else(|e| fail(&e))
+        Ok(0)
+    }))
 }

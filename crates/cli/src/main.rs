@@ -1,5 +1,6 @@
 //! `casbn` — command-line front end for the sampling pipeline. See
-//! `commands::USAGE` for the subcommand reference.
+//! `commands::USAGE` for the subcommand reference and
+//! `commands::COMMANDS` for the dispatch table.
 
 use casbn_cli::commands;
 use casbn_fuzz::CountingAlloc;
@@ -12,27 +13,5 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = match argv.first().map(String::as_str) {
-        Some("generate") => commands::generate(&argv[1..]),
-        Some("filter") => commands::filter(&argv[1..]),
-        Some("cluster") => commands::cluster(&argv[1..]),
-        Some("stats") => commands::stats(&argv[1..]),
-        Some("compare") => commands::compare(&argv[1..]),
-        Some("bench") => commands::bench(&argv[1..]),
-        Some("stream") => commands::stream(&argv[1..]),
-        Some("serve") => commands::serve(&argv[1..]),
-        Some("pack") => commands::pack(&argv[1..]),
-        Some("inspect") => commands::inspect(&argv[1..]),
-        Some("verify") => commands::verify(&argv[1..]),
-        Some("fuzz") => commands::fuzz(&argv[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{}", commands::USAGE);
-            0
-        }
-        Some(other) => {
-            eprintln!("unknown subcommand: {other}\n{}", commands::USAGE);
-            2
-        }
-    };
-    std::process::exit(code);
+    std::process::exit(commands::run(&argv));
 }

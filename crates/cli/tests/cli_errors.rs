@@ -4,8 +4,9 @@
 //! `cli-argv` fuzz target drives in-process; this suite pins the
 //! end-to-end behaviour of the real binary.
 
+use casbn_cli::commands::{fuzz_argv_check, COMMANDS};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn casbn(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_casbn"))
@@ -137,4 +138,87 @@ fn unknown_algorithm_and_kind_are_named_in_the_diagnostic() {
 #[test]
 fn valueless_flag_is_rejected_not_swallowed() {
     assert_graceful(&["stream", "--preset"], 2, "needs a value");
+}
+
+/// Argv vectors (space-separated; `X` names an existing edge list) that
+/// the in-process check and the binary must both reject, with the
+/// diagnostic both must name.
+const REJECTED: &[(&str, &str)] = &[
+    ("generate --preset yng --scael 0.1", "unknown flag --scael"),
+    (
+        "filter --in X --algo chordal-seq --rank 8",
+        "unknown flag --rank",
+    ),
+    ("cluster --in X --min-scor 3", "unknown flag --min-scor"),
+    ("stats --in X --centrallity", "unknown flag --centrallity"),
+    ("compare --original X --filterd X", "unknown flag --filterd"),
+    (
+        "filter --in X --algo chordal-nocomm --ranks",
+        "--ranks needs a value",
+    ),
+    (
+        "filter --in X --algo chordal-nocomm --ranks 0",
+        "need --ranks > 0",
+    ),
+    (
+        "filter --in X --algo randomwalk --ranks 0",
+        "need --ranks > 0",
+    ),
+    ("generate --preset yng --scale 0", "need --scale > 0"),
+    ("generate --preset yng --scale -1", "need --scale > 0"),
+    ("generate --preset yng --scale nan", "need --scale > 0"),
+    ("stream --preset yng --batch 0", "need --batch > 0"),
+    ("stream --preset yng --min-rho 2", "--min-rho <= 1"),
+    ("stream --preset yng --windows 0", "need --windows > 0"),
+    ("serve --preset yng --threads 0", "need --threads > 0"),
+    ("bench --threshold -1", "need --threshold >= 0"),
+    ("pack --in X --kind bogus --out X", "unknown --kind bogus"),
+    ("fuzz --target frobnicator", "unknown --target"),
+];
+
+#[test]
+fn check_and_binary_agree_on_rejections() {
+    let x = tmpfile("agree.txt", b"0 1\n1 2\n");
+    for &(line, needle) in REJECTED {
+        let argv: Vec<String> = line
+            .split(' ')
+            .map(|a| if a == "X" { x.to_str().unwrap() } else { a })
+            .map(String::from)
+            .collect();
+        let err = fuzz_argv_check(&argv).expect_err(line);
+        assert!(err.contains(needle), "check on {line:?}: {err:?}");
+        let out = Command::new(env!("CARGO_BIN_EXE_casbn"))
+            .args(&argv)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run casbn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line:?}: {stderr:?}");
+        assert!(stderr.contains(needle), "{line:?}: {stderr:?}");
+        assert!(!stderr.contains("panicked"), "{line:?}: {stderr:?}");
+    }
+}
+
+#[test]
+fn check_runs_no_job() {
+    let out = std::env::temp_dir().join(format!("casbn-cli-check-{}.tsv", std::process::id()));
+    let argv = [
+        "generate",
+        "--preset",
+        "yng",
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+    assert_eq!(fuzz_argv_check(&argv), Ok(()));
+    assert!(!out.exists(), "the check wrote {}", out.display());
+}
+
+#[test]
+fn every_command_answers_help() {
+    for cmd in COMMANDS {
+        let out = casbn(&[cmd.name, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "casbn {} --help", cmd.name);
+        assert_eq!(String::from_utf8_lossy(&out.stdout), cmd.help);
+    }
 }

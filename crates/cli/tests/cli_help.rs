@@ -1,106 +1,10 @@
 //! `casbn --help` snapshot: the binary's help output is exactly
-//! [`commands::USAGE`], and `USAGE` documents exactly the flags the
-//! subcommands parse.
+//! [`commands::USAGE`], and every help page documents every flag its
+//! [`commands::COMMANDS`] row accepts.
 
 use casbn_bench::perfbase::PerfBaseline;
-use casbn_cli::commands::{BENCH_USAGE, FUZZ_USAGE, SERVE_USAGE, STREAM_USAGE, USAGE};
+use casbn_cli::commands::{BENCH_USAGE, COMMANDS, FUZZ_USAGE, SERVE_USAGE, STREAM_USAGE, USAGE};
 use std::process::Command;
-
-/// Every `--flag` a subcommand reads via `Args` (grep `args.(get|require|
-/// get_or|has)` in `commands.rs` when adding one — and add it here AND to
-/// `USAGE`).
-const PARSED_FLAGS: &[&str] = &[
-    "--preset",
-    "--scale",
-    "--in",
-    "--out",
-    "--algo",
-    "--ranks",
-    "--partition",
-    "--seed",
-    "--min-score",
-    "--min-size",
-    "--json",
-    "--centrality",
-    "--original",
-    "--filtered",
-    "--repeats",
-    "--baseline",
-    "--threshold",
-    "--wall",
-    "--samples",
-    "--batch",
-    "--min-rho",
-    "--replay-out",
-    "--expect-checksum",
-    "--summary",
-    "--checkpoint",
-    "--resume",
-    "--windows",
-    "--degraded",
-    "--io-retries",
-    "--kind",
-    "--target",
-    "--iters",
-    "--corpus",
-    "--minimize",
-    "--metrics",
-    "--script",
-    "--listen",
-    "--threads",
-];
-
-/// The `bench` flags, also documented in the subcommand's own help.
-const BENCH_FLAGS: &[&str] = &[
-    "--scale",
-    "--repeats",
-    "--out",
-    "--baseline",
-    "--threshold",
-    "--wall",
-    "--summary",
-    "--metrics",
-];
-
-/// The `stream` flags, also documented in the subcommand's own help.
-const STREAM_FLAGS: &[&str] = &[
-    "--preset",
-    "--scale",
-    "--samples",
-    "--in",
-    "--batch",
-    "--min-rho",
-    "--min-score",
-    "--json",
-    "--out",
-    "--replay-out",
-    "--expect-checksum",
-    "--checkpoint",
-    "--resume",
-    "--degraded",
-    "--windows",
-    "--io-retries",
-    "--metrics",
-];
-
-/// The `fuzz` flags, also documented in the subcommand's own help.
-const FUZZ_FLAGS: &[&str] = &["--target", "--iters", "--seed", "--corpus", "--minimize"];
-
-/// The `serve` flags, also documented in the subcommand's own help.
-const SERVE_FLAGS: &[&str] = &[
-    "--in",
-    "--preset",
-    "--scale",
-    "--samples",
-    "--script",
-    "--listen",
-    "--threads",
-    "--batch",
-    "--checkpoint",
-    "--expect-checksum",
-    "--io-retries",
-    "--metrics",
-];
 
 #[test]
 fn help_snapshot_matches_usage_constant() {
@@ -135,9 +39,17 @@ fn unknown_subcommand_fails_with_usage_on_stderr() {
 }
 
 #[test]
-fn usage_documents_every_parsed_flag() {
-    for flag in PARSED_FLAGS {
-        assert!(USAGE.contains(flag), "USAGE is missing `{flag}`");
+fn every_help_page_documents_every_flag_of_its_command() {
+    for cmd in COMMANDS {
+        for flag in cmd.valued.iter().chain(cmd.switches) {
+            let flag = format!("--{flag}");
+            assert!(USAGE.contains(&flag), "USAGE is missing `{flag}`");
+            assert!(
+                cmd.help.contains(&flag),
+                "`casbn {} --help` is missing `{flag}`",
+                cmd.name
+            );
+        }
     }
 }
 
@@ -150,16 +62,6 @@ fn bench_help_snapshot_matches_bench_usage_constant() {
     assert!(out.status.success(), "bench --help exited nonzero");
     let stdout = String::from_utf8(out.stdout).expect("utf8 help output");
     assert_eq!(stdout, BENCH_USAGE, "bench help drifted from BENCH_USAGE");
-}
-
-#[test]
-fn bench_usage_documents_every_bench_flag() {
-    for flag in BENCH_FLAGS {
-        assert!(
-            BENCH_USAGE.contains(flag),
-            "BENCH_USAGE is missing `{flag}`"
-        );
-    }
 }
 
 #[test]
@@ -200,16 +102,6 @@ fn stream_help_snapshot_matches_stream_usage_constant() {
 }
 
 #[test]
-fn stream_usage_documents_every_stream_flag() {
-    for flag in STREAM_FLAGS {
-        assert!(
-            STREAM_USAGE.contains(flag),
-            "STREAM_USAGE is missing `{flag}`"
-        );
-    }
-}
-
-#[test]
 fn fuzz_help_snapshot_matches_fuzz_usage_constant() {
     let out = Command::new(env!("CARGO_BIN_EXE_casbn"))
         .args(["fuzz", "--help"])
@@ -221,13 +113,6 @@ fn fuzz_help_snapshot_matches_fuzz_usage_constant() {
 }
 
 #[test]
-fn fuzz_usage_documents_every_fuzz_flag() {
-    for flag in FUZZ_FLAGS {
-        assert!(FUZZ_USAGE.contains(flag), "FUZZ_USAGE is missing `{flag}`");
-    }
-}
-
-#[test]
 fn serve_help_snapshot_matches_serve_usage_constant() {
     let out = Command::new(env!("CARGO_BIN_EXE_casbn"))
         .args(["serve", "--help"])
@@ -236,16 +121,6 @@ fn serve_help_snapshot_matches_serve_usage_constant() {
     assert!(out.status.success(), "serve --help exited nonzero");
     let stdout = String::from_utf8(out.stdout).expect("utf8 help output");
     assert_eq!(stdout, SERVE_USAGE, "serve help drifted from SERVE_USAGE");
-}
-
-#[test]
-fn serve_usage_documents_every_serve_flag() {
-    for flag in SERVE_FLAGS {
-        assert!(
-            SERVE_USAGE.contains(flag),
-            "SERVE_USAGE is missing `{flag}`"
-        );
-    }
 }
 
 #[test]

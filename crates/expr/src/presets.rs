@@ -37,6 +37,22 @@ pub enum DatasetPreset {
     Cre,
 }
 
+impl std::str::FromStr for DatasetPreset {
+    type Err = String;
+
+    /// Parse the lower-case command-line name (`yng`, `mid`, `unt`,
+    /// `cre`).
+    fn from_str(s: &str) -> Result<DatasetPreset, String> {
+        match s {
+            "yng" => Ok(DatasetPreset::Yng),
+            "mid" => Ok(DatasetPreset::Mid),
+            "unt" => Ok(DatasetPreset::Unt),
+            "cre" => Ok(DatasetPreset::Cre),
+            other => Err(format!("unknown preset {other}")),
+        }
+    }
+}
+
 /// A fully built dataset: expression, network, ground truth.
 #[derive(Clone, Debug)]
 pub struct Dataset {

@@ -16,7 +16,7 @@
 use crate::alloc;
 use crate::rng::FuzzRng;
 use crate::targets::{Outcome, Target};
-use casbn_store::fnv1a;
+use casbn_store::{fnv1a, fnv_mix, FNV_BASIS};
 use std::panic::{self, AssertUnwindSafe};
 
 /// Default per-iteration heap-growth cap: 256 MiB. Every real input
@@ -176,7 +176,7 @@ pub fn run_target(target: &mut dyn Target, cfg: &FuzzConfig) -> TargetReport {
         executed: 0,
         accepted: 0,
         rejected: 0,
-        trace_checksum: 0xcbf2_9ce4_8422_2325,
+        trace_checksum: FNV_BASIS,
         peak_alloc: 0,
         crashes: Vec::new(),
     };
@@ -189,13 +189,9 @@ pub fn run_target(target: &mut dyn Target, cfg: &FuzzConfig) -> TargetReport {
             .peak_alloc
             .max(alloc::peak_bytes().saturating_sub(before));
         report.executed += 1;
-        let mut fold = |x: u64| {
-            report.trace_checksum ^= x;
-            report.trace_checksum = report.trace_checksum.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        fold(iteration);
-        fold(fnv1a(&input));
-        fold(exec.code());
+        for x in [iteration, fnv1a(&input), exec.code()] {
+            report.trace_checksum = fnv_mix(report.trace_checksum, x);
+        }
         match exec {
             Execution::Clean(Outcome::Accepted) => report.accepted += 1,
             Execution::Clean(Outcome::Rejected) => report.rejected += 1,

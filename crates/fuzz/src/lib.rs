@@ -47,5 +47,6 @@ pub use engine::{
 pub use mutate::mutate;
 pub use rng::FuzzRng;
 pub use targets::{
-    all_targets, builtin_targets, decode_argv, ArgvCheck, Outcome, Target, TARGET_NAMES,
+    all_targets, builtin_targets, decode_argv, ArgvCheck, ArgvSurface, Outcome, Target,
+    TARGET_NAMES,
 };

@@ -7,6 +7,7 @@
 //! iteration trace bit-deterministic and any crasher reproducible from
 //! its `(target, seed, iteration)` coordinates alone.
 
+use casbn_store::{fnv_mix, FNV_BASIS};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -24,19 +25,14 @@ impl FuzzRng {
     /// FNV-1a mixing so neighbouring iterations (and same-named
     /// iterations of different targets) get unrelated streams.
     pub fn for_iteration(seed: u64, target: &str, iteration: u64) -> FuzzRng {
-        fn mix(h: &mut u64, x: u64) {
-            *h ^= x;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        mix(&mut h, seed);
+        let mut h = fnv_mix(FNV_BASIS, seed);
         for b in target.bytes() {
-            mix(&mut h, b as u64);
+            h = fnv_mix(h, u64::from(b));
         }
-        mix(&mut h, iteration);
+        h = fnv_mix(h, iteration);
         let mut key = [0u8; 32];
         for word in key.chunks_exact_mut(8) {
-            mix(&mut h, 0x9e37_79b9_7f4a_7c15);
+            h = fnv_mix(h, 0x9e37_79b9_7f4a_7c15);
             word.copy_from_slice(&h.to_le_bytes());
         }
         FuzzRng {

@@ -62,6 +62,18 @@ pub trait Target {
 /// `Err` is the parser's typed rejection.
 pub type ArgvCheck = fn(&[String]) -> Result<(), String>;
 
+/// The CLI surface the `cli-argv` target drives, injected by `casbn_cli`
+/// from its command table so the generator's vocabulary cannot drift
+/// from the commands it fuzzes.
+pub struct ArgvSurface {
+    /// The CLI's argv validation path.
+    pub check: ArgvCheck,
+    /// Every subcommand name.
+    pub subcommands: Vec<&'static str>,
+    /// Every flag, `--` included.
+    pub flags: Vec<String>,
+}
+
 /// The eight targets that need no injection.
 pub fn builtin_targets() -> Vec<Box<dyn Target>> {
     vec![
@@ -76,10 +88,10 @@ pub fn builtin_targets() -> Vec<Box<dyn Target>> {
     ]
 }
 
-/// All nine targets, with the CLI argv surface wired to `check`.
-pub fn all_targets(check: ArgvCheck) -> Vec<Box<dyn Target>> {
+/// All nine targets, with the CLI argv target driving `argv`.
+pub fn all_targets(argv: ArgvSurface) -> Vec<Box<dyn Target>> {
     let mut ts = builtin_targets();
-    ts.push(Box::new(ArgvTarget { check }));
+    ts.push(Box::new(ArgvTarget::new(argv)));
     ts
 }
 
@@ -1243,9 +1255,28 @@ impl Target for ServeTarget {
 // ----------------------------------------------------------------- cli-argv
 
 /// CLI argv vectors, encoded one token per `\n`-separated line. The
-/// driver is injected by `casbn_cli` (see [`ArgvCheck`]).
+/// driver and vocabulary are injected by `casbn_cli` (see
+/// [`ArgvSurface`]).
 struct ArgvTarget {
     check: ArgvCheck,
+    /// The CLI's subcommands plus names it must reject or print help for.
+    subcommands: Vec<&'static str>,
+    /// The CLI's flags plus malformed flag tokens.
+    flags: Vec<String>,
+}
+
+impl ArgvTarget {
+    fn new(argv: ArgvSurface) -> ArgvTarget {
+        let mut subcommands = argv.subcommands;
+        subcommands.extend(["help", "frobnicate"]);
+        let mut flags = argv.flags;
+        flags.extend(["--help", "--", "---x", "--=", "--in=x.tsv"].map(String::from));
+        ArgvTarget {
+            check: argv.check,
+            subcommands,
+            flags,
+        }
+    }
 }
 
 /// Decode a corpus/fuzz input into an argv vector: newline-separated
@@ -1266,63 +1297,6 @@ impl Target for ArgvTarget {
     }
 
     fn generate(&mut self, rng: &mut FuzzRng) -> Vec<u8> {
-        const SUBCOMMANDS: &[&str] = &[
-            "generate",
-            "filter",
-            "cluster",
-            "stats",
-            "compare",
-            "bench",
-            "stream",
-            "serve",
-            "pack",
-            "inspect",
-            "verify",
-            "fuzz",
-            "help",
-            "frobnicate",
-        ];
-        const FLAGS: &[&str] = &[
-            "--preset",
-            "--scale",
-            "--in",
-            "--out",
-            "--algo",
-            "--ranks",
-            "--partition",
-            "--seed",
-            "--min-score",
-            "--min-size",
-            "--json",
-            "--centrality",
-            "--original",
-            "--filtered",
-            "--repeats",
-            "--baseline",
-            "--threshold",
-            "--wall",
-            "--samples",
-            "--batch",
-            "--min-rho",
-            "--replay-out",
-            "--expect-checksum",
-            "--summary",
-            "--checkpoint",
-            "--resume",
-            "--windows",
-            "--kind",
-            "--target",
-            "--iters",
-            "--corpus",
-            "--minimize",
-            "--script",
-            "--listen",
-            "--threads",
-            "--",
-            "---x",
-            "--=",
-            "--in=x.tsv",
-        ];
         const VALUES: &[&str] = &[
             "0",
             "1",
@@ -1346,11 +1320,11 @@ impl Target for ArgvTarget {
         ];
         let mut tokens: Vec<String> = Vec::new();
         if rng.chance(5, 6) {
-            tokens.push(rng.pick(SUBCOMMANDS).to_string());
+            tokens.push(rng.pick(&self.subcommands).to_string());
         }
         for _ in 0..rng.below(10) {
             if rng.chance(2, 3) {
-                tokens.push(rng.pick(FLAGS).to_string());
+                tokens.push(rng.pick(&self.flags).clone());
             } else {
                 tokens.push(rng.pick(VALUES).to_string());
             }
@@ -1387,7 +1361,12 @@ mod tests {
 
     #[test]
     fn registry_names_are_stable() {
-        let names: Vec<&str> = all_targets(no_check).iter().map(|t| t.name()).collect();
+        let argv = ArgvSurface {
+            check: no_check,
+            subcommands: vec!["stats"],
+            flags: vec!["--in".into()],
+        };
+        let names: Vec<&str> = all_targets(argv).iter().map(|t| t.name()).collect();
         assert_eq!(names, TARGET_NAMES.to_vec());
     }
 

@@ -25,6 +25,21 @@ pub enum PartitionKind {
     BfsBlock,
 }
 
+impl std::str::FromStr for PartitionKind {
+    type Err = String;
+
+    /// Parse the command-line name: `block`, `rr` (round-robin) or
+    /// `bfs`.
+    fn from_str(s: &str) -> Result<PartitionKind, String> {
+        match s {
+            "block" => Ok(PartitionKind::Block),
+            "rr" => Ok(PartitionKind::RoundRobin),
+            "bfs" => Ok(PartitionKind::BfsBlock),
+            other => Err(format!("unknown partition {other}")),
+        }
+    }
+}
+
 /// A `P`-way vertex partition of a graph.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Partition {

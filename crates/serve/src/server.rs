@@ -21,6 +21,7 @@ use crate::protocol::{
     read_frame, ProtocolError, Request, Response, ERR_ENGINE, ERR_PROTOCOL, ERR_READ_ONLY,
 };
 use crate::snapshot::SnapshotRegistry;
+use casbn_store::{fnv_mix, FNV_BASIS};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,16 +61,12 @@ pub struct SessionReport {
     pub drained_on_shutdown: bool,
 }
 
-/// FNV-1a offset basis / prime, matching every other checksum in the
-/// workspace.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold `bytes` into an FNV-1a accumulator.
+/// Fold `bytes` into an FNV-1a accumulator, one byte per step (unlike
+/// the store's word-wise [`casbn_store::fnv1a`], which also folds in
+/// the length).
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        h = fnv_mix(h, u64::from(b));
     }
     h
 }
@@ -141,7 +138,7 @@ fn session_loop<R: Read, W: Write>(
         Ok(())
     };
 
-    report.responses_checksum = FNV_OFFSET;
+    report.responses_checksum = FNV_BASIS;
     loop {
         if shutdown.load(Ordering::Relaxed) {
             flush(&mut pending, &mut output, &mut report, &mut engine)?;

@@ -16,6 +16,7 @@ use crate::protocol::{
 use casbn_graph::{EdgeRankIndex, Graph, VertexId};
 use casbn_mcode::{membership_index, Cluster, NO_CLUSTER};
 use casbn_ontology::{AnnotatedOntology, EnrichmentIndex, GoDag};
+use casbn_store::{fnv_mix, FNV_BASIS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -151,11 +152,8 @@ impl ServeSnapshot {
     /// FNV-1a over the structural fields (epoch, counts, membership,
     /// rho bits).
     fn compute_token(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = FNV_BASIS;
+        let mut mix = |x: u64| h = fnv_mix(h, x);
         mix(self.epoch);
         mix(self.samples);
         mix(self.network.n() as u64);

@@ -178,7 +178,19 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a offset basis: the starting accumulator of every FNV fold in
+/// the workspace.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: xor `x` into the accumulator `h`, then multiply by
+/// the FNV prime. Every FNV checksum in the workspace is a sequence of
+/// these steps; they differ only in what they feed (bytes, words,
+/// integer metrics).
+#[inline]
+pub fn fnv_mix(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
 
 /// Streaming form of [`fnv1a`]: feed any number of slices through
 /// [`Fnv1a::update`] and [`Fnv1a::finish`] yields exactly the checksum

@@ -9,7 +9,7 @@ use casbn_distsim::CostModel;
 use casbn_expr::{ExpressionMatrix, NetworkParams};
 use casbn_graph::{nbhood, store as graph_store, DeltaGraph, VertexId};
 use casbn_mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
-use casbn_store::{Dec, Enc, SectionKind, Store, StoreError, StoreWriter};
+use casbn_store::{fnv_mix, Dec, Enc, SectionKind, Store, StoreError, StoreWriter, FNV_BASIS};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -516,11 +516,8 @@ impl StreamDriver {
     /// Deterministic FNV-1a checksum over the integer metrics of every
     /// window so far (insert/remove churn, edge counts, cluster counts).
     pub fn checksum(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = FNV_BASIS;
+        let mut mix = |x: u64| h = fnv_mix(h, x);
         for w in &self.windows {
             mix(w.samples_seen as u64);
             mix(w.inserts as u64);

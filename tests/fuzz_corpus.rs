@@ -6,7 +6,7 @@
 //! A short live campaign per target double-checks bit-determinism with
 //! the allocation gauge installed.
 
-use casbn_cli::commands::fuzz_argv_check;
+use casbn_cli::commands::argv_surface;
 use casbn_fuzz::{
     all_targets, replay_corpus, run_target, CountingAlloc, FuzzConfig, DEFAULT_MAX_ALLOC,
 };
@@ -42,7 +42,7 @@ fn corpus_entries(target: &str) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn committed_corpus_replays_clean_on_every_target() {
     let mut total = 0;
-    for target in &mut all_targets(fuzz_argv_check) {
+    for target in &mut all_targets(argv_surface()) {
         let entries = corpus_entries(target.name());
         assert!(
             !entries.is_empty(),
@@ -64,8 +64,8 @@ fn short_campaigns_are_clean_and_bit_deterministic() {
         seed: 7,
         ..Default::default()
     };
-    let mut first = all_targets(fuzz_argv_check);
-    let mut second = all_targets(fuzz_argv_check);
+    let mut first = all_targets(argv_surface());
+    let mut second = all_targets(argv_surface());
     for (a, b) in first.iter_mut().zip(second.iter_mut()) {
         let ra = run_target(a.as_mut(), &cfg);
         let rb = run_target(b.as_mut(), &cfg);
