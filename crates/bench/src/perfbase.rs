@@ -261,7 +261,7 @@ fn mcode_workload(name: &str, g: &Graph, repeats: usize) -> WorkloadResult {
 /// | `dsw-cre` | same on the larger CRE network |
 /// | `mcode-yng` | steady-state MCODE clustering of the YNG network (scratch-threaded) |
 /// | `mcode-cre` | same on the larger CRE network |
-/// | `store-load-yng` | parse + zero-copy CSR reconstruction of the YNG network from an in-memory `.csbn` container |
+/// | `store-load-yng` | parse + CSR load (`load_csr`: two bulk array copies and one invariant sweep) of the YNG network from an in-memory `.csbn` container |
 /// | `store-open-lazy-yng` | lazy `.csbn` open of the same container: header + table validation only, payload checksums deferred |
 /// | `nocomm-yng-p1` | no-comm parallel chordal filter, 1 rank |
 /// | `nocomm-yng-p4` | no-comm parallel chordal filter, 4 ranks |

@@ -65,9 +65,16 @@ fn sparse_id_bomb_is_rejected_with_the_typed_diagnostic() {
 }
 
 #[test]
-fn ragged_replay_is_rejected() {
-    let p = tmpfile("ragged.tsv", b"1.0 2.0\n3.0\n");
-    assert_graceful(&["stream", "--in", p.to_str().unwrap()], 2, "error:");
+fn ragged_or_non_finite_replay_is_rejected() {
+    for (name, bytes) in [
+        ("ragged.tsv", &b"1.0 2.0\n3.0\n"[..]),
+        ("nan.tsv", b"1.0 2.0\n1 NaN\n"),
+        ("inf.tsv", b"1.0 2.0\ninf 2\n"),
+        ("overflow.tsv", b"1.0 2.0\n1e309 0\n"),
+    ] {
+        let p = tmpfile(name, bytes);
+        assert_graceful(&["stream", "--in", p.to_str().unwrap()], 2, "line 2");
+    }
 }
 
 #[test]

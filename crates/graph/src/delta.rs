@@ -50,7 +50,7 @@ impl EdgeDelta {
 /// * `m` always equals the number of live undirected edges.
 #[derive(Clone, Debug)]
 pub struct DeltaGraph {
-    base: Csr<'static>,
+    base: Csr,
     add: Vec<Vec<VertexId>>,
     del: Vec<Vec<VertexId>>,
     /// Live undirected edges.
@@ -339,7 +339,7 @@ impl DeltaGraph {
     pub(crate) fn raw_parts(
         &self,
     ) -> (
-        &Csr<'static>,
+        &Csr,
         &[Vec<VertexId>],
         &[Vec<VertexId>],
         usize,
@@ -364,7 +364,7 @@ impl DeltaGraph {
     /// and the edge/pending counters consistent). `base` must already
     /// be a valid CSR ([`Csr::try_from_parts`]).
     pub(crate) fn from_raw_parts(
-        base: Csr<'static>,
+        base: Csr,
         add: Vec<Vec<VertexId>>,
         del: Vec<Vec<VertexId>>,
         epoch: u64,

@@ -1,7 +1,6 @@
 //! Core undirected graph structure with sorted adjacency lists.
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// Vertex identifier. Kept at 32 bits: the paper's largest network has
 /// 27,896 vertices, and 32-bit ids halve the memory traffic of adjacency
@@ -304,8 +303,8 @@ impl Graph {
         Graph { adj, m }
     }
 
-    /// Freeze into a CSR view for cache-friendly read-only traversal.
-    pub fn to_csr(&self) -> Csr<'static> {
+    /// Freeze into the read-only CSR form (the inverse of [`Csr::to_graph`]).
+    pub fn to_csr(&self) -> Csr {
         let mut xadj = Vec::with_capacity(self.n() + 1);
         let mut adjncy = Vec::with_capacity(2 * self.m);
         xadj.push(0u32);
@@ -313,10 +312,7 @@ impl Graph {
             adjncy.extend_from_slice(nbrs);
             xadj.push(adjncy.len() as u32);
         }
-        Csr {
-            xadj: Cow::Owned(xadj),
-            adjncy: Cow::Owned(adjncy),
-        }
+        Csr { xadj, adjncy }
     }
 
     /// Structural equality on the edge sets (vertex counts must match).
@@ -380,43 +376,16 @@ impl EdgeRankIndex {
     }
 }
 
-/// Compressed-sparse-row view of a [`Graph`].
+/// Compressed-sparse-row form of a [`Graph`]: an `n + 1` offset array
+/// and a `2m` flat adjacency array.
 ///
-/// Read-only; used by the hot loops (chordal extraction, random walks,
-/// Pearson-network BFS) where pointer-chasing through `Vec<Vec<_>>` would
-/// waste cache lines.
-///
-/// The two arrays live behind [`Cow`]s: owned constructors
-/// ([`Graph::to_csr`], [`Csr::try_from_parts`]) yield `Csr<'static>`
-/// backed by `Vec`s, while [`Csr::try_from_borrowed`] builds a
-/// zero-copy view over arrays decoded in place from a `.csbn` section
-/// (`casbn_graph::store::csr_view_from_payload`). Every accessor and
-/// kernel works identically over either storage tier.
+/// Read-only. It is the base of [`crate::DeltaGraph`] and the layout
+/// of a `.csbn` graph section ([`crate::store`]), which loads with two
+/// bulk array reads and one invariant sweep instead of per-edge inserts.
 #[derive(Clone, Debug)]
-pub struct Csr<'a> {
-    xadj: Cow<'a, [u32]>,
-    adjncy: Cow<'a, [VertexId]>,
-}
-
-// Hand-written serde impls: the vendored derive shim only handles
-// non-generic types, and deserialisation always rebuilds owned storage
-// anyway (a borrowed view cannot outlive the text it was parsed from).
-impl Serialize for Csr<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("xadj".to_string(), self.xadj[..].to_value()),
-            ("adjncy".to_string(), self.adjncy[..].to_value()),
-        ])
-    }
-}
-
-impl<'a> Deserialize for Csr<'a> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Csr {
-            xadj: Cow::Owned(Vec::<u32>::from_value(v.field("xadj", "Csr")?)?),
-            adjncy: Cow::Owned(Vec::<VertexId>::from_value(v.field("adjncy", "Csr")?)?),
-        })
-    }
+pub struct Csr {
+    xadj: Vec<u32>,
+    adjncy: Vec<VertexId>,
 }
 
 /// A structural invariant violated by data handed to a fallible graph
@@ -440,8 +409,8 @@ impl From<InvariantViolation> for String {
     }
 }
 
-/// The full CSR invariant sweep shared by every fallible constructor:
-/// `O(n + m)` over the raw slices, no copies. Rejects non-monotone
+/// The full CSR invariant sweep behind [`Csr::try_from_parts`],
+/// `O(n + m)` over the raw slices. Rejects non-monotone
 /// offsets, out-of-range neighbours, unsorted or duplicated adjacency
 /// lists, self-loops and asymmetric edges.
 fn validate_csr_parts(xadj: &[u32], adjncy: &[VertexId]) -> Result<(), InvariantViolation> {
@@ -488,23 +457,14 @@ fn validate_csr_parts(xadj: &[u32], adjncy: &[VertexId]) -> Result<(), Invariant
     Ok(())
 }
 
-impl<'a> Csr<'a> {
+impl Csr {
     /// Reset to an edgeless CSR over `n` vertices, retaining the backing
-    /// buffers where they are owned (the delta-graph `clear` relies on
-    /// this for allocation-free reuse; a borrowed view switches to owned
-    /// storage here, since its backing bytes are immutable).
+    /// buffers (the delta-graph `clear` relies on this for
+    /// allocation-free reuse).
     pub(crate) fn reset_empty(&mut self, n: usize) {
-        match &mut self.xadj {
-            Cow::Owned(v) => {
-                v.clear();
-                v.resize(n + 1, 0);
-            }
-            borrowed => *borrowed = Cow::Owned(vec![0; n + 1]),
-        }
-        match &mut self.adjncy {
-            Cow::Owned(v) => v.clear(),
-            borrowed => *borrowed = Cow::Owned(Vec::new()),
-        }
+        self.xadj.clear();
+        self.xadj.resize(n + 1, 0);
+        self.adjncy.clear();
     }
 
     /// Assemble a CSR from pre-built offset + adjacency arrays (the
@@ -512,7 +472,7 @@ impl<'a> Csr<'a> {
     /// into these, avoiding any per-vertex intermediate allocation).
     /// Offsets must be non-decreasing with `xadj[0] == 0` and every list
     /// sorted (debug-asserted).
-    pub(crate) fn from_parts(xadj: Vec<u32>, adjncy: Vec<VertexId>) -> Csr<'static> {
+    pub(crate) fn from_parts(xadj: Vec<u32>, adjncy: Vec<VertexId>) -> Csr {
         debug_assert!(!xadj.is_empty() && xadj[0] == 0);
         debug_assert_eq!(*xadj.last().unwrap() as usize, adjncy.len());
         debug_assert!(xadj.windows(2).all(|w| w[0] <= w[1]));
@@ -521,13 +481,10 @@ impl<'a> Csr<'a> {
                 .windows(2)
                 .all(|p| p[0] < p[1])
         }));
-        Csr {
-            xadj: Cow::Owned(xadj),
-            adjncy: Cow::Owned(adjncy),
-        }
+        Csr { xadj, adjncy }
     }
 
-    /// Assemble an owned CSR from offset + adjacency arrays with **full**
+    /// Assemble a CSR from offset + adjacency arrays with **full**
     /// validation — the fallible twin of the crate-internal
     /// `Csr::from_parts` for data arriving from outside the process
     /// (the `.csbn` store loads
@@ -538,45 +495,9 @@ impl<'a> Csr<'a> {
     pub fn try_from_parts(
         xadj: Vec<u32>,
         adjncy: Vec<VertexId>,
-    ) -> Result<Csr<'static>, InvariantViolation> {
+    ) -> Result<Csr, InvariantViolation> {
         validate_csr_parts(&xadj, &adjncy)?;
-        Ok(Csr {
-            xadj: Cow::Owned(xadj),
-            adjncy: Cow::Owned(adjncy),
-        })
-    }
-
-    /// Assemble a **borrowed** CSR view over arrays that live somewhere
-    /// else — typically decoded in place from an 8-byte-aligned `.csbn`
-    /// section payload on a little-endian host
-    /// (`casbn_graph::store::csr_view_from_payload`). Runs the same full
-    /// `O(n + m)` invariant sweep as [`Csr::try_from_parts`] but copies
-    /// nothing: the returned view borrows `xadj`/`adjncy` for `'a`.
-    pub fn try_from_borrowed(
-        xadj: &'a [u32],
-        adjncy: &'a [VertexId],
-    ) -> Result<Csr<'a>, InvariantViolation> {
-        validate_csr_parts(xadj, adjncy)?;
-        Ok(Csr {
-            xadj: Cow::Borrowed(xadj),
-            adjncy: Cow::Borrowed(adjncy),
-        })
-    }
-
-    /// Whether the backing arrays are borrowed (zero-copy view) rather
-    /// than owned `Vec`s.
-    #[inline]
-    pub fn is_borrowed(&self) -> bool {
-        matches!(self.xadj, Cow::Borrowed(_))
-    }
-
-    /// Detach from any borrowed backing storage, cloning the arrays if
-    /// (and only if) they are borrowed.
-    pub fn into_owned(self) -> Csr<'static> {
-        Csr {
-            xadj: Cow::Owned(self.xadj.into_owned()),
-            adjncy: Cow::Owned(self.adjncy.into_owned()),
-        }
+        Ok(Csr { xadj, adjncy })
     }
 
     /// The offset array (`n + 1` entries, `xadj[0] == 0`).

@@ -3,8 +3,9 @@
 //! This crate provides every graph-structural primitive the paper's pipeline
 //! needs, implemented from scratch:
 //!
-//! * [`Graph`] — a simple undirected graph with sorted adjacency lists and a
-//!   CSR view ([`Csr`]) for cache-friendly traversal.
+//! * [`Graph`] — a simple undirected graph with sorted adjacency lists, and
+//!   its read-only CSR form ([`Csr`]), the delta-graph base and the
+//!   `.csbn` graph-section layout.
 //! * [`ordering`] — the four vertex orderings studied in the paper
 //!   (Natural, High-Degree, Low-Degree, Reverse Cuthill–McKee) plus a seeded
 //!   random ordering.
@@ -27,6 +28,8 @@
 //! All randomised entry points take an explicit `u64` seed and are
 //! deterministic for a given seed, which is what makes every figure in the
 //! reproduction bit-for-bit reproducible.
+
+#![forbid(unsafe_code)]
 
 pub mod algo;
 pub mod centrality;

@@ -28,9 +28,9 @@ pub fn add_csr(w: &mut StoreWriter, tag: u32, c: &Csr) {
     w.add(SectionKind::Graph, tag, e.into_payload());
 }
 
-/// Decode a graph-section payload into an owned [`Csr`] (both arrays
-/// copied out of the payload).
-pub fn csr_from_payload(payload: &[u8]) -> Result<Csr<'static>, StoreError> {
+/// Decode a graph-section payload into a [`Csr`] (both arrays copied
+/// out of the payload, then validated by [`Csr::try_from_parts`]).
+pub fn csr_from_payload(payload: &[u8]) -> Result<Csr, StoreError> {
     let mut d = Dec::new(payload);
     let n = d.dim()?;
     let m = d.dim()?;
@@ -46,84 +46,21 @@ pub fn csr_from_payload(payload: &[u8]) -> Result<Csr<'static>, StoreError> {
     Csr::try_from_parts(xadj, adjncy).map_err(|e| StoreError::Malformed(e.into()))
 }
 
-/// Decode a graph-section payload into a **zero-copy** [`Csr`] view:
-/// on a little-endian host the `xadj`/`adjncy` arrays are the payload
-/// bytes reinterpreted in place (they sit at payload offset 16, and
-/// section payloads are 8-byte aligned, so the cast alignment always
-/// holds for a payload served by the store). The same `O(n + m)`
-/// invariant sweep as [`csr_from_payload`] runs over the borrowed
-/// slices; only the two array *copies* are skipped. On a big-endian
-/// host — or for a payload slice that is not 4-byte aligned — this
-/// falls back to the checked owned decode, so the result is
-/// bit-identical either way.
-pub fn csr_view_from_payload(payload: &[u8]) -> Result<Csr<'_>, StoreError> {
-    let mut d = Dec::new(payload);
-    let n = d.dim()?;
-    let m = d.dim()?;
-    let n1 = n
-        .checked_add(1)
-        .ok_or_else(|| StoreError::Malformed("vertex count overflows".into()))?;
-    let m2 = m
-        .checked_mul(2)
-        .ok_or_else(|| StoreError::Malformed("edge count overflows".into()))?;
-    let need = n1
-        .checked_add(m2)
-        .and_then(|words| words.checked_mul(4))
-        .ok_or_else(|| StoreError::Malformed("array extent overflows".into()))?;
-    let arrays = &payload[16..]; // the two dims consumed 16 bytes
-    if arrays.len() < need {
-        return Err(StoreError::ShortSection {
-            need,
-            have: arrays.len(),
-        });
-    }
-    if arrays.len() > need {
-        return Err(StoreError::Malformed(format!(
-            "{} trailing bytes in section payload",
-            arrays.len() - need
-        )));
-    }
-    if cfg!(target_endian = "little") {
-        // SAFETY: u32 is plain-old-data (every bit pattern valid, no
-        // padding), so reinterpreting initialised bytes as u32s is
-        // sound; align_to returns non-empty prefix/suffix when the
-        // pointer or length would misalign, and we fall back to the
-        // copying decode in that case. Value correctness (LE wire
-        // order == host order) is guarded by the cfg!.
-        let (prefix, words, suffix) = unsafe { arrays.align_to::<u32>() };
-        if prefix.is_empty() && suffix.is_empty() {
-            let (xadj, adjncy) = words.split_at(n1);
-            return Csr::try_from_borrowed(xadj, adjncy)
-                .map_err(|e| StoreError::Malformed(e.into()));
-        }
-    }
-    csr_from_payload(payload)
-}
-
-/// Load the graph section with this `tag` as an owned [`Csr`].
-pub fn load_csr(store: &Store<'_>, tag: u32) -> Result<Csr<'static>, StoreError> {
+/// Load the graph section with this `tag` as a [`Csr`]. Under
+/// [`Store::open_lazy`] this is the first-touch checksum path: the
+/// payload is verified (memoized) before it is decoded.
+pub fn load_csr(store: &Store<'_>, tag: u32) -> Result<Csr, StoreError> {
     let idx = store
         .find(SectionKind::Graph, tag)
         .ok_or(StoreError::MissingSection("graph"))?;
     csr_from_payload(store.payload_checked(idx)?)
 }
 
-/// Load the graph section with this `tag` as a zero-copy [`Csr`] view
-/// borrowing the store's buffer ([`csr_view_from_payload`]). Under
-/// [`Store::open_lazy`] this is the first-touch checksum path: the
-/// payload is verified (memoized) before the view is built.
-pub fn load_csr_view<'a>(store: &Store<'a>, tag: u32) -> Result<Csr<'a>, StoreError> {
-    let idx = store
-        .find(SectionKind::Graph, tag)
-        .ok_or(StoreError::MissingSection("graph"))?;
-    csr_view_from_payload(store.payload_checked(idx)?)
-}
-
 /// Load the first graph section (any tag) as a mutable [`Graph`] — the
 /// CLI's auto-detection path for `--in` files.
 pub fn load_first_graph(store: &Store<'_>) -> Result<Graph, StoreError> {
     let payload = store.require_kind(SectionKind::Graph)?;
-    Ok(csr_view_from_payload(payload)?.to_graph())
+    Ok(csr_from_payload(payload)?.to_graph())
 }
 
 /// Advance an overlay offset cursor by one list length, rejecting
@@ -231,15 +168,19 @@ mod tests {
         let mut w = StoreWriter::new();
         add_graph(&mut w, 0, &g);
         let bytes = w.to_bytes();
-        let store = Store::parse(&bytes).unwrap();
-        let c = load_csr(&store, 0).unwrap();
-        assert!(c.to_graph().same_edges(&g));
-        assert_eq!(c.m(), g.m());
-        assert!(load_first_graph(&store).unwrap().same_edges(&g));
-        // writing the loaded graph again reproduces the same bytes
-        let mut w2 = StoreWriter::new();
-        add_csr(&mut w2, 0, &c);
-        assert_eq!(w2.to_bytes(), bytes, "re-pack must be byte-stable");
+        for store in [
+            Store::parse(&bytes).unwrap(),
+            Store::open_lazy(&bytes).unwrap(),
+        ] {
+            let c = load_csr(&store, 0).unwrap();
+            assert!(c.to_graph().same_edges(&g));
+            assert_eq!(c.m(), g.m());
+            assert!(load_first_graph(&store).unwrap().same_edges(&g));
+            // writing the loaded graph again reproduces the same bytes
+            let mut w2 = StoreWriter::new();
+            add_csr(&mut w2, 0, &c);
+            assert_eq!(w2.to_bytes(), bytes, "re-pack must be byte-stable");
+        }
     }
 
     #[test]
@@ -271,6 +212,16 @@ mod tests {
         e.u64(1);
         e.u32s(&[0, 2, 2]); // both ends at vertex 0 => duplicate list
         e.u32s(&[1, 1]);
+        assert!(matches!(
+            csr_from_payload(&e.into_payload()),
+            Err(StoreError::Malformed(_))
+        ));
+        // trailing bytes after the two arrays
+        let mut e = Enc::new();
+        e.u64(1);
+        e.u64(0);
+        e.u32s(&[0]);
+        e.u32(99);
         assert!(matches!(
             csr_from_payload(&e.into_payload()),
             Err(StoreError::Malformed(_))
@@ -356,60 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_view_is_bit_identical_to_owned_load() {
-        let g = gnm(80, 260, 11);
-        let mut w = StoreWriter::new();
-        add_graph(&mut w, 0, &g);
-        let bytes = w.to_bytes();
-        for store in [
-            Store::parse(&bytes).unwrap(),
-            Store::open_lazy(&bytes).unwrap(),
-        ] {
-            let owned = load_csr(&store, 0).unwrap();
-            let view = load_csr_view(&store, 0).unwrap();
-            assert!(view.is_borrowed() || cfg!(target_endian = "big"));
-            assert!(!owned.is_borrowed());
-            assert_eq!(view.xadj(), owned.xadj());
-            assert_eq!(view.adjncy(), owned.adjncy());
-            assert!(view.to_graph().same_edges(&g));
-            // a detached view is a plain owned CSR
-            let detached = view.into_owned();
-            assert!(!detached.is_borrowed());
-            assert_eq!(detached.adjncy(), owned.adjncy());
-        }
-    }
-
-    #[test]
-    fn view_decode_enforces_the_same_invariants_as_the_owned_decode() {
-        // malformed payloads must fail identically through both decoders
-        let mut bad = Vec::new();
-        // unsorted adjacency
-        let mut e = Enc::new();
-        e.u64(2);
-        e.u64(1);
-        e.u32s(&[0, 2, 2]);
-        e.u32s(&[1, 1]);
-        bad.push(e.into_payload());
-        // trailing bytes
-        let mut e = Enc::new();
-        e.u64(1);
-        e.u64(0);
-        e.u32s(&[0]);
-        e.u32(99);
-        bad.push(e.into_payload());
-        // truncated arrays
-        let mut e = Enc::new();
-        e.u64(1 << 40);
-        bad.push(e.into_payload());
-        for payload in &bad {
-            let owned = csr_from_payload(payload);
-            let view = csr_view_from_payload(payload);
-            assert!(owned.is_err() && view.is_err(), "both decoders must reject");
-        }
-    }
-
-    #[test]
-    fn lazy_view_of_a_corrupt_graph_section_fails_typed_on_first_touch() {
+    fn lazy_load_of_a_corrupt_graph_section_fails_typed_on_first_touch() {
         let g = gnm(30, 60, 3);
         let mut w = StoreWriter::new();
         add_graph(&mut w, 0, &g);
@@ -421,7 +319,14 @@ mod tests {
         bytes[off + 40] ^= 0x08; // somewhere inside the arrays
         let s = Store::open_lazy(&bytes).unwrap();
         assert!(matches!(
-            load_csr_view(&s, 0),
+            load_csr(&s, 0),
+            Err(StoreError::ChecksumMismatch {
+                section: Some(0),
+                ..
+            })
+        ));
+        assert!(matches!(
+            load_first_graph(&s),
             Err(StoreError::ChecksumMismatch {
                 section: Some(0),
                 ..

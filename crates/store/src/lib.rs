@@ -6,7 +6,7 @@
 //! whitespace edge-list text. The format is designed for *bulk* loading:
 //! section payloads hold little-endian, 8-byte-aligned arrays that are
 //! reconstructed with a handful of buffer-sized reads (a CSR graph loads
-//! via `Csr::from_parts` with no per-edge parsing), which is what makes
+//! via `Csr::try_from_parts` with no per-edge parsing), which is what makes
 //! `.csbn` loads an order of magnitude faster than text parsing.
 //!
 //! # Layout

@@ -29,6 +29,15 @@ pub enum ReplayError {
     /// A sample row whose gene count differs from the first row's
     /// (1-based line number, got, expected).
     Ragged(usize, usize, usize),
+    /// A value that parses but is not finite (`nan`, `inf`, or a
+    /// literal such as `1e309` that overflows to infinity): one such
+    /// value would poison its gene's running moments for good.
+    NonFinite {
+        /// 1-based line number.
+        line: usize,
+        /// 0-based gene (column) index.
+        gene: usize,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -38,6 +47,9 @@ impl std::fmt::Display for ReplayError {
             ReplayError::Parse(line, s) => write!(f, "line {line}: cannot parse {s:?}"),
             ReplayError::Ragged(line, got, want) => {
                 write!(f, "line {line}: {got} values, expected {want}")
+            }
+            ReplayError::NonFinite { line, gene } => {
+                write!(f, "line {line}: gene {gene} value is not finite")
             }
         }
     }
@@ -52,7 +64,8 @@ impl From<std::io::Error> for ReplayError {
 }
 
 /// Read a sample-major replay stream into a genes × samples matrix.
-/// An input with no sample rows yields a `0 × 0` matrix.
+/// An input with no sample rows yields a `0 × 0` matrix. Every value
+/// must be finite ([`ReplayError::NonFinite`] otherwise).
 pub fn read_replay<R: Read>(reader: R) -> Result<ExpressionMatrix, ReplayError> {
     let mut rows: Vec<Vec<f64>> = Vec::new();
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
@@ -66,6 +79,12 @@ pub fn read_replay<R: Read>(reader: R) -> Result<ExpressionMatrix, ReplayError> 
             .map(|t| t.parse::<f64>())
             .collect::<Result<_, _>>()
             .map_err(|_| ReplayError::Parse(lineno + 1, s.to_string()))?;
+        if let Some(gene) = row.iter().position(|x| !x.is_finite()) {
+            return Err(ReplayError::NonFinite {
+                line: lineno + 1,
+                gene,
+            });
+        }
         if let Some(first) = rows.first() {
             if row.len() != first.len() {
                 return Err(ReplayError::Ragged(lineno + 1, row.len(), first.len()));
@@ -183,6 +202,32 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(msg.contains("line 2"), "got {msg:?}");
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_with_line_and_gene() {
+        for (input, line, gene) in [
+            ("1 2\n1 NaN\n", 2, 1),
+            ("# header\ninf 2\n", 2, 0),
+            ("1 2 3\n4 5 6\n0 -inf 1\n", 3, 1),
+            ("1e309 0\n", 1, 0),
+        ] {
+            match read_replay(input.as_bytes()) {
+                Err(ReplayError::NonFinite { line: l, gene: g }) => {
+                    assert_eq!((l, g), (line, gene), "input {input:?}")
+                }
+                other => panic!("input {input:?}: expected NonFinite, got {other:?}"),
+            }
+        }
+        let msg = read_replay("1 2\n1 NaN\n".as_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            msg.contains("line 2") && msg.contains("gene 1"),
+            "got {msg:?}"
+        );
+        // the largest finite literal still parses
+        assert!(read_replay("1.7976931348623157e308 -1e-300\n".as_bytes()).is_ok());
     }
 
     #[test]

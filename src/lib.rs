@@ -19,7 +19,7 @@
 //! * [`stream`] — the incremental streaming subsystem: online
 //!   correlation, edge-delta graphs, incremental chordal filtering.
 //! * [`store`] — the `.csbn` versioned binary artifact container:
-//!   zero-copy graph/matrix/cluster sections and stream checkpoints
+//!   graph/matrix/cluster sections and stream checkpoints
 //!   (codecs live in `graph::store`, `expr::store`, `mcode::store`).
 //! * [`fuzz`] — deterministic structure-aware fuzzing and
 //!   differential-oracle harness over every input surface (driven by

@@ -1,8 +1,8 @@
 //! Determinism contract of the telemetry subsystem: the snapshot's
 //! deterministic section must be **bit-identical** across worker thread
 //! counts (counters are charged as analytic work totals, merged in
-//! sorted key order), identical modulo `store.*` bookkeeping across the
-//! owned and borrowed store read tiers, and wall-clock fields must
+//! sorted key order), identical modulo `store.*` bookkeeping across
+//! eager vs lazy store opens, and wall-clock fields must
 //! never leak into it.
 //!
 //! One `#[test]` only: the telemetry registry and the rayon thread
@@ -92,7 +92,7 @@ fn deterministic_snapshot_is_thread_count_and_tier_invariant() {
         "stream span must aggregate"
     );
 
-    // --- phase 3: owned vs borrowed store tiers agree off `store.*` ---
+    // --- phase 3: eager vs lazy opens agree off `store.*` ---
     let ds = DatasetPreset::Yng.build_scaled(0.05);
     let mut w = StoreWriter::new();
     graph_store::add_graph(&mut w, 0, &ds.network);

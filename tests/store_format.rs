@@ -1,16 +1,19 @@
 //! `.csbn` format-stability gate: the committed golden fixture under
 //! `tests/fixtures/golden.csbn` must keep parsing **and** re-encoding
 //! byte-for-byte across PRs. Any change to the header layout, section
-//! table shape, checksum function, alignment rule or a codec's payload
-//! layout trips this suite — which is the prompt to bump
-//! `FORMAT_VERSION` instead of silently breaking already-written files.
+//! table shape, checksum function, alignment rule (every payload starts
+//! on an 8-byte boundary, checked by a property test below) or a
+//! codec's payload layout trips this suite — which is the prompt to
+//! bump `FORMAT_VERSION` instead of silently breaking already-written
+//! files.
 //!
 //! Regenerate deliberately (after a versioned format change) with:
 //! `CSBN_REGEN_GOLDEN=1 cargo test --test store_format`.
 
 use casbn::graph::{store as graph_store, Graph};
 use casbn::mcode::{store as mcode_store, Cluster};
-use casbn::store::{Store, StoreWriter, ENDIAN_TAG, FORMAT_VERSION, MAGIC};
+use casbn::store::{SectionKind, Store, StoreWriter, ENDIAN_TAG, FORMAT_VERSION, MAGIC};
+use proptest::prelude::*;
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden.csbn")
@@ -97,4 +100,53 @@ fn golden_fixture_loads_the_expected_artifacts() {
     assert_eq!(cs.len(), 1);
     assert_eq!(cs[0].vertices, vec![0, 1, 2]);
     assert_eq!(cs[0].score, 3.0);
+}
+
+const KINDS: [SectionKind; 4] = [
+    SectionKind::Graph,
+    SectionKind::Matrix,
+    SectionKind::Clusters,
+    SectionKind::DeltaGraph,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The alignment rule of the format: every payload in a container —
+    /// whatever the mix of section kinds and (possibly odd, possibly
+    /// zero) payload lengths — starts at an offset divisible by 8, so
+    /// the u32/u64/f64 arrays inside keep their natural alignment.
+    /// Holds through an append generation too.
+    #[test]
+    fn every_payload_starts_on_an_8_byte_boundary(
+        lens in proptest::collection::vec(0usize..200, 1..8),
+        kind_picks in proptest::collection::vec(0usize..4, 1..8),
+        append_lens in proptest::collection::vec(0usize..200, 0..4),
+    ) {
+        let mut w = StoreWriter::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let kind = KINDS[kind_picks[i % kind_picks.len()]];
+            w.add(kind, i as u32, vec![0xAB; len]);
+        }
+        let mut bytes = w.to_bytes();
+        if !append_lens.is_empty() {
+            let mut a = StoreWriter::new();
+            for (i, &len) in append_lens.iter().enumerate() {
+                a.add(SectionKind::Graph, 1000 + i as u32, vec![0xCD; len]);
+            }
+            bytes = a.append_to(&bytes).expect("append to a fresh container");
+        }
+        for parsed in [Store::parse(&bytes).unwrap(), Store::open_lazy(&bytes).unwrap()] {
+            for (i, e) in parsed.sections().iter().enumerate() {
+                prop_assert_eq!(
+                    e.offset % 8,
+                    0,
+                    "section {} payload offset {} is not 8-aligned",
+                    i,
+                    e.offset
+                );
+                prop_assert_eq!(parsed.payload_checked(i).unwrap().len(), e.len);
+            }
+        }
+    }
 }
