@@ -31,6 +31,8 @@ pub mod synthetic;
 
 pub use diffexpr::{differential_expression, restrict_genes, select_top_fraction, DiffExprResult};
 pub use matrix::ExpressionMatrix;
-pub use pearson::{pearson_p_value, students_t_two_sided_p, CorrelationNetwork, NetworkParams};
+pub use pearson::{
+    pearson_p_value, pearson_rho_cut, students_t_two_sided_p, CorrelationNetwork, NetworkParams,
+};
 pub use presets::{Dataset, DatasetPreset};
 pub use synthetic::{SyntheticMicroarray, SyntheticParams};

@@ -381,6 +381,41 @@ pub fn pearson_p_value(r: f64, n: usize) -> f64 {
     inc_beta(df / 2.0, 0.5, df / (df + t2))
 }
 
+/// Width of the band [`pearson_rho_cut`] leaves below the crossing it
+/// brackets (2⁻³⁰ ≈ 9.3e-10). The band absorbs the rounding wobble of
+/// the computed p-value, which is many orders of magnitude smaller.
+const RHO_CUT_BAND: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// The p-value cut folded into a correlation cut: every `r` in
+/// `0 ≤ r < cut` fails `pearson_p_value(r, n) <= max_p`.
+///
+/// `p` falls from 1 at `r = 0` to 0 at `r = 1`, so the crossing is
+/// bracketed by bisection on [`pearson_p_value`] itself, to within
+/// `RHO_CUT_BAND`, and the returned cut sits one band below the
+/// bracket. Returns `0.0` when `r = 0` already passes, and `+∞` when no
+/// `r` can pass: `max_p` negative or NaN, or `n ≤ 2` (where `p` is
+/// always 1) with `max_p < 1`. The p-value is symmetric in `r`, so the
+/// cut says nothing about negative correlations.
+pub fn pearson_rho_cut(n: usize, max_p: f64) -> f64 {
+    if max_p.is_nan() || max_p < 0.0 || (n <= 2 && max_p < 1.0) {
+        return f64::INFINITY;
+    }
+    if pearson_p_value(0.0, n) <= max_p {
+        return 0.0;
+    }
+    // invariant: p(lo) > max_p ≥ p(hi)
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    while hi - lo > RHO_CUT_BAND {
+        let mid = 0.5 * (lo + hi);
+        if pearson_p_value(mid, n) <= max_p {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    (lo - RHO_CUT_BAND).max(0.0)
+}
+
 /// Two-sided p-value of a Student-t statistic `t` with (possibly
 /// fractional, e.g. Welch–Satterthwaite) degrees of freedom `df`.
 pub fn students_t_two_sided_p(t: f64, df: f64) -> f64 {
@@ -517,6 +552,63 @@ mod tests {
     #[test]
     fn p_value_decreases_with_samples() {
         assert!(pearson_p_value(0.9, 6) > pearson_p_value(0.9, 30));
+    }
+
+    #[test]
+    fn rho_cut_is_conservative_and_tight() {
+        const GRID: usize = 256;
+        for n in 3..=256usize {
+            for max_p in [0.05, 0.01, 5e-4, 1e-8] {
+                let cut = pearson_rho_cut(n, max_p);
+                assert!((0.0..1.0).contains(&cut), "n {n} max_p {max_p}: cut {cut}");
+                // every grid point below the cut, and the floats just
+                // below it, fail the p-value test
+                let mut below: Vec<f64> = (0..GRID).map(|g| cut * g as f64 / GRID as f64).collect();
+                let mut r = cut;
+                for _ in 0..16 {
+                    r = f64::from_bits(r.to_bits() - 1);
+                    below.push(r);
+                }
+                for r in below.into_iter().filter(|&r| r >= 0.0) {
+                    let p = pearson_p_value(r, n);
+                    assert!(
+                        p > max_p,
+                        "n {n} max_p {max_p}: p({r}) = {p} under the cut {cut}"
+                    );
+                }
+                // and the band costs no more than two band widths
+                let above = cut + 2.0 * RHO_CUT_BAND;
+                assert!(
+                    pearson_p_value(above, n) <= max_p,
+                    "n {n} max_p {max_p}: p({above}) still above the cut"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rho_cut_rejects_everything_when_nothing_can_pass() {
+        for n in 0..=2usize {
+            for max_p in [0.05, 0.01, 5e-4, 1e-8, 0.0, 0.999_999] {
+                assert_eq!(
+                    pearson_rho_cut(n, max_p),
+                    f64::INFINITY,
+                    "n {n} max_p {max_p}"
+                );
+            }
+            // p is exactly 1 there, so max_p = 1 keeps every r ≥ 0
+            assert_eq!(pearson_rho_cut(n, 1.0), 0.0);
+        }
+        for n in [3usize, 4, 40, 1000] {
+            for max_p in [-1e-300, -0.5, -1.0, f64::NEG_INFINITY, f64::NAN] {
+                assert_eq!(
+                    pearson_rho_cut(n, max_p),
+                    f64::INFINITY,
+                    "n {n} max_p {max_p}"
+                );
+            }
+            assert_eq!(pearson_rho_cut(n, 1.0), 0.0, "p(0) = 1 passes max_p = 1");
+        }
     }
 
     #[test]

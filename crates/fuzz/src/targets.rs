@@ -959,12 +959,13 @@ impl CheckpointTarget {
     /// at the FNV gate.
     ///
     /// Every tamper targets a field the resume validation *checks*
-    /// (counters, structure lengths, enum ranges, ordering invariants).
-    /// Fields validation legitimately cannot see — accumulator floats,
-    /// clustering parameters, window history — are left alone: a
-    /// plausible tampered accumulator is indistinguishable from a real
-    /// one, so mutating it would make the replay-checksum oracle flag
-    /// unfalsifiable "violations".
+    /// (counters, structure lengths, enum ranges, ordering invariants,
+    /// finite accumulators and thresholds). Values validation
+    /// legitimately cannot see — finite accumulator floats, clustering
+    /// parameters, window history — are left alone: a plausible tampered
+    /// accumulator is indistinguishable from a real one, so mutating it
+    /// would make the replay-checksum oracle flag unfalsifiable
+    /// "violations".
     fn tamper(&self, rng: &mut FuzzRng, base: &[u8]) -> Vec<u8> {
         let store = Store::parse(base).expect("pristine checkpoint must parse");
         let sections = store.sections();
@@ -974,7 +975,7 @@ impl CheckpointTarget {
                 .position(|e| e.kind == kind.as_u32())
                 .expect("pristine checkpoint has every section kind")
         };
-        let mode = rng.below(8);
+        let mode = rng.below(9);
         let victim = match mode {
             0 | 1 => rng.below(sections.len()),
             2 => by_kind(SectionKind::DeltaGraph),
@@ -1027,9 +1028,20 @@ impl CheckpointTarget {
                     6 => payload[4..8].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes()),
                     // inflate the gene count: every array length and the
                     // cross-section vertex-count checks depend on it
-                    _ => {
+                    7 => {
                         let g = u64::from_le_bytes(payload[..8].try_into().unwrap());
                         payload[..8].copy_from_slice(&g.wrapping_add(1).to_le_bytes());
+                    }
+                    // poison one float: a threshold (min_rho, max_p at
+                    // words 3 and 4) or an accumulator (mean, m2 and the
+                    // co-moment triangle after them); the resume must
+                    // reject the non-finite value, not replay from it
+                    _ => {
+                        let genes = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
+                        let floats = 2 + 2 * genes + genes * genes.saturating_sub(1) / 2;
+                        let at = 24 + 8 * rng.below(floats);
+                        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
+                        payload[at..at + 8].copy_from_slice(&bad.to_le_bytes());
                     }
                 }
             }

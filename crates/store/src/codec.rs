@@ -194,6 +194,26 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
+    /// Read `count` finite `f64`s (bit-exact), rejecting NaN and ±∞ in
+    /// the same pass with a [`StoreError::Malformed`] that names `field`.
+    pub fn finite_f64s(&mut self, count: usize, field: &str) -> Result<Vec<f64>, StoreError> {
+        let need = count
+            .checked_mul(8)
+            .ok_or_else(|| StoreError::Malformed(format!("f64 count {count} overflows")))?;
+        let raw = self.take(need)?;
+        let mut out = Vec::with_capacity(count);
+        for c in raw.chunks_exact(8) {
+            let x = f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()));
+            if !x.is_finite() {
+                return Err(StoreError::Malformed(format!(
+                    "non-finite value {x} in field `{field}`"
+                )));
+            }
+            out.push(x);
+        }
+        Ok(out)
+    }
+
     /// Assert the payload is fully consumed — a section with trailing
     /// bytes was written by a different schema than it claims.
     pub fn finish(self) -> Result<(), StoreError> {
@@ -233,6 +253,32 @@ mod tests {
         assert!(fs[0].is_nan(), "NaN bits round-trip");
         assert_eq!(fs[1], 1.5);
         d.finish().unwrap();
+    }
+
+    #[test]
+    fn finite_f64s_names_the_field_of_a_non_finite_value() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut e = Enc::new();
+            e.f64s(&[1.0, -0.0, bad, 2.0]);
+            let p = e.into_payload();
+            match Dec::new(&p).finite_f64s(4, "comoment") {
+                Err(StoreError::Malformed(msg)) => assert!(msg.contains("`comoment`"), "{msg}"),
+                other => panic!("{bad}: expected Malformed, got {other:?}"),
+            }
+        }
+        let mut e = Enc::new();
+        e.f64s(&[f64::MAX, -0.0, f64::MIN_POSITIVE / 2.0]);
+        let p = e.into_payload();
+        let mut d = Dec::new(&p);
+        let xs = d.finite_f64s(3, "m2").unwrap();
+        assert_eq!(xs[0], f64::MAX);
+        assert_eq!(xs[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(xs[2], f64::MIN_POSITIVE / 2.0);
+        d.finish().unwrap();
+        assert!(matches!(
+            Dec::new(&p).finite_f64s(4, "m2"),
+            Err(StoreError::ShortSection { .. })
+        ));
     }
 
     #[test]

@@ -373,7 +373,9 @@ impl StreamDriver {
     /// [`StreamDriver::checkpoint_bytes`]. All cross-section
     /// consistency (matching vertex/gene counts, the chordal subgraph
     /// staying a subgraph of the network, sorted stability sets) is
-    /// re-validated; violations surface as [`StoreError::Malformed`].
+    /// re-validated, and so are the accumulators (finite means, second
+    /// moments and co-moments, no negative second moment, finite
+    /// thresholds); violations surface as [`StoreError::Malformed`].
     pub fn resume_from(store: &Store<'_>) -> Result<StreamDriver, StoreError> {
         let malformed = |what: &str| StoreError::Malformed(what.into());
 
@@ -386,13 +388,13 @@ impl StreamDriver {
             min_rho: d.f64()?,
             max_p: d.f64()?,
         };
-        let mean = d.f64s(genes)?;
-        let m2 = d.f64s(genes)?;
+        let mean = d.finite_f64s(genes, "mean")?;
+        let m2 = d.finite_f64s(genes, "m2")?;
         let pairs = genes
             .checked_mul(genes.saturating_sub(1))
             .map(|x| x / 2)
             .ok_or_else(|| malformed("gene count overflows the pair triangle"))?;
-        let comoment = d.f64s(pairs)?;
+        let comoment = d.finite_f64s(pairs, "comoment")?;
         let present = d.u64s(pairs.div_ceil(64))?;
         d.finish()?;
         let online = OnlineCorrelation::from_checkpoint(

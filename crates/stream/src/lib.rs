@@ -8,7 +8,7 @@
 //! workload**: samples arrive in batches, and the network, its chordal
 //! filter and its clusters are maintained *incrementally*:
 //!
-//! * [`OnlineCorrelation`] — per-gene Welford moments plus tiled pairwise
+//! * [`OnlineCorrelation`] — per-gene Welford moments plus pairwise
 //!   co-moment accumulators; ingests sample batches and emits
 //!   [`casbn_graph::EdgeDelta`]s (edges crossing or falling below the ρ
 //!   cut). Accumulator state is bit-identical under any batching of the

@@ -181,6 +181,60 @@ fn non_chordal_checkpoint_subgraph_is_rejected() {
 }
 
 #[test]
+fn poisoned_accumulators_are_rejected_naming_the_field() {
+    // a re-checksummed checkpoint whose accumulator section holds a
+    // non-finite float, a negative second moment or a non-finite
+    // threshold must not resume: it would persist into every later
+    // checkpoint and snapshot
+    use casbn_store::{SectionKind, StoreWriter};
+
+    let m = replay();
+    let cfg = StreamConfig::default();
+    let mut driver = StreamDriver::new(m.genes(), cfg);
+    driver.ingest_window(&m.columns(0, 4));
+    let ck = driver.checkpoint_bytes().unwrap();
+    let store = Store::parse(&ck).unwrap();
+    let genes = m.genes();
+    // payload words: genes, samples, work_ops, min_rho, max_p, then
+    // mean[genes], m2[genes] and the co-moment triangle
+    let (mean, m2, comoment) = (5, 5 + genes, 5 + 2 * genes);
+    let poison = |word: usize, value: f64| {
+        let mut w = StoreWriter::new();
+        for (i, entry) in store.sections().iter().enumerate() {
+            let kind = SectionKind::from_u32(entry.kind).unwrap();
+            let mut payload = store.payload(i).to_vec();
+            if kind == SectionKind::OnlineCorrelation {
+                payload[8 * word..8 * word + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            w.add(kind, entry.tag, payload);
+        }
+        w.to_bytes()
+    };
+    let cases = [
+        (3, f64::NAN, "min_rho"),
+        (4, f64::INFINITY, "max_p"),
+        (mean + 7, f64::NAN, "`mean`"),
+        (m2 + genes - 1, f64::INFINITY, "`m2`"),
+        (m2 + 2, -1.0, "m2"),
+        (comoment, f64::NEG_INFINITY, "`comoment`"),
+        (comoment + 1000, f64::NAN, "`comoment`"),
+    ];
+    for (word, value, field) in cases {
+        let bytes = poison(word, value);
+        let store = Store::parse(&bytes).expect("re-checksummed container parses");
+        match StreamDriver::resume_from(&store) {
+            Ok(_) => panic!("{field} = {value} must not resume"),
+            Err(StoreError::Malformed(msg)) => {
+                assert!(msg.contains(field), "{field} = {value}: {msg}")
+            }
+            Err(e) => panic!("{field} = {value}: expected Malformed, got {e}"),
+        }
+    }
+    // the untouched checkpoint still resumes
+    assert!(StreamDriver::resume_from(&store).is_ok());
+}
+
+#[test]
 fn corrupted_checkpoints_are_rejected_not_resumed() {
     let m = replay();
     let cfg = StreamConfig::default();
