@@ -91,19 +91,97 @@ pub fn edge_overlap(of: &Cluster, with: &Cluster) -> f64 {
     shared as f64 / of.edges.len() as f64
 }
 
+/// Inverted index over the original clusters: for each key (a vertex, or
+/// an exact edge tuple), the originals holding it, one entry per
+/// occurrence. Entries are sorted by `(key, original)`, so a lookup is a
+/// binary search and yields originals in ascending index order.
+struct Postings<K> {
+    entries: Vec<(K, usize)>,
+}
+
+impl<K: Ord + Copy> Postings<K> {
+    fn new(original: &[Cluster], keys: fn(&Cluster) -> &[K]) -> Self {
+        let mut entries: Vec<(K, usize)> = original
+            .iter()
+            .enumerate()
+            .flat_map(|(oi, oc)| keys(oc).iter().map(move |&k| (k, oi)))
+            .collect();
+        entries.sort_unstable();
+        Postings { entries }
+    }
+
+    /// The originals holding `key`, once per occurrence.
+    fn get(&self, key: K) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.entries.partition_point(|&(k, _)| k < key);
+        self.entries[lo..]
+            .iter()
+            .take_while(move |&&(k, _)| k == key)
+            .map(|&(_, oi)| oi)
+    }
+}
+
+/// `keys` sorted and deduplicated into `buf`, reusing its allocation.
+fn distinct<'b, K: Ord + Copy>(buf: &'b mut Vec<K>, keys: &[K]) -> &'b [K] {
+    buf.clear();
+    buf.extend_from_slice(keys);
+    buf.sort_unstable();
+    buf.dedup();
+    buf
+}
+
+/// `shared / len`, as [`node_overlap`] and [`edge_overlap`] compute it.
+fn fraction(shared: usize, len: usize) -> f64 {
+    if shared == 0 {
+        0.0
+    } else {
+        shared as f64 / len as f64
+    }
+}
+
 /// For every filtered cluster, find the original cluster with the highest
 /// node overlap (ties: higher edge overlap, then lower index). Overlap
 /// fractions are measured **relative to the original cluster**, matching
 /// the paper's "% of original retained" reading.
+///
+/// Equal to [`node_overlap`]/[`edge_overlap`] over every pair, but built
+/// on inverted indexes over the originals: one pass over a filtered
+/// cluster's distinct vertices and edges counts what it shares with every
+/// original it touches, so the cost follows the cluster members, not the
+/// number of cluster pairs.
 pub fn overlap_table(original: &[Cluster], filtered: &[Cluster]) -> Vec<ClusterComparison> {
+    let nodes = Postings::new(original, |c| &c.vertices);
+    let edges = Postings::new(original, |c| &c.edges);
+    // (shared nodes, shared edges) per original, zero outside `touched`
+    let mut shared = vec![(0usize, 0usize); original.len()];
+    let mut touched: Vec<usize> = Vec::new();
+    let (mut vbuf, mut ebuf) = (Vec::new(), Vec::new());
     filtered
         .iter()
         .enumerate()
         .map(|(fi, fc)| {
+            for &v in distinct(&mut vbuf, &fc.vertices) {
+                for oi in nodes.get(v) {
+                    if shared[oi] == (0, 0) {
+                        touched.push(oi);
+                    }
+                    shared[oi].0 += 1;
+                }
+            }
+            for &e in distinct(&mut ebuf, &fc.edges) {
+                for oi in edges.get(e) {
+                    if shared[oi] == (0, 0) {
+                        touched.push(oi);
+                    }
+                    shared[oi].1 += 1;
+                }
+            }
+            // ascending order keeps ties on the lowest original index
+            touched.sort_unstable();
             let mut best: Option<(usize, f64, f64)> = None;
-            for (oi, oc) in original.iter().enumerate() {
-                let no = node_overlap(oc, fc);
-                let eo = edge_overlap(oc, fc);
+            for oi in touched.drain(..) {
+                let (sn, se) = std::mem::take(&mut shared[oi]);
+                let no = fraction(sn, original[oi].vertices.len());
+                let eo = fraction(se, original[oi].edges.len());
                 if no == 0.0 && eo == 0.0 {
                     continue;
                 }
@@ -200,19 +278,26 @@ impl QuadrantCounts {
 /// Clusters appearing only on one side: `lost` = indices of original
 /// clusters sharing no node with any filtered cluster; `found` = indices
 /// of filtered clusters sharing no node with any original cluster.
+///
+/// Uses [`overlap_table`]'s vertex index over the originals, so the cost
+/// follows the total number of cluster members.
 pub fn lost_and_found(original: &[Cluster], filtered: &[Cluster]) -> (Vec<usize>, Vec<usize>) {
-    let lost = original
-        .iter()
-        .enumerate()
-        .filter(|(_, oc)| filtered.iter().all(|fc| node_overlap(oc, fc) == 0.0))
-        .map(|(i, _)| i)
-        .collect();
-    let found = filtered
-        .iter()
-        .enumerate()
-        .filter(|(_, fc)| original.iter().all(|oc| node_overlap(oc, fc) == 0.0))
-        .map(|(i, _)| i)
-        .collect();
+    let nodes = Postings::new(original, |c| &c.vertices);
+    let mut kept = vec![false; original.len()];
+    let mut found = Vec::new();
+    for (fi, fc) in filtered.iter().enumerate() {
+        let mut shares = false;
+        for &v in &fc.vertices {
+            for oi in nodes.get(v) {
+                kept[oi] = true;
+                shares = true;
+            }
+        }
+        if !shares {
+            found.push(fi);
+        }
+    }
+    let lost = (0..original.len()).filter(|&oi| !kept[oi]).collect();
     (lost, found)
 }
 

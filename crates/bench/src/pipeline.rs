@@ -6,6 +6,12 @@ use casbn_expr::{Dataset, DatasetPreset};
 use casbn_graph::{Graph, OrderingKind};
 use casbn_mcode::{mcode_cluster, Cluster, McodeParams};
 use casbn_ontology::{AnnotatedOntology, ClusterAnnotation, EnrichmentScorer, GoDag};
+// The serving tier's ontology shape, so experiment and serving DAGs
+// cannot drift apart: deep enough that module terms (placed at depth 6)
+// give AEES well above the 3.0 relevance cut.
+use casbn_serve::snapshot::{
+    GO_EXTRA_PARENT_P, GO_LEVELS, GO_WIDTH, MODULE_TERM_DEPTH, NOISE_TERMS,
+};
 use serde::{Deserialize, Serialize};
 
 /// How large to build the synthetic datasets.
@@ -47,14 +53,6 @@ pub struct Experiment {
     /// MCODE parameters (paper defaults).
     pub mcode: McodeParams,
 }
-
-/// GO DAG depth used for all experiments: deep enough that module terms
-/// (placed at depth 6) give AEES well above the 3.0 relevance cut.
-const GO_LEVELS: usize = 8;
-const GO_WIDTH: usize = 4;
-const GO_EXTRA_PARENT_P: f64 = 0.25;
-const MODULE_TERM_DEPTH: u32 = 6;
-const NOISE_TERMS: usize = 2;
 
 impl Experiment {
     /// Build the experiment for `preset` at `scale`.

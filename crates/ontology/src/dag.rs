@@ -3,6 +3,7 @@
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Term identifier; term 0 is always the ROOT.
@@ -116,30 +117,41 @@ impl GoDag {
     /// break toward smaller breadth, then smaller id.
     ///
     /// Returns `(dcp, depth(dcp), breadth)`. Always succeeds: the root is
-    /// a common ancestor of everything.
+    /// a common ancestor of everything. Builds both ancestor lists; a
+    /// scorer that asks many pairs builds every list once instead.
     pub fn deepest_common_parent(&self, t1: TermId, t2: TermId) -> (TermId, u32, u32) {
-        let a1 = self.ancestor_distances(t1);
-        let a2 = self.ancestor_distances(t2);
-        let mut best: Option<(TermId, u32, u32)> = None;
-        for (&t, &d1) in &a1 {
-            if let Some(&d2) = a2.get(&t) {
-                let depth = self.depth(t);
-                let breadth = d1 + d2;
-                best = match best {
-                    None => Some((t, depth, breadth)),
-                    Some((bt, bd, bb)) => {
-                        if depth > bd
-                            || (depth == bd && (breadth < bb || (breadth == bb && t < bt)))
-                        {
-                            Some((t, depth, breadth))
-                        } else {
-                            Some((bt, bd, bb))
-                        }
-                    }
-                };
+        let a1: Vec<(TermId, u32)> = self.ancestor_distances(t1).into_iter().collect();
+        let a2: Vec<(TermId, u32)> = self.ancestor_distances(t2).into_iter().collect();
+        self.common_parent(&a1, &a2)
+    }
+
+    /// The DCP of two terms given their ancestor lists (each sorted by
+    /// term id, distances minimal): one merge walk over the two lists.
+    /// The tie-break is a total order, so the result does not depend on
+    /// the order the common ancestors are met in.
+    pub(crate) fn common_parent(
+        &self,
+        a1: &[(TermId, u32)],
+        a2: &[(TermId, u32)],
+    ) -> (TermId, u32, u32) {
+        // the minimum of (shallowness, breadth, id) over common ancestors;
+        // the walk advances without branching on the comparison
+        let mut best: Option<(Reverse<u32>, u32, TermId)> = None;
+        let (mut i, mut j) = (0, 0);
+        while i < a1.len() && j < a2.len() {
+            let (t1, d1) = a1[i];
+            let (t2, d2) = a2[j];
+            if t1 == t2 {
+                let key = (Reverse(self.depth(t1)), d1 + d2, t1);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
             }
+            i += usize::from(t1 <= t2);
+            j += usize::from(t2 <= t1);
         }
-        best.expect("root is a common ancestor")
+        let (Reverse(depth), breadth, dcp) = best.expect("root is a common ancestor");
+        (dcp, depth, breadth)
     }
 
     /// The paper's edge enrichment score for a term pair:
@@ -148,6 +160,53 @@ impl GoDag {
     pub fn enrichment_score(&self, t1: TermId, t2: TermId) -> i64 {
         let (_, depth, breadth) = self.deepest_common_parent(t1, t2);
         depth as i64 - breadth as i64
+    }
+}
+
+/// Every term's ancestor list, built once: `(ancestor, minimum up-edge
+/// distance)` pairs, the term itself included, sorted by term id — the
+/// entries of [`GoDag::ancestor_distances`], stored flat.
+#[derive(Clone, Debug)]
+pub(crate) struct AncestorLists {
+    /// `pairs[start[t]..start[t + 1]]` is term `t`'s list.
+    start: Vec<usize>,
+    pairs: Vec<(TermId, u32)>,
+}
+
+impl AncestorLists {
+    /// One pass in id order. [`GoDag::generate`] gives every parent a
+    /// lower id than its child, so a term's list is the term itself plus
+    /// its parents' lists one step further, merged keeping the minimum
+    /// distance. A term with a later-numbered parent falls back to the
+    /// traversal.
+    pub(crate) fn new(dag: &GoDag) -> Self {
+        let mut start = Vec::with_capacity(dag.n_terms() + 1);
+        start.push(0);
+        let mut pairs: Vec<(TermId, u32)> = Vec::new();
+        let mut merged: Vec<(TermId, u32)> = Vec::new();
+        for t in 0..dag.n_terms() as TermId {
+            if dag.parents(t).iter().all(|&p| p < t) {
+                merged.clear();
+                merged.push((t, 0));
+                for &p in dag.parents(t) {
+                    let list = &pairs[start[p as usize]..start[p as usize + 1]];
+                    merged.extend(list.iter().map(|&(a, d)| (a, d + 1)));
+                }
+                merged.sort_unstable();
+                merged.dedup_by_key(|&mut (a, _)| a);
+                pairs.extend_from_slice(&merged);
+            } else {
+                pairs.extend(dag.ancestor_distances(t));
+            }
+            start.push(pairs.len());
+        }
+        AncestorLists { start, pairs }
+    }
+
+    /// Term `t`'s ancestors with their minimum distance, sorted by id.
+    #[inline]
+    pub(crate) fn of(&self, t: TermId) -> &[(TermId, u32)] {
+        &self.pairs[self.start[t as usize]..self.start[t as usize + 1]]
     }
 }
 

@@ -1,6 +1,6 @@
 //! Gene annotations and the edge-enrichment cluster scorer (AEES).
 
-use crate::dag::{GoDag, TermId};
+use crate::dag::{AncestorLists, GoDag, TermId};
 use casbn_graph::{Edge, VertexId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -95,17 +95,34 @@ pub struct ClusterAnnotation {
     pub scored_edges: usize,
 }
 
-/// Edge-enrichment scorer. Wraps an [`AnnotatedOntology`] and memoises
-/// per-edge results.
+/// Edge-enrichment scorer over an [`AnnotatedOntology`].
+///
+/// [`EnrichmentScorer::new`] caches one thing: every term's ancestor
+/// list, `(ancestor, minimum distance)` pairs sorted by term id, built in
+/// one pass over the DAG. Edge results are not cached. An edge whose
+/// endpoints carry `a` and `b` terms costs `a·b` DCP merges, each linear
+/// in the two ancestor lists' lengths, and allocates nothing.
 #[derive(Clone, Debug)]
 pub struct EnrichmentScorer<'a> {
     onto: &'a AnnotatedOntology,
+    ancestors: AncestorLists,
 }
 
 impl<'a> EnrichmentScorer<'a> {
-    /// Create a scorer over `onto`.
+    /// Create a scorer over `onto`, building every term's ancestor list.
     pub fn new(onto: &'a AnnotatedOntology) -> Self {
-        EnrichmentScorer { onto }
+        EnrichmentScorer {
+            onto,
+            ancestors: AncestorLists::new(&onto.dag),
+        }
+    }
+
+    /// [`GoDag::deepest_common_parent`] of `t1` and `t2`, merged from the
+    /// cached ancestor lists.
+    pub fn deepest_common_parent(&self, t1: TermId, t2: TermId) -> (TermId, u32, u32) {
+        self.onto
+            .dag
+            .common_parent(self.ancestors.of(t1), self.ancestors.of(t2))
     }
 
     /// Score one edge: the best `depth(DCP) − breadth` over all pairs of
@@ -120,7 +137,7 @@ impl<'a> EnrichmentScorer<'a> {
         let mut best: Option<(TermId, i64)> = None;
         for &a in tu {
             for &b in tv {
-                let (dcp, depth, breadth) = self.onto.dag.deepest_common_parent(a, b);
+                let (dcp, depth, breadth) = self.deepest_common_parent(a, b);
                 let s = depth as i64 - breadth as i64;
                 best = match best {
                     None => Some((dcp, s)),
