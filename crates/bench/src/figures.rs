@@ -2,7 +2,7 @@
 //! (§IV). Each `figN` function returns a serialisable struct; rendering
 //! lives in [`crate::render`].
 
-use crate::pipeline::{bare, AnnotatedCluster, Experiment, ExperimentScale};
+use crate::pipeline::{bare, AnnotatedCluster, Experiment};
 use casbn_analysis::{classify_quadrants, overlap_table, QuadrantCounts};
 use casbn_core::{
     Filter, ParallelChordalCommFilter, ParallelChordalNoCommFilter, ParallelRandomWalkFilter,
@@ -16,16 +16,16 @@ use std::collections::BTreeMap;
 /// Default seed for all figure runs (results are fully deterministic).
 pub const FIG_SEED: u64 = 2012;
 
-/// Lazily-built experiment cache so one binary invocation reuses datasets
-/// across figures.
+/// Lazily-built experiment cache so one `casbn figures` run reuses
+/// datasets across figures.
 pub struct FigureRunner {
-    scale: ExperimentScale,
+    scale: f64,
     cache: BTreeMap<&'static str, Experiment>,
 }
 
 impl FigureRunner {
-    /// Create a runner at the given scale.
-    pub fn new(scale: ExperimentScale) -> Self {
+    /// Create a runner at `scale` (see [`Experiment::new`]).
+    pub fn new(scale: f64) -> Self {
         FigureRunner {
             scale,
             cache: BTreeMap::new(),
@@ -557,7 +557,7 @@ mod tests {
     use super::*;
 
     fn runner() -> FigureRunner {
-        FigureRunner::new(ExperimentScale::Scaled(0.1))
+        FigureRunner::new(0.1)
     }
 
     #[test]

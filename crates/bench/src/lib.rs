@@ -3,8 +3,9 @@
 //! Everything the paper's evaluation section reports is regenerated from
 //! here: [`pipeline`] wires dataset → ordering → filter → MCODE → GO
 //! enrichment → overlap analysis, and [`figures`] produces the data series
-//! behind every figure (Figs. 3–11) plus the in-text results. The
-//! `figures` binary renders them as text tables / JSON.
+//! behind every figure (Figs. 3–11) plus the in-text results, which
+//! [`render`] formats as text tables (`casbn figures` prints them and
+//! dumps the series as JSON).
 
 pub mod figures;
 pub mod perfbase;
@@ -12,4 +13,4 @@ pub mod pipeline;
 pub mod render;
 
 pub use perfbase::{DiffReport, PerfBaseline, PerfSuite, WorkloadResult};
-pub use pipeline::{AnnotatedCluster, Experiment, ExperimentScale};
+pub use pipeline::{AnnotatedCluster, Experiment};

@@ -1,11 +1,10 @@
 //! Perf-baseline subsystem: pinned-seed workloads, a JSON baseline file
 //! (`BENCH_pipeline.json` at the repo root), and regression diffing.
 //!
-//! Unlike the criterion micro-benches under `benches/`, this module
-//! records the **perf trajectory of the whole pipeline** across PRs: a
-//! fixed set of named workloads is run at a pinned scale and seed, and
-//! the results are written to a committed JSON file that later runs (and
-//! CI) diff against.
+//! This module records the **perf trajectory of the whole pipeline**
+//! across PRs: a fixed set of named workloads is run at a pinned scale
+//! and seed, and the results are written to a committed JSON file that
+//! later runs (and CI) diff against.
 //!
 //! Two metric classes are recorded per workload:
 //!

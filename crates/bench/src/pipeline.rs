@@ -14,25 +14,6 @@ use casbn_serve::snapshot::{
 };
 use serde::{Deserialize, Serialize};
 
-/// How large to build the synthetic datasets.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ExperimentScale {
-    /// Full paper scale (YNG 5,348 genes; CRE 27,896 genes). Use release
-    /// builds; the all-pairs Pearson over CRE is ~389M gene pairs.
-    Full,
-    /// Proportionally scaled-down datasets for quick runs and CI.
-    Scaled(f64),
-}
-
-impl ExperimentScale {
-    fn build(&self, preset: DatasetPreset) -> Dataset {
-        match *self {
-            ExperimentScale::Full => preset.build(),
-            ExperimentScale::Scaled(f) => preset.build_scaled(f),
-        }
-    }
-}
-
 /// A cluster together with its GO enrichment annotation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AnnotatedCluster {
@@ -55,9 +36,11 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Build the experiment for `preset` at `scale`.
-    pub fn new(preset: DatasetPreset, scale: ExperimentScale) -> Self {
-        let dataset = scale.build(preset);
+    /// Build the experiment for `preset` at `scale`, the fraction of the
+    /// paper's genes and modules (1.0 is paper scale: YNG 5,348 genes,
+    /// CRE 27,896 — use release builds there).
+    pub fn new(preset: DatasetPreset, scale: f64) -> Self {
+        let dataset = preset.build_scaled(scale);
         let dag = GoDag::generate(GO_LEVELS, GO_WIDTH, GO_EXTRA_PARENT_P, preset.seed() ^ 0x60);
         let ontology = AnnotatedOntology::synthetic(
             dataset.network.n(),
@@ -120,7 +103,7 @@ mod tests {
     use casbn_core::SequentialChordalFilter;
 
     fn quick() -> Experiment {
-        Experiment::new(DatasetPreset::Yng, ExperimentScale::Scaled(0.12))
+        Experiment::new(DatasetPreset::Yng, 0.12)
     }
 
     #[test]

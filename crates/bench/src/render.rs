@@ -1,4 +1,4 @@
-//! Text renderers for the figure data (what the `figures` binary prints).
+//! Text renderers for the figure data (what `casbn figures` prints).
 
 use crate::figures::*;
 use std::fmt::Write;

@@ -1,7 +1,14 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
+use casbn_bench::figures::{
+    fig10, fig11, fig3, fig4, fig5, fig67, fig8, fig9, text_stats, FigureRunner,
+};
 use casbn_bench::perfbase;
+use casbn_bench::render::{
+    render_fig10, render_fig11, render_fig3, render_fig4, render_fig5, render_fig67, render_fig8,
+    render_fig9, render_text_stats,
+};
 use casbn_core::{
     Filter, ForestFireFilter, ParallelChordalCommFilter, ParallelChordalNoCommFilter,
     ParallelRandomWalkFilter, RandomEdgeFilter, RandomNodeFilter, SequentialChordalFilter,
@@ -35,6 +42,8 @@ USAGE:
   casbn compare  --original FILE --filtered FILE [--metrics FILE|-]
   casbn bench    [--scale F] [--repeats N] [--out FILE] [--baseline FILE]
                  [--threshold F] [--wall] [--summary FILE] [--metrics FILE|-]
+  casbn figures  [--fig 3|4|5|6|7|67|8|9|10|11|text|all] [--scale F]
+                 [--json DIR]
   casbn stream   (--preset P [--scale F] [--samples N] | --in FILE)
                  [--batch N] [--min-rho F] [--min-score F] [--json]
                  [--out FILE] [--replay-out FILE] [--expect-checksum N]
@@ -54,7 +63,7 @@ USAGE:
 FLAGS:
   --preset     dataset preset calibrated to the paper's four networks
   --scale      dataset size fraction, 1.0 = full paper scale (default 1.0;
-               `bench` defaults to 0.15)
+               `bench` and `figures` default to 0.15)
   --in         input network as a whitespace `u v` edge list (for
                `stream`: a sample-major replay file); `.csbn` binary
                containers are auto-detected by their magic bytes on
@@ -69,7 +78,11 @@ FLAGS:
   --min-score  MCODE minimum cluster score (default 3.0, the paper's cut)
   --min-size   MCODE minimum cluster size (default 4)
   --json       emit clusters as JSON instead of a table (for `inspect`:
-               the container layout as JSON)
+               the container layout as JSON; for `figures`: also write
+               each figure's data series to DIR/<figure>.json)
+  --fig        `figures`: which of the paper's figures to regenerate —
+               3 to 11, 67 (Figs. 6 and 7 together), text (the in-text
+               results) or all (default all)
   --centrality also print degree/betweenness centrality (slow on big graphs)
   --metrics    write a JSON snapshot of the run's internal telemetry
                (counters, histograms, span timers) to FILE, or print a
@@ -145,7 +158,8 @@ alongside the graph statistics. `serve` holds the network, clusters and
 rho/enrichment indices resident and answers queries over a
 length-prefixed protocol (see `casbn serve --help`). `fuzz` runs the
 deterministic structure-aware fuzzing and differential-oracle harness
-over every input surface (see `casbn fuzz --help`).
+over every input surface (see `casbn fuzz --help`). `figures` rebuilds the
+paper's evaluation (Figs. 3–11 and the in-text results) at --scale.
 ";
 
 /// `casbn bench --help` text (also asserted verbatim by the CLI snapshot
@@ -437,6 +451,13 @@ pub const COMMANDS: &[Command] = &[
         switches: &["wall"],
         help: BENCH_USAGE,
         run: run_bench,
+    },
+    Command {
+        name: "figures",
+        valued: &["fig", "scale", "json"],
+        switches: &[],
+        help: USAGE,
+        run: run_figures,
     },
     Command {
         name: "stream",
@@ -1152,6 +1173,83 @@ fn run_bench(args: &Args) -> Result<Job<'_>, String> {
         }
         Ok(code)
     }))
+}
+
+/// The `--fig` values `casbn figures` accepts.
+const FIGS: &[&str] = &[
+    "3", "4", "5", "6", "7", "67", "8", "9", "10", "11", "text", "all",
+];
+
+/// `casbn figures` — regenerate the data behind the paper's Figs. 3–11
+/// and in-text results, printed as text tables.
+fn run_figures(args: &Args) -> Result<Job<'_>, String> {
+    let fig = args.get("fig").unwrap_or("all");
+    if !FIGS.contains(&fig) {
+        return Err(format!("unknown --fig {fig} (want {})", FIGS.join("|")));
+    }
+    let scale = scale(args, 0.15)?;
+    let dir = args.get("json");
+    Ok(Box::new(move || {
+        let want = |f: &str| fig == "all" || fig == f;
+        let mut runner = FigureRunner::new(scale);
+        if want("3") {
+            let f = fig3(&mut runner);
+            emit_figure(dir, "fig3", render_fig3(&f), &f)?;
+        }
+        if want("4") {
+            let f = fig4(&mut runner);
+            emit_figure(dir, "fig4", render_fig4(&f), &f)?;
+        }
+        if want("5") {
+            let f = fig5(&mut runner);
+            emit_figure(dir, "fig5", render_fig5(&f), &f)?;
+        }
+        if ["67", "6", "7", "8"].iter().any(|f| want(f)) {
+            let f = fig67(&mut runner);
+            if ["67", "6", "7"].iter().any(|f| want(f)) {
+                emit_figure(dir, "fig67", render_fig67(&f), &f)?;
+            }
+            if want("8") {
+                let f8 = fig8(&f);
+                emit_figure(dir, "fig8", render_fig8(&f8), &f8)?;
+            }
+        }
+        if want("9") {
+            let f = fig9(&mut runner);
+            emit_figure(dir, "fig9", render_fig9(&f), &f)?;
+        }
+        if want("10") {
+            let f = fig10(&mut runner, &[1, 2, 4, 8, 16, 32, 64]);
+            emit_figure(dir, "fig10", render_fig10(&f), &f)?;
+        }
+        if want("11") {
+            let f = fig11(&mut runner);
+            emit_figure(dir, "fig11", render_fig11(&f), &f)?;
+        }
+        if want("text") {
+            let t = text_stats(&mut runner);
+            emit_figure(dir, "text_stats", render_text_stats(&t), &t)?;
+        }
+        Ok(0)
+    }))
+}
+
+/// Print one figure's table and, given `--json DIR`, write its data
+/// series to `DIR/<name>.json`.
+fn emit_figure<T: serde::Serialize>(
+    dir: Option<&str>,
+    name: &str,
+    table: String,
+    data: &T,
+) -> Result<(), String> {
+    print!("{table}");
+    let Some(dir) = dir else { return Ok(()) };
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
+    let path = format!("{dir}/{name}.json");
+    let json = serde_json::to_string_pretty(data).map_err(|e| e.to_string())?;
+    write_artifact(&path, json.as_bytes(), RetryPolicy::default())?;
+    eprintln!("wrote {path}");
+    Ok(())
 }
 
 /// `casbn stream` — replay a sample stream through the incremental

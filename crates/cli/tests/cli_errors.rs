@@ -147,6 +147,13 @@ fn valueless_flag_is_rejected_not_swallowed() {
     assert_graceful(&["stream", "--preset"], 2, "needs a value");
 }
 
+#[test]
+fn figures_runs_at_a_small_scale() {
+    let out = casbn(&["figures", "--fig", "3", "--scale", "0.05"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("== Figure 3:"));
+}
+
 /// Argv vectors (space-separated; `X` names an existing edge list) that
 /// the in-process check and the binary must both reject, with the
 /// diagnostic both must name.
@@ -181,6 +188,13 @@ const REJECTED: &[(&str, &str)] = &[
     ("bench --threshold -1", "need --threshold >= 0"),
     ("pack --in X --kind bogus --out X", "unknown --kind bogus"),
     ("fuzz --target frobnicator", "unknown --target"),
+    ("figures --fig 12", "unknown --fig 12"),
+    ("figures --scale 0", "need --scale > 0"),
+    ("figures --scale -1", "need --scale > 0"),
+    ("figures --scale nan", "need --scale > 0"),
+    ("figures --scale", "--scale needs a value"),
+    ("figures --full", "unknown flag --full"),
+    ("figures --scale 0.05 --full", "unknown flag --full"),
 ];
 
 #[test]

@@ -3,8 +3,9 @@
 //! and **random edge** sampling. The paper argues these samplers, built
 //! to preserve generic graph properties, are "potentially harmful on
 //! noisy networks, since \[they\] also effectively capture noise" — these
-//! implementations let the claim be tested directly (see the
-//! `baseline_filters` integration test and the ablation bench).
+//! implementations let the claim be tested directly (`casbn filter
+//! --algo forestfire|randomnode|randomedge`; `tests/filter_properties.rs`
+//! holds them to the same subgraph contract as the paper's filters).
 
 use crate::filter::{assemble, Filter, FilterOutput, FilterStats};
 use casbn_graph::{Edge, Graph, VertexId};

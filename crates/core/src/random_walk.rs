@@ -24,7 +24,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// How the "1/d edge selection" is realised. The paper's wording admits
-/// two readings; both are implemented and compared in the ablation bench.
+/// two readings; both are implemented, and
+/// [`ParallelRandomWalkFilter::traversal`] selects the second.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WalkMode {
     /// **Per-vertex sweep** (default): every vertex of degree `d` selects

@@ -6,10 +6,10 @@
 //! the incremental-chordal admissibility BFS, and the per-window
 //! re-clustering of the streaming subsystem — reduces to one primitive:
 //! *intersect two sorted neighbour lists*. This module provides that
-//! primitive behind a single adaptive entry point with `count`,
-//! `for_each` and `collect` variants, plus a [`NeighborhoodScratch`]
-//! (visited-epoch array, bitset, u32 stack, collect buffer) that is
-//! sized once per graph and reused across calls so steady-state
+//! primitive behind a single adaptive entry point with `count` and
+//! `for_each` variants (plus the [`is_subset`] predicate), and a
+//! [`NeighborhoodScratch`] (visited-epoch array, bitset, u32 stack) that
+//! is sized once per graph and reused across calls so steady-state
 //! filtering performs no heap allocation.
 //!
 //! # Adaptive dispatch
@@ -24,16 +24,17 @@
 //!   [`GALLOP_RATIO`] (≥ 32×), the hub-vs-leaf pattern scale-free
 //!   correlation networks produce.
 //! * **bitset / mark filter** — when one side is already *materialised*
-//!   into the scratch ([`NeighborhoodScratch::load_bitset`]), each probe
-//!   is `O(1)`, so intersecting many lists against the same
-//!   neighbourhood (MCODE's core-density loop) costs `O(|b|)` per list.
+//!   into the scratch ([`NeighborhoodScratch::load_bitset`]), each
+//!   [`NeighborhoodScratch::bitset_contains`] probe is `O(1)`, so
+//!   intersecting many lists against the same neighbourhood (MCODE's
+//!   core-density loop) costs `O(|b|)` per list.
 //!
 //! All three visit common elements in ascending order and agree exactly
 //! on the result set (property-tested against a `BTreeSet` oracle in
 //! `crates/graph/tests/nbhood_props.rs`), so callers may switch paths
 //! freely without perturbing deterministic downstream output.
 
-use crate::graph::{Graph, VertexId};
+use crate::graph::VertexId;
 
 /// Degree skew at which [`intersect_for_each`] switches from the linear
 /// merge to galloping search: the longer list must be at least this many
@@ -101,20 +102,31 @@ pub fn intersect_gallop_for_each(
         if base >= large.len() {
             break;
         }
-        // doubling probe: find an offset whose element reaches x, so the
-        // window [base, base + offset + 1) contains the first element ≥ x
-        let mut offset = 1usize;
-        while base + offset < large.len() && large[base + offset] < x {
-            offset <<= 1;
-        }
-        let hi = (base + offset + 1).min(large.len());
-        match large[base..hi].binary_search(&x) {
-            Ok(pos) => {
+        match gallop(large, base, x) {
+            Ok(i) => {
                 f(x);
-                base += pos + 1;
+                base = i + 1;
             }
-            Err(pos) => base += pos,
+            Err(i) => base = i,
         }
+    }
+}
+
+/// One galloping probe for `x` in sorted `large`, starting at `base`:
+/// `Ok(i)` when `large[i] == x`, else `Err(i)` with `i` the index of the
+/// first element greater than `x` (where the next probe starts).
+#[inline]
+fn gallop(large: &[VertexId], base: usize, x: VertexId) -> Result<usize, usize> {
+    // doubling probe: find an offset whose element reaches x, so the
+    // window [base, base + offset + 1) contains the first element ≥ x
+    let mut offset = 1usize;
+    while base + offset < large.len() && large[base + offset] < x {
+        offset <<= 1;
+    }
+    let hi = (base + offset + 1).min(large.len());
+    match large[base..hi].binary_search(&x) {
+        Ok(pos) => Ok(base + pos),
+        Err(pos) => Err(base + pos),
     }
 }
 
@@ -132,16 +144,8 @@ pub fn is_subset(a: &[VertexId], b: &[VertexId]) -> bool {
         casbn_obs::counter_inc("nbhood.subset_gallop");
         let mut base = 0usize;
         for &x in a {
-            if base >= b.len() {
-                return false;
-            }
-            let mut offset = 1usize;
-            while base + offset < b.len() && b[base + offset] < x {
-                offset <<= 1;
-            }
-            let hi = (base + offset + 1).min(b.len());
-            match b[base..hi].binary_search(&x) {
-                Ok(pos) => base += pos + 1,
+            match gallop(b, base, x) {
+                Ok(i) => base = i + 1,
                 Err(_) => return false,
             }
         }
@@ -162,8 +166,8 @@ pub fn is_subset(a: &[VertexId], b: &[VertexId]) -> bool {
 }
 
 /// Reusable neighbourhood scratch: a visited-epoch array, a bitset with
-/// dirty-word tracking, a u32 stack and a collect buffer, all sized once
-/// per graph ([`NeighborhoodScratch::new`]) and reused across calls.
+/// dirty-word tracking and a u32 stack, all sized once per graph
+/// ([`NeighborhoodScratch::new`]) and reused across calls.
 ///
 /// Cloning is supported (the streaming maintainer derives `Clone`), and
 /// a clone inherits the buffers' capacities.
@@ -179,8 +183,6 @@ pub struct NeighborhoodScratch {
     dirty: Vec<u32>,
     /// Reusable u32 stack / cursor queue for BFS-style traversals.
     pub stack: Vec<VertexId>,
-    /// Collect buffer returned by [`NeighborhoodScratch::intersect_collect`].
-    buf: Vec<VertexId>,
 }
 
 impl NeighborhoodScratch {
@@ -192,7 +194,6 @@ impl NeighborhoodScratch {
             bits: vec![0; n.div_ceil(64)],
             dirty: Vec::new(),
             stack: Vec::new(),
-            buf: Vec::new(),
         }
     }
 
@@ -250,8 +251,7 @@ impl NeighborhoodScratch {
 
     /// Materialise `list` into the bitset (clearing any previous load).
     /// Subsequent [`NeighborhoodScratch::bitset_contains`] probes are
-    /// `O(1)`; pair with [`NeighborhoodScratch::intersect_bitset_for_each`]
-    /// to intersect many lists against the same materialised side.
+    /// `O(1)`, so one materialisation serves many probe lists.
     pub fn load_bitset(&mut self, list: &[VertexId]) {
         for &w in &self.dirty {
             self.bits[w as usize] = 0;
@@ -271,60 +271,6 @@ impl NeighborhoodScratch {
     pub fn bitset_contains(&self, v: VertexId) -> bool {
         (self.bits[(v >> 6) as usize] >> (v & 63)) & 1 == 1
     }
-
-    /// Bitset intersection path: visit (ascending, in `list` order) every
-    /// element of `list` present in the materialised set. The set loaded
-    /// by the last [`NeighborhoodScratch::load_bitset`] stays loaded, so
-    /// one materialisation serves many probe lists.
-    #[inline]
-    pub fn intersect_bitset_for_each(&self, list: &[VertexId], mut f: impl FnMut(VertexId)) {
-        casbn_obs::counter_inc("nbhood.intersect_bitset");
-        for &v in list {
-            if self.bitset_contains(v) {
-                f(v);
-            }
-        }
-    }
-
-    /// Adaptive intersection collected into the scratch buffer (ascending).
-    /// The returned slice borrows the scratch and is valid until the next
-    /// call that touches `buf`.
-    pub fn intersect_collect(&mut self, a: &[VertexId], b: &[VertexId]) -> &[VertexId] {
-        // `buf` is split from `self` borrow-wise by taking it out; element
-        // pushes reuse its capacity, so steady state allocates nothing.
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        intersect_for_each(a, b, |x| buf.push(x));
-        self.buf = buf;
-        &self.buf
-    }
-}
-
-/// Common neighbours of `u` and `v` in `g`, collected (ascending) into
-/// the scratch buffer — the convenience entry point over the same
-/// adaptive dispatch the hot consumers invoke through
-/// [`intersect_for_each`] / [`is_subset`] / the mark and bitset filters.
-/// Use [`common_neighbors_count`] / [`common_neighbors_for_each`] when
-/// the materialised list is not needed.
-pub fn common_neighbors<'s>(
-    g: &Graph,
-    u: VertexId,
-    v: VertexId,
-    scratch: &'s mut NeighborhoodScratch,
-) -> &'s [VertexId] {
-    scratch.intersect_collect(g.neighbors(u), g.neighbors(v))
-}
-
-/// Number of common neighbours of `u` and `v` in `g` (adaptive dispatch).
-#[inline]
-pub fn common_neighbors_count(g: &Graph, u: VertexId, v: VertexId) -> usize {
-    intersect_count(g.neighbors(u), g.neighbors(v))
-}
-
-/// Visit the common neighbours of `u` and `v` in `g`, ascending.
-#[inline]
-pub fn common_neighbors_for_each(g: &Graph, u: VertexId, v: VertexId, f: impl FnMut(VertexId)) {
-    intersect_for_each(g.neighbors(u), g.neighbors(v), f);
 }
 
 #[cfg(test)]
@@ -341,8 +287,11 @@ mod tests {
         intersect_gallop_for_each(small, large, &mut |x| gallop.push(x));
         let mut scratch = NeighborhoodScratch::new(1 << 12);
         scratch.load_bitset(a);
-        let mut bitset = Vec::new();
-        scratch.intersect_bitset_for_each(b, |x| bitset.push(x));
+        let bitset = b
+            .iter()
+            .copied()
+            .filter(|&x| scratch.bitset_contains(x))
+            .collect();
         vec![adaptive, merge, gallop, bitset]
     }
 
@@ -411,18 +360,6 @@ mod tests {
         for v in [0u32, 63, 64, 255] {
             assert!(!s.bitset_contains(v), "stale bit {v}");
         }
-    }
-
-    #[test]
-    fn common_neighbors_on_a_diamond() {
-        // diamond: 0-1, 0-2, 1-2, 1-3, 2-3 — common of (0,3) is {1,2}
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
-        let mut s = NeighborhoodScratch::new(g.n());
-        assert_eq!(common_neighbors(&g, 0, 3, &mut s), &[1, 2]);
-        assert_eq!(common_neighbors_count(&g, 0, 3), 2);
-        let mut seen = Vec::new();
-        common_neighbors_for_each(&g, 1, 2, |x| seen.push(x));
-        assert_eq!(seen, vec![0, 3]);
     }
 
     #[test]
