@@ -22,7 +22,7 @@ use casbn_chordal::{
 use casbn_core::{Filter, IncrementalChordal, ParallelChordalNoCommFilter};
 use casbn_distsim::CostModel;
 use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
-use casbn_graph::{DeltaGraph, EdgeDelta, Graph, PartitionKind};
+use casbn_graph::{EdgeDelta, Graph, PartitionKind};
 use casbn_mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
 use casbn_serve::{run_script, Request, ServeEngine, SessionConfig};
 use casbn_store::{Store, StoreWriter};
@@ -404,10 +404,10 @@ pub fn run_suite(scale: f64, repeats: usize) -> PerfSuite {
     // the network and maintainer are long-lived (cleared, not
     // reconstructed, between repeats), so the measurement is the
     // steady-state replay cost — no capacity is re-allocated
-    let mut net = DeltaGraph::new(replay.genes());
+    let mut net = Graph::new(replay.genes());
     let mut inc = IncrementalChordal::new(replay.genes());
     let (wall, counters, (sim, retained)) = timed_counted(repeats, || {
-        net.clear();
+        net.clear_edges();
         inc.reset();
         for d in &deltas {
             net.apply(d);

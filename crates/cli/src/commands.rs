@@ -48,11 +48,10 @@ USAGE:
                  [--batch N] [--min-rho F] [--min-score F] [--json]
                  [--out FILE] [--replay-out FILE] [--expect-checksum N]
                  [--checkpoint FILE] [--resume FILE [--degraded]]
-                 [--windows N] [--io-retries N] [--metrics FILE|-]
+                 [--windows N] [--metrics FILE|-]
   casbn serve    (--in FILE | --preset P [--scale F] [--samples N])
                  [--script FILE] [--listen ADDR] [--threads N] [--batch N]
-                 [--checkpoint FILE] [--expect-checksum N] [--io-retries N]
-                 [--metrics FILE|-]
+                 [--checkpoint FILE] [--expect-checksum N] [--metrics FILE|-]
   casbn pack     --in FILE --kind graph|replay|clusters --out FILE
   casbn inspect  --in FILE [--json] [--degraded] [--metrics FILE|-]
   casbn verify   --in FILE [--metrics FILE|-]
@@ -124,10 +123,6 @@ FLAGS:
                checksum-failing sections are quarantined (`stream
                --resume` continues from what survives with a stderr
                warning; `inspect` reports the damage)
-  --io-retries transient I/O (EINTR/EAGAIN) retry budget per write
-               operation for this run's artifacts (default 4; retries
-               are deterministic — counted in the io.retries metric,
-               never wall-clock backoff)
   --kind       what `pack` reads from --in: graph (edge list), replay
                (sample-major matrix), clusters (cluster --json output)
   --script     `serve`: replay a query script (one query per line:
@@ -212,7 +207,7 @@ pipeline
 
 Ingests samples in --batch N windows: each window updates the online
 Welford/co-moment correlation accumulators, applies the resulting edge
-deltas to the CSR-backed delta graph, maintains the chordal subgraph
+deltas to the live network, maintains the chordal subgraph
 incrementally (admissibility-tested inserts, amortized regional DSW
 rebuilds), re-clusters with MCODE, and reports per-window churn, cluster
 stability and simulated/wall latency. A deterministic checksum over the
@@ -220,10 +215,10 @@ integer window metrics ends the table (in --json mode it is a field of
 the document, which stays pipe-clean for `jq`).
 
 The run is suspendable: --checkpoint writes the driver's complete state
-(Welford/co-moment accumulators bit-exact, delta-graph overlays,
-incremental chordal subgraph and clock, window history) to a .csbn
-container, and --resume restores it and continues the replay where it
-stopped — a resumed run reproduces the uninterrupted run's windows and
+(Welford/co-moment accumulators bit-exact, the membership bits the
+network is rebuilt from, incremental chordal subgraph and clock, window
+history) to a .csbn container, and --resume restores it and continues
+the replay where it stopped — a resumed run reproduces the uninterrupted run's windows and
 final checksum exactly. Pair --windows N with --checkpoint to suspend a
 long replay mid-stream.
 
@@ -232,7 +227,7 @@ USAGE:
                [--batch N] [--min-rho F] [--min-score F] [--json]
                [--out FILE] [--replay-out FILE] [--expect-checksum N]
                [--checkpoint FILE] [--resume FILE [--degraded]]
-               [--windows N] [--io-retries N] [--metrics FILE|-]
+               [--windows N] [--metrics FILE|-]
 
 FLAGS:
   --preset     synthesize the replay from a dataset preset's calibrated
@@ -265,9 +260,6 @@ FLAGS:
                to its newest fully valid generation (stderr warning)
                instead of refusing to resume
   --windows    ingest at most N windows this run (default: no limit)
-  --io-retries transient I/O (EINTR/EAGAIN) retry budget per write
-               operation (default 4; deterministic, no wall-clock
-               backoff — retries land in the io.retries metric)
   --metrics    write the run's telemetry snapshot to FILE as JSON
                (`-` prints a human table to stderr); the summary also
                reports per-window wall p50/p95/max
@@ -342,8 +334,7 @@ Modes (in precedence order):
 USAGE:
   casbn serve (--in FILE | --preset yng|mid|unt|cre [--scale F] [--samples N])
               [--script FILE] [--listen ADDR] [--threads N] [--batch N]
-              [--checkpoint FILE] [--expect-checksum N] [--io-retries N]
-              [--metrics FILE|-]
+              [--checkpoint FILE] [--expect-checksum N] [--metrics FILE|-]
 
 FLAGS:
   --in         a .csbn container (a graph section serves static, a
@@ -366,7 +357,6 @@ FLAGS:
   --expect-checksum
                with --script: exit 1 unless the FNV-1a checksum over
                the response bytes matches N — the CI serve-smoke gate
-  --io-retries transient I/O retry budget per write (default 4)
   --metrics    write the run's telemetry snapshot (serve.requests,
                serve.batch_size, serve.snapshot_rotations, per-query
                sim-cost counters) to FILE as JSON, `-` for stderr table
@@ -475,7 +465,6 @@ pub const COMMANDS: &[Command] = &[
             "checkpoint",
             "resume",
             "windows",
-            "io-retries",
             "metrics",
         ],
         switches: &["json", "degraded"],
@@ -495,7 +484,6 @@ pub const COMMANDS: &[Command] = &[
             "batch",
             "checkpoint",
             "expect-checksum",
-            "io-retries",
             "metrics",
         ],
         switches: &[],
@@ -692,8 +680,9 @@ fn ranks(args: &Args) -> Result<usize, String> {
 /// old file or the complete new one on disk, never a torn mix. Every
 /// CLI artifact write funnels through here (or through the store's
 /// [`save_atomic`]/[`append_durable`] for `.csbn` containers).
-fn write_artifact(path: &str, bytes: &[u8], policy: RetryPolicy) -> Result<(), String> {
-    write_atomic(&RealFs, path, bytes, policy).map_err(|e| format!("write {path}: {e}"))
+fn write_artifact(path: &str, bytes: &[u8]) -> Result<(), String> {
+    write_atomic(&RealFs, path, bytes, RetryPolicy::default())
+        .map_err(|e| format!("write {path}: {e}"))
 }
 
 /// Does `path` already hold a `.csbn` container? Peeks at the magic
@@ -729,7 +718,7 @@ fn metrics_finish(dest: Option<&str>) -> Result<(), String> {
     if dest == "-" {
         eprint!("{}", snap.render_table());
     } else {
-        write_artifact(dest, snap.to_json().as_bytes(), RetryPolicy::default())?;
+        write_artifact(dest, snap.to_json().as_bytes())?;
         eprintln!("wrote metrics {dest}");
     }
     Ok(())
@@ -772,7 +761,7 @@ fn save(g: &Graph, path: Option<&str>, header: &str) -> Result<(), String> {
         Some(p) => {
             let mut buf = Vec::new();
             write_edge_list(g, &mut buf, Some(header)).map_err(|e| e.to_string())?;
-            write_artifact(p, &buf, RetryPolicy::default())
+            write_artifact(p, &buf)
         }
         None => {
             write_edge_list(g, std::io::stdout().lock(), Some(header)).map_err(|e| e.to_string())
@@ -818,7 +807,8 @@ fn source(args: &Args) -> Result<Source<'_>, String> {
 /// survive as a bit-exact prefix (a torn tail from an earlier crash is
 /// truncated away first). Anything else is atomically replaced with a
 /// fresh base-layout container. Returns whether it appended.
-fn write_checkpoint(path: &str, w: &StoreWriter, policy: RetryPolicy) -> Result<bool, String> {
+fn write_checkpoint(path: &str, w: &StoreWriter) -> Result<bool, String> {
+    let policy = RetryPolicy::default();
     if !is_csbn_file(path) {
         save_atomic(&RealFs, path, w, policy).map_err(|e| format!("write {path}: {e}"))?;
         return Ok(false);
@@ -1147,7 +1137,7 @@ fn run_bench(args: &Args) -> Result<Job<'_>, String> {
             eprint!("{}", report.render());
             if let Some(md_path) = args.get("summary") {
                 let md = perfbase::render_markdown(&base, &suite);
-                write_artifact(md_path, md.as_bytes(), RetryPolicy::default())?;
+                write_artifact(md_path, md.as_bytes())?;
                 eprintln!("wrote {md_path}");
             }
             if report.compared == 0 {
@@ -1168,7 +1158,7 @@ fn run_bench(args: &Args) -> Result<Job<'_>, String> {
             };
             let merged = perfbase::merge(existing, suite);
             let json = serde_json::to_string_pretty(&merged).map_err(|e| e.to_string())?;
-            write_artifact(out, (json + "\n").as_bytes(), RetryPolicy::default())?;
+            write_artifact(out, (json + "\n").as_bytes())?;
             eprintln!("wrote {out}");
         }
         Ok(code)
@@ -1247,18 +1237,15 @@ fn emit_figure<T: serde::Serialize>(
     std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     let path = format!("{dir}/{name}.json");
     let json = serde_json::to_string_pretty(data).map_err(|e| e.to_string())?;
-    write_artifact(&path, json.as_bytes(), RetryPolicy::default())?;
+    write_artifact(&path, json.as_bytes())?;
     eprintln!("wrote {path}");
     Ok(())
 }
 
 /// `casbn stream` — replay a sample stream through the incremental
-/// pipeline (online correlation → delta graph → incremental chordal →
+/// pipeline (online correlation → network deltas → incremental chordal →
 /// MCODE). Exit codes: 0 ok, 1 checksum mismatch, 2 usage error.
 fn run_stream(args: &Args) -> Result<Job<'_>, String> {
-    // per-operation transient-I/O retry budget for every artifact
-    // this run writes (checkpoints, edge lists, replays)
-    let policy = RetryPolicy::new(args.get_or("io-retries", 4)?);
     let resume_path = args.get("resume");
     if args.has("degraded") && resume_path.is_none() {
         return Err("--degraded only applies when resuming (--resume FILE)".into());
@@ -1312,7 +1299,7 @@ fn run_stream(args: &Args) -> Result<Job<'_>, String> {
                 )),
             )
             .map_err(|e| format!("write {path}: {e}"))?;
-            write_artifact(path, &buf, policy)?;
+            write_artifact(path, &buf)?;
             eprintln!("wrote replay {path}");
         }
 
@@ -1411,10 +1398,7 @@ fn run_stream(args: &Args) -> Result<Job<'_>, String> {
         if let Some(path) = args.get("checkpoint") {
             // the sections stream straight from the writer; the container
             // is never materialized twice
-            let w = driver
-                .checkpoint_writer()
-                .map_err(|e| format!("checkpoint: {e}"))?;
-            let appended = write_checkpoint(path, &w, policy)?;
+            let appended = write_checkpoint(path, &driver.checkpoint_writer())?;
             eprintln!(
                 "wrote checkpoint {path} ({} samples ingested{})",
                 driver.samples_ingested(),
@@ -1482,7 +1466,7 @@ fn run_stream(args: &Args) -> Result<Job<'_>, String> {
             let mut buf = Vec::new();
             write_edge_list(&chordal, &mut buf, Some("incremental chordal subgraph"))
                 .map_err(|e| e.to_string())?;
-            write_artifact(path, &buf, policy)?;
+            write_artifact(path, &buf)?;
             eprintln!("wrote {path}");
         }
         Ok(checksum_gate(expect, summary.checksum))
@@ -1493,7 +1477,6 @@ fn run_stream(args: &Args) -> Result<Job<'_>, String> {
 /// (see [`SERVE_USAGE`] for the protocol and mode reference).
 /// Exit codes: 0 ok, 1 checksum mismatch, 2 usage/configuration error.
 fn run_serve(args: &Args) -> Result<Job<'_>, String> {
-    let policy = RetryPolicy::new(args.get_or("io-retries", 4)?);
     let threads: usize = args.get_or("threads", 1)?;
     let batch: usize = args.get_or("batch", BATCH_MAX)?;
     if threads == 0 || batch == 0 || batch > BATCH_MAX {
@@ -1552,9 +1535,7 @@ fn run_serve(args: &Args) -> Result<Job<'_>, String> {
             // one generation per window boundary plus the final shutdown
             // checkpoint
             let path = path.to_string();
-            engine.set_checkpoint_sink(Box::new(move |w| {
-                write_checkpoint(&path, w, policy).map(drop)
-            }));
+            engine.set_checkpoint_sink(Box::new(move |w| write_checkpoint(&path, w).map(drop)));
         }
 
         {
@@ -1820,7 +1801,7 @@ fn run_fuzz(args: &Args) -> Result<Job<'_>, String> {
             match casbn_fuzz::execute_one(target.as_mut(), &min, cfg.max_alloc) {
                 Execution::Failed(kind, msg) => {
                     let out = format!("{path}.min");
-                    write_artifact(&out, &min, RetryPolicy::default())?;
+                    write_artifact(&out, &min)?;
                     println!(
                         "{}: {} bytes -> {} bytes ({}: {msg})",
                         target.name(),
@@ -1877,7 +1858,7 @@ fn run_fuzz(args: &Args) -> Result<Job<'_>, String> {
                         cfg.seed,
                         c.iteration
                     );
-                    write_artifact(&out, &c.input, RetryPolicy::default())?;
+                    write_artifact(&out, &c.input)?;
                     eprintln!("  wrote {out}");
                 }
             }

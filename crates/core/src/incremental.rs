@@ -3,7 +3,7 @@
 //!
 //! The batch pipeline re-runs Dearing–Shier–Warner from scratch whenever
 //! the network changes. [`IncrementalChordal`] instead maintains a chordal
-//! subgraph `H` of a live [`DeltaGraph`] network across
+//! subgraph `H` of a live network [`Graph`] across
 //! [`EdgeDelta`] batches:
 //!
 //! * **Insertions** use an *exact local admissibility test*. For a chordal
@@ -18,7 +18,7 @@
 //! * **Deletions** can break chordality (removing one edge of `K₄` twice
 //!   leaves `C₄`), so a batch containing deletions triggers an *amortized
 //!   regional DSW rebuild*: the `H`-components touched by deleted edges
-//!   are re-extracted from the current network snapshot with
+//!   are re-extracted from the current network with
 //!   [`maximal_chordal_subgraph_with`], which also re-admits network edges a
 //!   greedy earlier decision had rejected. Untouched components keep
 //!   their edges, and a disjoint union of chordal graphs is chordal.
@@ -42,7 +42,7 @@ use casbn_chordal::{
     maximal_chordal_subgraph_with, ChordalConfig, ChordalResult, DswScratch, WorkCounter,
 };
 use casbn_distsim::{CostModel, SimClock};
-use casbn_graph::{nbhood, DeltaGraph, EdgeDelta, Graph, NeighborhoodScratch, VertexId};
+use casbn_graph::{nbhood, EdgeDelta, Graph, NeighborhoodScratch, VertexId};
 use serde::{Deserialize, Serialize};
 
 /// Per-batch maintenance statistics.
@@ -86,8 +86,6 @@ pub struct IncrementalChordal {
     region: Vec<VertexId>,
     /// Global id → local id inside the current region (valid for marked).
     lpos: Vec<u32>,
-    /// Neighbour-list buffer for [`DeltaGraph::neighbors_into`].
-    nbuf: Vec<VertexId>,
     /// Reusable local-subgraph for regional rebuilds.
     local: Graph,
     /// DSW scratch + result reused by every regional rebuild.
@@ -114,7 +112,6 @@ impl IncrementalChordal {
             nb: NeighborhoodScratch::new(n),
             region: Vec::new(),
             lpos: vec![0; n],
-            nbuf: Vec::new(),
             local: Graph::new(0),
             dsw: DswScratch::default(),
             dsw_result: ChordalResult {
@@ -197,7 +194,7 @@ impl IncrementalChordal {
     /// delta was applied (the maintained subgraph stays a subgraph of
     /// `net`). Deletions are processed first (with a regional rebuild
     /// when any hit the subgraph), then insertions in delta order.
-    pub fn apply(&mut self, delta: &EdgeDelta, net: &DeltaGraph) -> IncBatchStats {
+    pub fn apply(&mut self, delta: &EdgeDelta, net: &Graph) -> IncBatchStats {
         assert_eq!(self.h.n(), net.n(), "vertex count drifted from network");
         let mut stats = IncBatchStats::default();
         // one op of per-batch bookkeeping, so even an empty delta has a
@@ -309,7 +306,7 @@ impl IncrementalChordal {
 
     /// Re-extract the `H`-components containing `seeds` from the current
     /// network. Returns the number of vertices in the rebuilt region.
-    fn rebuild_regions(&mut self, seeds: &[VertexId], net: &DeltaGraph, ops: &mut u64) -> usize {
+    fn rebuild_regions(&mut self, seeds: &[VertexId], net: &Graph, ops: &mut u64) -> usize {
         // region = union of H-components of the seed vertices (so no H
         // edge crosses the region boundary and the disjoint-union
         // argument applies)
@@ -351,8 +348,7 @@ impl IncrementalChordal {
         }
         self.local.reset(region.len());
         for &v in region.iter() {
-            net.neighbors_into(v, &mut self.nbuf);
-            for &w in &self.nbuf {
+            for &w in net.neighbors(v) {
                 *ops += 1;
                 if v < w && nb.is_marked(w) {
                     self.local
@@ -410,12 +406,12 @@ mod tests {
     #[test]
     fn empty_and_single_batch_chordal() {
         let mut inc = IncrementalChordal::new(0);
-        let net = DeltaGraph::new(0);
+        let net = Graph::new(0);
         let s = inc.apply(&EdgeDelta::default(), &net);
         assert_eq!(s.inserted + s.rejected + s.removed, 0);
 
         let g = gnm(60, 180, 3);
-        let mut net = DeltaGraph::new(60);
+        let mut net = Graph::new(60);
         let delta = delta_of(&g);
         net.apply(&delta);
         let mut inc = IncrementalChordal::new(60);
@@ -431,7 +427,7 @@ mod tests {
     fn accepts_cliques_wholesale() {
         // building a clique edge by edge must never reject
         let n = 12u32;
-        let mut net = DeltaGraph::new(n as usize);
+        let mut net = Graph::new(n as usize);
         let mut inc = IncrementalChordal::new(n as usize);
         for u in 0..n {
             for v in (u + 1)..n {
@@ -451,7 +447,7 @@ mod tests {
     #[test]
     fn rejects_the_closing_edge_of_a_long_cycle() {
         // path 0-1-2-3 then edge (0,3) would close C4
-        let mut net = DeltaGraph::new(4);
+        let mut net = Graph::new(4);
         let mut inc = IncrementalChordal::new(4);
         let path = EdgeDelta {
             inserts: vec![(0, 1), (1, 2), (2, 3)],
@@ -472,7 +468,6 @@ mod tests {
         assert_eq!(inc.retained_edges(), 3);
         assert!(is_chordal(inc.subgraph()));
         let dropped: Vec<_> = net
-            .snapshot()
             .edges()
             .filter(|&(u, v)| !inc.subgraph().has_edge(u, v))
             .collect();
@@ -481,7 +476,7 @@ mod tests {
 
     #[test]
     fn triangle_closing_edge_is_admissible() {
-        let mut net = DeltaGraph::new(3);
+        let mut net = Graph::new(3);
         let mut inc = IncrementalChordal::new(3);
         for d in [
             EdgeDelta {
@@ -508,7 +503,7 @@ mod tests {
         // so adding uv must be rejected — a "nonempty common neighborhood"
         // heuristic would wrongly accept it.
         let edges = [(0, 2), (1, 2), (0, 3), (2, 3), (2, 4), (3, 4), (1, 4)];
-        let mut net = DeltaGraph::new(5);
+        let mut net = Graph::new(5);
         let mut inc = IncrementalChordal::new(5);
         let d = EdgeDelta {
             inserts: edges.to_vec(),
@@ -534,7 +529,7 @@ mod tests {
 
     #[test]
     fn cross_component_edges_are_always_admissible() {
-        let mut net = DeltaGraph::new(6);
+        let mut net = Graph::new(6);
         let mut inc = IncrementalChordal::new(6);
         let d = EdgeDelta {
             inserts: vec![(0, 1), (1, 2), (3, 4), (4, 5)],
@@ -560,7 +555,7 @@ mod tests {
             inserts: vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
             removes: vec![],
         };
-        let mut net = DeltaGraph::new(4);
+        let mut net = Graph::new(4);
         let mut inc = IncrementalChordal::new(4);
         net.apply(&k4);
         inc.apply(&k4, &net);
@@ -593,7 +588,7 @@ mod tests {
     fn rebuild_readmits_previously_rejected_edges() {
         // reject (0,3) while the C4 0-1-2-3 is closed, then delete (1,2):
         // the rebuild sees the path 0-1, 2-3, 0-3 and can admit (0,3)
-        let mut net = DeltaGraph::new(4);
+        let mut net = Graph::new(4);
         let mut inc = IncrementalChordal::new(4);
         let d = EdgeDelta {
             inserts: vec![(0, 1), (1, 2), (2, 3), (0, 3)],
@@ -617,7 +612,7 @@ mod tests {
     fn random_churn_stays_chordal_subgraph_of_net() {
         let (g, _) = planted_partition(120, 4, 8, 0.9, 80, 5);
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let mut net = DeltaGraph::new(120);
+        let mut net = Graph::new(120);
         let mut inc = IncrementalChordal::new(120);
         let all = g.edge_vec();
         // ingest in 6 slices, then randomly remove batches
@@ -631,11 +626,7 @@ mod tests {
             assert!(is_chordal(inc.subgraph()));
         }
         for _ in 0..4 {
-            let removes: Vec<_> = net
-                .snapshot()
-                .edges()
-                .filter(|_| rng.gen_range(0..100) < 20)
-                .collect();
+            let removes: Vec<_> = net.edges().filter(|_| rng.gen_range(0..100) < 20).collect();
             let d = EdgeDelta {
                 inserts: vec![],
                 removes,
@@ -663,7 +654,7 @@ mod tests {
             })
             .collect();
         let replay = |inc: &mut IncrementalChordal| {
-            let mut net = DeltaGraph::new(100);
+            let mut net = Graph::new(100);
             for d in &chunks {
                 net.apply(d);
                 inc.apply(d, &net);
@@ -696,7 +687,7 @@ mod tests {
                 removes: vec![],
             })
             .collect();
-        let mut net = DeltaGraph::new(90);
+        let mut net = Graph::new(90);
         let mut straight = IncrementalChordal::new(90);
         let half = chunks.len() / 2;
         for d in &chunks[..half] {
@@ -727,7 +718,7 @@ mod tests {
     #[test]
     fn sim_clock_accumulates_monotonically() {
         let g = gnm(50, 140, 9);
-        let mut net = DeltaGraph::new(50);
+        let mut net = Graph::new(50);
         let mut inc = IncrementalChordal::new(50);
         let mut last = 0.0;
         for chunk in g.edge_vec().chunks(30) {

@@ -23,8 +23,8 @@
 //!   random walks (1/d edge choice, |E|/2 selections), border edges kept
 //!   on an unbiased per-edge coin flip.
 //! * [`IncrementalChordal`] — the streaming counterpart of the sequential
-//!   chordal filter: maintains a chordal subgraph of a live
-//!   [`casbn_graph::DeltaGraph`] under edge-delta batches instead of
+//!   chordal filter: maintains a chordal subgraph of a live network
+//!   [`casbn_graph::Graph`] under edge-delta batches instead of
 //!   re-running DSW from scratch ([`incremental`]).
 //!
 //! Every filter implements [`Filter`] and reports a [`FilterStats`] with

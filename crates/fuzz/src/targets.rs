@@ -22,14 +22,18 @@ use crate::mutate::mutate;
 use crate::rng::FuzzRng;
 use casbn_expr::store as expr_store;
 use casbn_expr::{DatasetPreset, ExpressionMatrix};
+use casbn_graph::generators::gnm;
 use casbn_graph::io::{read_edge_list, write_edge_list, write_weighted_edge_list};
 use casbn_graph::store as graph_store;
-use casbn_graph::{generators::gnm, DeltaGraph, EdgeDelta};
 use casbn_mcode::store as mcode_store;
 use casbn_mcode::Cluster;
 use casbn_serve::protocol as serve_protocol;
-use casbn_store::{is_store_bytes, SectionKind, Store, StoreWriter, MAGIC};
-use casbn_stream::{read_replay, synthesize_replay, write_replay, StreamConfig, StreamDriver};
+use casbn_store::io::{append_durable, MemFs, RetryPolicy};
+use casbn_store::{is_store_bytes, SectionKind, Store, StoreError, StoreWriter, MAGIC};
+use casbn_stream::{
+    read_replay, synthesize_replay, write_replay, StreamConfig, StreamDriver,
+    CHECKPOINT_CHORDAL_TAG,
+};
 
 /// What a clean iteration did with its input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -291,6 +295,16 @@ impl Target for ReplayTarget {
 
 // --------------------------------------------------------------------- csbn
 
+/// `base` grown by `a`'s sections the way production grows a container:
+/// a durable append (`casbn_store::io::append_durable`) over an
+/// in-memory filesystem.
+fn durable_append(base: &[u8], a: &StoreWriter) -> Result<Vec<u8>, StoreError> {
+    let fs = MemFs::new();
+    fs.install("f.csbn", base);
+    append_durable(&fs, "f.csbn", a, RetryPolicy::default())?;
+    Ok(fs.live("f.csbn").expect("appended file exists"))
+}
+
 /// `.csbn` binary containers (`casbn_store::Store::parse` plus every
 /// typed section codec) — the surface `pack`/`inspect`/`verify` and all
 /// auto-detected `--in` files share.
@@ -299,7 +313,7 @@ struct CsbnTarget;
 impl CsbnTarget {
     /// A structurally valid section of a random kind.
     fn valid_section(w: &mut StoreWriter, rng: &mut FuzzRng) {
-        match rng.below(4) {
+        match rng.below(3) {
             0 => {
                 let n = rng.range(0, 24);
                 let m = rng.below(n * 2 + 1).min(n.saturating_sub(1) * n / 2);
@@ -317,7 +331,7 @@ impl CsbnTarget {
                     &ExpressionMatrix::from_rows(genes, samples, data),
                 );
             }
-            2 => {
+            _ => {
                 let clusters: Vec<Cluster> = (0..rng.below(4))
                     .map(|_| {
                         let k = rng.range(1, 6) as u32;
@@ -332,24 +346,6 @@ impl CsbnTarget {
                     .collect();
                 mcode_store::add_clusters(w, rng.below(3) as u32, &clusters);
             }
-            _ => {
-                let n = rng.range(2, 20);
-                let g = gnm(n, rng.below(n * 2).min((n - 1) * n / 2), rng.u64());
-                let mut d = DeltaGraph::from_graph(&g).with_compaction_threshold(1 << 20);
-                let mut delta = EdgeDelta::default();
-                for _ in 0..rng.below(6) {
-                    let u = rng.below(n) as u32;
-                    let v = rng.below(n) as u32;
-                    if u != v {
-                        delta.inserts.push((u.min(v), u.max(v)));
-                    }
-                }
-                delta.inserts.sort_unstable();
-                delta.inserts.dedup();
-                d.apply(&delta);
-                graph_store::add_delta_graph(w, rng.below(3) as u32, &d)
-                    .expect("generated overlays stay far below the u32 offset ceiling");
-            }
         }
     }
 
@@ -361,7 +357,6 @@ impl CsbnTarget {
             SectionKind::Graph,
             SectionKind::Matrix,
             SectionKind::Clusters,
-            SectionKind::DeltaGraph,
         ]);
         let words = rng.below(12);
         let mut e = casbn_store::Enc::new();
@@ -405,21 +400,6 @@ impl CsbnTarget {
                 Ok(cs) => {
                     let mut w = StoreWriter::new();
                     mcode_store::add_clusters(&mut w, tag, &cs);
-                    Self::sole_payload(&w)
-                }
-            },
-            Some(SectionKind::DeltaGraph) => match graph_store::delta_graph_from_payload(payload) {
-                Err(e) => {
-                    let _ = e.to_string();
-                    return Ok(Outcome::Rejected);
-                }
-                Ok(d) => {
-                    let mut w = StoreWriter::new();
-                    if graph_store::add_delta_graph(&mut w, tag, &d).is_err() {
-                        // a decoded overlay too large to re-encode is a
-                        // rejection, not an oracle violation
-                        return Ok(Outcome::Rejected);
-                    }
                     Self::sole_payload(&w)
                 }
             },
@@ -554,7 +534,7 @@ impl Target for LazyOpenTarget {
             if rng.chance(1, 2) {
                 CsbnTarget::valid_section(&mut a, rng);
             }
-            bytes = a.append_to(&bytes).expect("append to a fresh container");
+            bytes = durable_append(&bytes, &a).expect("append to a fresh container");
         }
         match rng.below(4) {
             // clean: both tiers must accept and agree
@@ -666,10 +646,11 @@ impl Target for LazyOpenTarget {
 
 // -------------------------------------------------------------- csbn-append
 
-/// Appended-container parsing (`StoreWriter::append_to` + the footer /
-/// superseding-table read path). The oracle: any container the parser
-/// accepts must survive an empty re-append — generation advanced by
-/// exactly one, layout flipped to appended, and every live section's
+/// Appended-container parsing (`casbn_store::io::append_durable` + the
+/// footer / superseding-table read path). The oracle: any container the
+/// parser accepts must survive an empty durable re-append — the input
+/// kept as a bit-exact prefix, generation advanced by exactly one,
+/// layout flipped to appended, and every live section's
 /// kind/tag/payload byte-identical through the new table.
 struct AppendTarget;
 
@@ -689,7 +670,7 @@ impl Target for AppendTarget {
             for _ in 0..rng.below(3) {
                 CsbnTarget::valid_section(&mut a, rng);
             }
-            bytes = a.append_to(&bytes).expect("append to a valid container");
+            bytes = durable_append(&bytes, &a).expect("append to a valid container");
         }
         if rng.chance(2, 3) {
             let rounds = rng.range(1, 10);
@@ -708,9 +689,11 @@ impl Target for AppendTarget {
             }
             Ok(s) => s,
         };
-        let grown = StoreWriter::new()
-            .append_to(input)
+        let grown = durable_append(input, &StoreWriter::new())
             .map_err(|e| format!("accepted container refused an empty append: {e}"))?;
+        if !grown.starts_with(input) {
+            return Err("empty append rewrote the previous generation".into());
+        }
         let re =
             Store::parse(&grown).map_err(|e| format!("appended output failed to re-parse: {e}"))?;
         if !re.is_appended() || re.generation() != store.generation() + 1 {
@@ -757,7 +740,7 @@ impl Target for CrashTarget {
     }
 
     fn generate(&mut self, rng: &mut FuzzRng) -> Vec<u8> {
-        use casbn_store::io::{append_durable, save_atomic, MemFs, RetryPolicy};
+        use casbn_store::io::save_atomic;
         // grow a realistic durable container: an atomic base write plus
         // up to two in-place generation appends (the layout the crash
         // paths actually recover, gaps and superseded tables included)
@@ -978,7 +961,6 @@ impl CheckpointTarget {
         let mode = rng.below(9);
         let victim = match mode {
             0 | 1 => rng.below(sections.len()),
-            2 => by_kind(SectionKind::DeltaGraph),
             3 | 4 => by_kind(SectionKind::DriverState),
             5 | 6 => by_kind(SectionKind::ChordalState),
             _ => by_kind(SectionKind::OnlineCorrelation),
@@ -1002,11 +984,30 @@ impl CheckpointTarget {
                         rng.fill(&mut tail);
                         payload.extend_from_slice(&tail);
                     }
-                    // falsify the delta graph's live-edge counter: the
-                    // counters-vs-overlay cross-check must catch it
+                    // clear the membership bit of a chordal-subgraph edge
+                    // (if there is one): the network rebuilt from the
+                    // bitset loses it, and the chordal ⊆ network check
+                    // must catch that. The bitset is the payload's last
+                    // array, one bit per pair of the row-major upper
+                    // triangle.
                     2 => {
-                        let m = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-                        payload[8..16].copy_from_slice(&m.wrapping_add(1).to_le_bytes());
+                        let edges = graph_store::load_csr(&store, CHECKPOINT_CHORDAL_TAG)
+                            .expect("pristine chordal section loads")
+                            .to_graph()
+                            .edge_vec();
+                        if !edges.is_empty() {
+                            let (u, v) = edges[rng.below(edges.len())];
+                            let genes =
+                                u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
+                            let (u, v) = (u as usize, v as usize);
+                            let pairs = genes * (genes - 1) / 2;
+                            let pair = u * (2 * genes - u - 1) / 2 + (v - u - 1);
+                            let at = payload.len() - 8 * pairs.div_ceil(64) + 8 * (pair / 64);
+                            let mut word =
+                                u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+                            word &= !(1u64 << (pair % 64));
+                            payload[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                        }
                     }
                     // zero batch size: explicitly validated
                     3 => payload[..8].fill(0),

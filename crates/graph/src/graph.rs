@@ -295,8 +295,8 @@ impl Graph {
 
     /// Assemble a graph directly from per-vertex **sorted, symmetric**
     /// adjacency lists with `m` undirected edges (debug-asserted). Used
-    /// by bulk producers (the delta-graph snapshot) that already hold the
-    /// merged lists and would otherwise pay per-edge inserts.
+    /// by [`Csr::to_graph`], which already holds the sorted lists and
+    /// would otherwise pay per-edge inserts.
     pub(crate) fn from_sorted_adj_vecs(adj: Vec<Vec<VertexId>>, m: usize) -> Graph {
         debug_assert!(adj.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
         debug_assert_eq!(adj.iter().map(Vec::len).sum::<usize>(), 2 * m);
@@ -379,9 +379,9 @@ impl EdgeRankIndex {
 /// Compressed-sparse-row form of a [`Graph`]: an `n + 1` offset array
 /// and a `2m` flat adjacency array.
 ///
-/// Read-only. It is the base of [`crate::DeltaGraph`] and the layout
-/// of a `.csbn` graph section ([`crate::store`]), which loads with two
-/// bulk array reads and one invariant sweep instead of per-edge inserts.
+/// Read-only. It is the layout of a `.csbn` graph section
+/// ([`crate::store`]), which loads with two bulk array reads and one
+/// invariant sweep instead of per-edge inserts.
 #[derive(Clone, Debug)]
 pub struct Csr {
     xadj: Vec<u32>,
@@ -389,9 +389,8 @@ pub struct Csr {
 }
 
 /// A structural invariant violated by data handed to a fallible graph
-/// assembler ([`Csr::try_from_parts`], delta-graph overlay restoration)
-/// — the typed form of "this checksum-clean payload is still not a
-/// valid graph".
+/// assembler ([`Csr::try_from_parts`]) — the typed form of "this
+/// checksum-clean payload is still not a valid graph".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InvariantViolation(pub &'static str);
 
@@ -458,40 +457,13 @@ fn validate_csr_parts(xadj: &[u32], adjncy: &[VertexId]) -> Result<(), Invariant
 }
 
 impl Csr {
-    /// Reset to an edgeless CSR over `n` vertices, retaining the backing
-    /// buffers (the delta-graph `clear` relies on this for
-    /// allocation-free reuse).
-    pub(crate) fn reset_empty(&mut self, n: usize) {
-        self.xadj.clear();
-        self.xadj.resize(n + 1, 0);
-        self.adjncy.clear();
-    }
-
-    /// Assemble a CSR from pre-built offset + adjacency arrays (the
-    /// delta-graph compactor streams its merged neighbour lists straight
-    /// into these, avoiding any per-vertex intermediate allocation).
-    /// Offsets must be non-decreasing with `xadj[0] == 0` and every list
-    /// sorted (debug-asserted).
-    pub(crate) fn from_parts(xadj: Vec<u32>, adjncy: Vec<VertexId>) -> Csr {
-        debug_assert!(!xadj.is_empty() && xadj[0] == 0);
-        debug_assert_eq!(*xadj.last().unwrap() as usize, adjncy.len());
-        debug_assert!(xadj.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(xadj.windows(2).all(|w| {
-            adjncy[w[0] as usize..w[1] as usize]
-                .windows(2)
-                .all(|p| p[0] < p[1])
-        }));
-        Csr { xadj, adjncy }
-    }
-
     /// Assemble a CSR from offset + adjacency arrays with **full**
-    /// validation — the fallible twin of the crate-internal
-    /// `Csr::from_parts` for data arriving from outside the process
-    /// (the `.csbn` store loads
-    /// graphs through this: checksum-clean section bytes become the
-    /// backing arrays directly, with no per-edge parsing). Rejects
-    /// non-monotone offsets, out-of-range neighbours, unsorted or
-    /// duplicated adjacency lists, self-loops and asymmetric edges.
+    /// validation, for data arriving from outside the process (the
+    /// `.csbn` store loads graphs through this: checksum-clean section
+    /// bytes become the backing arrays directly, with no per-edge
+    /// parsing). Rejects non-monotone offsets, out-of-range neighbours,
+    /// unsorted or duplicated adjacency lists, self-loops and asymmetric
+    /// edges.
     pub fn try_from_parts(
         xadj: Vec<u32>,
         adjncy: Vec<VertexId>,
@@ -537,8 +509,7 @@ impl Csr {
     ///
     /// # Panics
     ///
-    /// Panics with a descriptive message if `v >= self.n()`. Use
-    /// [`Csr::try_neighbors`] for the non-panicking variant.
+    /// Panics with a descriptive message if `v >= self.n()`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         assert!(
@@ -549,37 +520,6 @@ impl Csr {
         let s = self.xadj[v as usize] as usize;
         let e = self.xadj[v as usize + 1] as usize;
         &self.adjncy[s..e]
-    }
-
-    /// Sorted neighbours of `v`, or `None` when `v` is out of range.
-    #[inline]
-    pub fn try_neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
-        if (v as usize) < self.n() {
-            Some(&self.adjncy[self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize])
-        } else {
-            None
-        }
-    }
-
-    /// Degree of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= self.n()` (see [`Csr::neighbors`]).
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.neighbors(v).len()
-    }
-
-    /// Whether edge `(u, v)` is present (binary search on the shorter list).
-    #[inline]
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a).binary_search(&b).is_ok()
     }
 }
 
@@ -703,13 +643,9 @@ mod tests {
         assert_eq!(g.try_neighbors(1), Some(&[0u32, 2][..]));
         assert_eq!(g.try_neighbors(4), None);
         assert_eq!(Graph::new(0).try_neighbors(0), None);
-        let c = g.to_csr();
-        assert_eq!(c.try_neighbors(1), Some(&[0u32, 2][..]));
-        assert_eq!(c.try_neighbors(4), None);
         // single-vertex graph: in range, empty list
         let one = Graph::new(1);
         assert_eq!(one.try_neighbors(0), Some(&[][..]));
-        assert_eq!(one.to_csr().try_neighbors(0), Some(&[][..]));
     }
 
     #[test]
@@ -800,9 +736,6 @@ mod tests {
         assert_eq!(c.m(), g.m());
         for v in g.vertices() {
             assert_eq!(c.neighbors(v), g.neighbors(v));
-            assert_eq!(c.degree(v), g.degree(v));
         }
-        assert!(c.has_edge(1, 4));
-        assert!(!c.has_edge(0, 3));
     }
 }

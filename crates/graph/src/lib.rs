@@ -4,22 +4,20 @@
 //! needs, implemented from scratch:
 //!
 //! * [`Graph`] — a simple undirected graph with sorted adjacency lists, and
-//!   its read-only CSR form ([`Csr`]), the delta-graph base and the
-//!   `.csbn` graph-section layout.
+//!   its read-only CSR form ([`Csr`]), the `.csbn` graph-section layout.
 //! * [`ordering`] — the four vertex orderings studied in the paper
 //!   (Natural, High-Degree, Low-Degree, Reverse Cuthill–McKee) plus a seeded
 //!   random ordering.
 //! * [`partition`] — vertex partitioners (contiguous block, round-robin,
 //!   BFS block) and border-edge classification used by the parallel filters.
-//! * [`delta`] — [`EdgeDelta`] batches and the CSR-backed [`DeltaGraph`]
-//!   with epoch compaction, the substrate of the streaming subsystem.
+//! * [`delta`] — [`EdgeDelta`] batches and [`Graph::apply`], which
+//!   applies them to the streaming subsystem's live network.
 //! * [`generators`] — seeded synthetic graph generators (G(n,m),
 //!   Barabási–Albert, planted-partition, caveman chains).
 //! * [`algo`] — BFS, connected components, triangles, k-cores, density and
 //!   other small analyses used by MCODE and the evaluation harness.
-//! * [`store`] — `.csbn` binary container codecs: CSR graph sections
-//!   loaded with no per-edge parsing, and delta-graph checkpoint
-//!   sections for the streaming subsystem.
+//! * [`store`] — the `.csbn` graph-section codec: CSR graph sections
+//!   loaded with no per-edge parsing.
 //! * [`nbhood`] — zero-allocation neighbourhood kernels: adaptive
 //!   merge/galloping/bitset sorted-set intersection behind one API, plus
 //!   the reusable [`NeighborhoodScratch`] threaded through every hot

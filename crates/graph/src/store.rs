@@ -1,5 +1,4 @@
-//! `.csbn` codecs for graphs: CSR graph sections and delta-graph
-//! checkpoint sections.
+//! `.csbn` codec for graph sections.
 //!
 //! A graph section is the CSR laid out verbatim — the `n + 1` offset
 //! array followed by the `2m` flat adjacency array, little-endian.
@@ -9,8 +8,7 @@
 //! loads beat edge-list text by an order of magnitude (the
 //! `store-load-yng` perf-baseline workload pins the ratio).
 
-use crate::delta::DeltaGraph;
-use crate::graph::{Csr, Graph, VertexId};
+use crate::graph::{Csr, Graph};
 use casbn_store::{Dec, Enc, SectionKind, Store, StoreError, StoreWriter};
 
 /// Append `g` as a [`SectionKind::Graph`] section.
@@ -63,104 +61,10 @@ pub fn load_first_graph(store: &Store<'_>) -> Result<Graph, StoreError> {
     Ok(csr_from_payload(payload)?.to_graph())
 }
 
-/// Advance an overlay offset cursor by one list length, rejecting
-/// accumulations past `u32::MAX` with a typed error — the wire format
-/// stores these cursors as u32s, and a silent wrap would emit a
-/// checksum-valid but corrupt checkpoint.
-fn overlay_offset_add(off: u32, len: usize) -> Result<u32, StoreError> {
-    u32::try_from(len)
-        .ok()
-        .and_then(|l| off.checked_add(l))
-        .ok_or_else(|| {
-            StoreError::Malformed("delta-graph overlay offsets overflow the u32 wire field".into())
-        })
-}
-
-/// Append a delta graph (base CSR + overlays + counters) as a
-/// [`SectionKind::DeltaGraph`] section — part of a stream checkpoint.
-/// Fails typed (writing nothing) if an overlay is too large for the
-/// u32 offset fields of the wire format.
-pub fn add_delta_graph(w: &mut StoreWriter, tag: u32, d: &DeltaGraph) -> Result<(), StoreError> {
-    let (base, add, del, m, pending, epoch, threshold) = d.raw_parts();
-    let mut e = Enc::new();
-    e.u64(d.n() as u64);
-    e.u64(m as u64);
-    e.u64(pending as u64);
-    e.u64(epoch);
-    e.u64(threshold as u64);
-    e.u64(base.m() as u64);
-    e.u32s(base.xadj());
-    e.u32s(base.adjncy());
-    for overlay in [add, del] {
-        let mut off = 0u32;
-        e.u32(off);
-        for list in overlay {
-            off = overlay_offset_add(off, list.len())?;
-            e.u32(off);
-        }
-        for list in overlay {
-            e.u32s(list);
-        }
-    }
-    w.add(SectionKind::DeltaGraph, tag, e.into_payload());
-    Ok(())
-}
-
-/// Decode a delta-graph section payload.
-pub fn delta_graph_from_payload(payload: &[u8]) -> Result<DeltaGraph, StoreError> {
-    let mut d = Dec::new(payload);
-    let n = d.dim()?;
-    let m = d.dim()?;
-    let pending = d.dim()?;
-    let epoch = d.u64()?;
-    let threshold = d.dim()?;
-    let base_m = d.dim()?;
-    let n1 = n
-        .checked_add(1)
-        .ok_or_else(|| StoreError::Malformed("vertex count overflows".into()))?;
-    let xadj = d.u32s(n1)?;
-    let adjncy = d.u32s(
-        base_m
-            .checked_mul(2)
-            .ok_or_else(|| StoreError::Malformed("base edge count overflows".into()))?,
-    )?;
-    let base = Csr::try_from_parts(xadj, adjncy).map_err(|e| StoreError::Malformed(e.into()))?;
-    let mut overlays: [Vec<Vec<VertexId>>; 2] = [Vec::new(), Vec::new()];
-    for overlay in &mut overlays {
-        let offsets = d.u32s(n1)?;
-        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(StoreError::Malformed("overlay offsets not monotone".into()));
-        }
-        let values = d.u32s(offsets[n] as usize)?;
-        *overlay = (0..n)
-            .map(|v| values[offsets[v] as usize..offsets[v + 1] as usize].to_vec())
-            .collect();
-    }
-    d.finish()?;
-    let [add, del] = overlays;
-    let dg = DeltaGraph::from_raw_parts(base, add, del, epoch, threshold)
-        .map_err(|e| StoreError::Malformed(e.into()))?;
-    if dg.m() != m || dg.pending() != pending {
-        return Err(StoreError::Malformed(
-            "delta-graph counters disagree with the overlay contents".into(),
-        ));
-    }
-    Ok(dg)
-}
-
-/// Load the delta-graph section with this `tag`.
-pub fn load_delta_graph(store: &Store<'_>, tag: u32) -> Result<DeltaGraph, StoreError> {
-    let idx = store
-        .find(SectionKind::DeltaGraph, tag)
-        .ok_or(StoreError::MissingSection("delta-graph"))?;
-    delta_graph_from_payload(store.payload_checked(idx)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::gnm;
-    use crate::EdgeDelta;
 
     #[test]
     fn graph_roundtrip_is_bit_identical() {
@@ -236,77 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_graph_roundtrip_preserves_overlays_and_counters() {
-        let g = gnm(40, 100, 9);
-        let mut d = DeltaGraph::from_graph(&g).with_compaction_threshold(1000);
-        // leave a live overlay: some removes of base edges, some inserts
-        let edges = g.edge_vec();
-        let mut delta = EdgeDelta::default();
-        for (i, &e) in edges.iter().enumerate() {
-            if i % 5 == 0 {
-                delta.removes.push(e);
-            }
-        }
-        for k in 0..12u32 {
-            let (u, v) = (k % 40, (k * 11 + 3) % 40);
-            if u != v && !g.has_edge(u, v) {
-                delta.inserts.push(crate::norm_edge(u, v));
-            }
-        }
-        delta.inserts.sort_unstable();
-        delta.inserts.dedup();
-        d.apply(&delta);
-        assert!(d.pending() > 0, "test needs a live overlay");
-
-        let mut w = StoreWriter::new();
-        add_delta_graph(&mut w, 0, &d).unwrap();
-        let bytes = w.to_bytes();
-        let store = Store::parse(&bytes).unwrap();
-        let back = load_delta_graph(&store, 0).unwrap();
-        assert_eq!(back.n(), d.n());
-        assert_eq!(back.m(), d.m());
-        assert_eq!(back.pending(), d.pending());
-        assert_eq!(back.epoch(), d.epoch());
-        assert!(back.snapshot().same_edges(&d.snapshot()));
-        // the restored graph keeps evolving identically
-        let more = EdgeDelta {
-            inserts: vec![(0, 39)],
-            removes: vec![],
-        };
-        let mut a = d.clone();
-        let mut b = back;
-        a.apply(&more);
-        b.apply(&more);
-        a.compact();
-        b.compact();
-        assert!(a.snapshot().same_edges(&b.snapshot()));
-        assert_eq!(a.epoch(), b.epoch());
-    }
-
-    #[test]
-    fn overlay_offset_accumulation_rejects_u32_overflow() {
-        // the wire cursor is u32; crossing it must be a typed error,
-        // not a silent wrap into a checksum-valid corrupt payload
-        assert_eq!(overlay_offset_add(0, 5).unwrap(), 5);
-        assert_eq!(overlay_offset_add(u32::MAX - 3, 3).unwrap(), u32::MAX);
-        assert!(matches!(
-            overlay_offset_add(u32::MAX - 3, 4),
-            Err(StoreError::Malformed(_))
-        ));
-        assert!(matches!(
-            overlay_offset_add(0, u32::MAX as usize + 1),
-            Err(StoreError::Malformed(_))
-        ));
-        // near-the-edge accumulation stays exact
-        let mut off = 0u32;
-        for len in [1usize << 31, (1usize << 31) - 1] {
-            off = overlay_offset_add(off, len).unwrap();
-        }
-        assert_eq!(off, u32::MAX);
-        assert!(overlay_offset_add(off, 1).is_err());
-    }
-
-    #[test]
     fn lazy_load_of_a_corrupt_graph_section_fails_typed_on_first_touch() {
         let g = gnm(30, 60, 3);
         let mut w = StoreWriter::new();
@@ -331,23 +164,6 @@ mod tests {
                 section: Some(0),
                 ..
             })
-        ));
-    }
-
-    #[test]
-    fn delta_graph_counter_mismatch_is_detected() {
-        let mut d = DeltaGraph::new(5);
-        d.insert_edge(0, 1);
-        let mut w = StoreWriter::new();
-        add_delta_graph(&mut w, 0, &d).unwrap();
-        let store_bytes = w.to_bytes();
-        let store = Store::parse(&store_bytes).unwrap();
-        let mut payload = store.payload(0).to_vec();
-        // falsify the live-edge counter (field 2, bytes 8..16)
-        payload[8..16].copy_from_slice(&99u64.to_le_bytes());
-        assert!(matches!(
-            delta_graph_from_payload(&payload),
-            Err(StoreError::Malformed(_))
         ));
     }
 }

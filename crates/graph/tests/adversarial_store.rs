@@ -1,10 +1,10 @@
-//! Adversarial structured inputs for the CSR and delta-graph decoders:
-//! payloads with valid framing and checksums but broken *graph*
-//! invariants must come back as typed `Malformed` errors from the
-//! `O(n + m)` validation sweep — never a panic, never a structurally
-//! bogus graph that downstream kernels would walk off the end of.
+//! Adversarial structured inputs for the CSR decoder: payloads with
+//! valid framing and checksums but broken *graph* invariants must come
+//! back as typed `Malformed` errors from the `O(n + m)` validation
+//! sweep — never a panic, never a structurally bogus graph that
+//! downstream kernels would walk off the end of.
 
-use casbn_graph::store::{csr_from_payload, delta_graph_from_payload};
+use casbn_graph::store::csr_from_payload;
 use casbn_graph::{Csr, InvariantViolation};
 use casbn_store::{Enc, StoreError};
 
@@ -62,115 +62,4 @@ fn csr_payload_with_asymmetric_adjacency_is_malformed() {
         }
         other => panic!("expected Malformed, got {other:?}"),
     }
-}
-
-/// Encode a delta-graph payload exactly as `add_delta_graph` would,
-/// but from raw (possibly invalid) parts.
-#[allow(clippy::too_many_arguments)]
-fn delta_payload(
-    n: u64,
-    m: u64,
-    pending: u64,
-    base_xadj: &[u32],
-    base_adjncy: &[u32],
-    add: &[&[u32]],
-    del: &[&[u32]],
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(n);
-    e.u64(m);
-    e.u64(pending);
-    e.u64(0); // epoch
-    e.u64(1024); // compaction threshold
-    e.u64(base_adjncy.len() as u64 / 2); // base_m
-    e.u32s(base_xadj);
-    e.u32s(base_adjncy);
-    for overlay in [add, del] {
-        let mut off = 0u32;
-        e.u32(off);
-        for list in overlay {
-            off += list.len() as u32;
-            e.u32(off);
-        }
-        for list in overlay {
-            e.u32s(list);
-        }
-    }
-    e.into_payload()
-}
-
-// the shared base for the overlay cases: the path 0-1-2
-const XADJ: &[u32] = &[0, 1, 3, 4];
-const ADJ: &[u32] = &[1, 0, 2, 1];
-
-fn expect_malformed(payload: &[u8], needle: &str) {
-    match delta_graph_from_payload(payload) {
-        Err(StoreError::Malformed(msg)) => {
-            assert!(msg.contains(needle), "wanted {needle:?} in {msg:?}")
-        }
-        other => panic!("expected Malformed({needle:?}), got {other:?}"),
-    }
-}
-
-#[test]
-fn delta_overlays_are_revalidated_on_load() {
-    // a valid overlay first: insert the chord (0,2); m = 2 + 1
-    let ok = delta_payload(3, 3, 1, XADJ, ADJ, &[&[2], &[], &[0]], &[&[], &[], &[]]);
-    let dg = delta_graph_from_payload(&ok).expect("valid overlay loads");
-    assert_eq!((dg.n(), dg.m(), dg.pending()), (3, 3, 1));
-
-    // one-sided insert: 0 -> 2 without the mirror entry
-    expect_malformed(
-        &delta_payload(3, 3, 1, XADJ, ADJ, &[&[2], &[], &[]], &[&[], &[], &[]]),
-        "not symmetric",
-    );
-    // insert of an edge the base already has
-    expect_malformed(
-        &delta_payload(3, 2, 1, XADJ, ADJ, &[&[1], &[0], &[]], &[&[], &[], &[]]),
-        "already in the base graph",
-    );
-    // remove of an edge the base never had
-    expect_malformed(
-        &delta_payload(3, 1, 1, XADJ, ADJ, &[&[], &[], &[]], &[&[2], &[], &[0]]),
-        "missing from the base graph",
-    );
-    // the same edge queued in both overlays
-    expect_malformed(
-        &delta_payload(3, 2, 1, XADJ, ADJ, &[&[2], &[], &[0]], &[&[2], &[], &[0]]),
-        "both overlays",
-    );
-    // overlay self-loop
-    expect_malformed(
-        &delta_payload(3, 2, 1, XADJ, ADJ, &[&[0], &[], &[]], &[&[], &[], &[]]),
-        "self-loop",
-    );
-    // unsorted / duplicated overlay list
-    expect_malformed(
-        &delta_payload(3, 2, 1, XADJ, ADJ, &[&[2, 2], &[], &[]], &[&[], &[], &[]]),
-        "sorted and duplicate-free",
-    );
-    // correct overlays but falsified counters
-    expect_malformed(
-        &delta_payload(3, 99, 1, XADJ, ADJ, &[&[2], &[], &[0]], &[&[], &[], &[]]),
-        "counters disagree",
-    );
-}
-
-#[test]
-fn delta_overlay_offsets_must_be_monotone() {
-    // hand-encode a decreasing offset table — the decoder rejects it
-    // before the slice math could panic
-    let mut e = Enc::new();
-    e.u64(3); // n
-    e.u64(2); // m
-    e.u64(0); // pending
-    e.u64(0); // epoch
-    e.u64(1024); // threshold
-    e.u64(2); // base_m
-    e.u32s(XADJ);
-    e.u32s(ADJ);
-    e.u32s(&[0, 2, 1, 2]); // add offsets: 2 then 1 — not monotone
-    e.u32s(&[9, 9]); // two junk values to satisfy the length
-    e.u32s(&[0, 0, 0, 0]); // del offsets: empty
-    expect_malformed(&e.into_payload(), "offsets not monotone");
 }

@@ -174,11 +174,7 @@ impl ServeEngine {
         let (Some(s), Some(sink)) = (&self.stream, &mut self.sink) else {
             return Ok(());
         };
-        let w = s
-            .driver
-            .checkpoint_writer()
-            .map_err(|e| format!("staging checkpoint: {e}"))?;
-        sink(&w)
+        sink(&s.driver.checkpoint_writer())
     }
 }
 
@@ -199,7 +195,7 @@ fn snapshot_from_driver(driver: &StreamDriver, dag: &GoDag) -> Arc<ServeSnapshot
     ServeSnapshot::build(
         driver.windows().len() as u64,
         driver.samples_ingested() as u64,
-        driver.network().snapshot(),
+        driver.network().clone(),
         driver.chordal().clone(),
         driver.clusters().to_vec(),
         &driver.retained_weights(),
@@ -247,7 +243,7 @@ mod tests {
             oracle.ingest_window(&replay.columns(w * 2, (w + 1) * 2));
         }
         let snap = eng.snapshot();
-        assert!(snap.network().same_edges(&oracle.network().snapshot()));
+        assert!(snap.network().same_edges(oracle.network()));
         assert!(snap.chordal().same_edges(oracle.chordal()));
         assert_eq!(snap.clusters().len(), oracle.clusters().len());
         assert_eq!(eng.stream_checksum(), oracle.checksum());

@@ -79,7 +79,7 @@ fn held_snapshots_match_per_window_oracle_across_rotations() {
         let oracle_snap = ServeSnapshot::build(
             epoch as u64,
             oracle.samples_ingested() as u64,
-            oracle.network().snapshot(),
+            oracle.network().clone(),
             oracle.chordal().clone(),
             oracle.clusters().to_vec(),
             &oracle.retained_weights(),

@@ -19,9 +19,9 @@
 //!
 //! **Durable append** ([`append_durable`]): a checkpoint generation is
 //! appended *after* the current file end (the previous table and footer
-//! are left in place as an unreferenced gap, unlike the compacting
-//! [`StoreWriter::append_to`]), and the new payloads + superseding
-//! table are fsynced *before* the 40-byte footer is written:
+//! are left in place as an unreferenced gap), and the new payloads +
+//! superseding table are fsynced *before* the 40-byte footer is
+//! written:
 //!
 //! ```text
 //! append payloads + table → fsync → append footer → fsync
@@ -286,10 +286,9 @@ pub struct AppendOutcome {
 /// Append `w`'s sections to the container at `path` as a new durable
 /// generation.
 ///
-/// Unlike the compacting [`StoreWriter::append_to`] (which rewrites the
-/// file dropping the previous table), this appends strictly *after* the
-/// current end of file, preserving the previous generation's table and
-/// footer as an unreferenced gap, and orders the writes so the footer —
+/// The new generation goes strictly *after* the current end of file,
+/// preserving the previous generation's table and footer as an
+/// unreferenced gap, and the writes are ordered so the footer —
 /// the commit point — is only issued once the payloads and table it
 /// references are fsynced. A torn file from an earlier crash is first
 /// resolved to its newest valid generation (truncating the torn tail)

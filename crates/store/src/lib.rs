@@ -48,7 +48,7 @@
 //! # Who writes the sections
 //!
 //! This crate only knows bytes. The typed codecs live next to the types
-//! they serialise: `casbn_graph::store` (CSR graphs, delta graphs),
+//! they serialise: `casbn_graph::store` (CSR graphs),
 //! `casbn_expr::store` (expression matrices), `casbn_mcode::store`
 //! (cluster sets), and `casbn_stream` (full streaming checkpoints via
 //! `StreamDriver::checkpoint_bytes` / `StreamDriver::resume_from`).
@@ -88,7 +88,7 @@ pub const SECTION_ENTRY_LEN: usize = 32;
 pub const CREATOR_LEN: usize = 16;
 
 /// The 8-byte footer magic of an *appended* container (see
-/// [`StoreWriter::append_to`]): deliberately distinct from [`MAGIC`] so
+/// [`io::append_durable`]): deliberately distinct from [`MAGIC`] so
 /// a footer can never be mistaken for the start of a nested container,
 /// with the same defensive high-bit/CRLF/NUL structure.
 pub const FOOTER_MAGIC: [u8; 8] = [0x89, b'c', b's', b'b', b'n', 0x0D, 0x0A, 0x00];
@@ -111,7 +111,13 @@ pub enum SectionKind {
     Clusters = 3,
     /// Online-correlation accumulator state (stream checkpoint).
     OnlineCorrelation = 4,
-    /// A delta graph: CSR base plus insert/remove overlays.
+    /// Retired: the stream network as a CSR base plus insert/remove
+    /// overlays. Checkpoints written before the network was stored once
+    /// carry it; nothing writes it now, and
+    /// `casbn_stream::StreamDriver::resume_from` ignores it (the network
+    /// is rebuilt from the [`SectionKind::OnlineCorrelation`] bitset).
+    /// Kept so those checkpoints still resume and `casbn inspect` still
+    /// names the section.
     DeltaGraph = 5,
     /// Incremental-chordal maintainer state (stream checkpoint).
     ChordalState = 6,

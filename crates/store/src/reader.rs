@@ -1,7 +1,7 @@
 //! Container parsing: full up-front validation ([`Store::parse`]) or
 //! O(header + table) opens with lazily validated payloads
 //! ([`Store::open_lazy`]), over both the base single-table layout and
-//! the appended footer layout emitted by `StoreWriter::append_to`.
+//! the appended footer layout emitted by [`crate::io::append_durable`].
 
 use crate::error::StoreError;
 use crate::{
@@ -54,9 +54,10 @@ pub struct SectionEntry {
 /// consumed in place.
 ///
 /// Both constructors resolve the *latest* section table: a container
-/// grown with `StoreWriter::append_to` carries a superseding table and
-/// footer after the appended payloads, and lookups see that table only
-/// (superseded payloads become unreferenced gaps).
+/// grown with [`crate::io::append_durable`] carries a superseding table
+/// and footer after the appended payloads, and lookups see that table
+/// only (superseded payloads and earlier tables become unreferenced
+/// gaps).
 #[derive(Debug)]
 pub struct Store<'a> {
     bytes: &'a [u8],
@@ -65,10 +66,6 @@ pub struct Store<'a> {
     entries: Vec<SectionEntry>,
     /// 0 for a base-layout container; the footer generation otherwise.
     generation: u64,
-    /// End of the payload region: the file length for a base container,
-    /// the superseding table's offset for an appended one. A further
-    /// append builds on `bytes[..data_end]`.
-    data_end: usize,
     /// `Some` under [`Store::open_lazy`]: one memo slot per section
     /// holding the payload checksum computed on first access.
     lazy: Option<Vec<OnceLock<u64>>>,
@@ -354,7 +351,6 @@ impl<'a> Store<'a> {
             creator,
             entries,
             generation: 0,
-            data_end: bytes.len(),
             lazy: None,
             quarantined: Vec::new(),
             recovered_len: None,
@@ -446,7 +442,6 @@ impl<'a> Store<'a> {
             creator,
             entries,
             generation,
-            data_end: table_offset,
             lazy: None,
             quarantined: Vec::new(),
             recovered_len: None,
@@ -543,7 +538,7 @@ impl<'a> Store<'a> {
     }
 
     /// Append generation: 0 for a base-layout container, and the number
-    /// of `StoreWriter::append_to` rounds otherwise.
+    /// of durable append rounds ([`crate::io::append_durable`]) otherwise.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -602,12 +597,6 @@ impl<'a> Store<'a> {
             None => self.entries.len(),
             Some(memo) => memo.iter().filter(|m| m.get().is_some()).count(),
         }
-    }
-
-    /// End of the payload region an append builds on (the file length
-    /// for a base container, the superseding table's offset otherwise).
-    pub(crate) fn data_end(&self) -> usize {
-        self.data_end
     }
 
     /// Raw payload bytes of section `index`, **without** the lazy

@@ -1,6 +1,7 @@
 //! Container assembly: collect typed section payloads, emit the header,
-//! table and aligned payloads in one pass — or append them to an
-//! existing container with a superseding table and footer.
+//! table and aligned payloads in one pass — or plan their append to an
+//! existing container under a superseding table and footer
+//! ([`crate::io::append_durable`] writes it).
 
 use crate::error::StoreError;
 use crate::reader::{SectionEntry, Store};
@@ -142,43 +143,6 @@ impl StoreWriter {
             .expect("section count exceeds the container's u32 field")
     }
 
-    /// Append this writer's sections to an existing container without
-    /// rewriting its payloads: the result is `base`'s payload region
-    /// followed by the new payloads, a *superseding* section table and a
-    /// 40-byte footer naming it.
-    ///
-    /// A new section whose `(kind, tag)` matches an existing entry
-    /// replaces it in place in the table (the old payload bytes remain
-    /// as an unreferenced gap); otherwise the entry is appended. The
-    /// footer generation counts append rounds, and both [`Store::parse`]
-    /// and [`Store::open_lazy`] resolve the latest table, so readers of
-    /// the grown container see exactly the superseding view. Appending
-    /// to an already-appended container discards the old table/footer
-    /// (they are superseded, not stacked), so repeated checkpoint
-    /// appends grow the file by payload bytes plus one table — not by
-    /// tables.
-    ///
-    /// The base container's own header, table and payload bytes are
-    /// *not* re-validated payload-by-payload here: the open is lazy, so
-    /// appending costs O(header + table + new payloads).
-    pub fn append_to(&self, base: &[u8]) -> Result<Vec<u8>, StoreError> {
-        let store = Store::open_lazy(base)?;
-        let generation = next_generation(&store)?;
-        let mut out = base[..store.data_end()].to_vec();
-        debug_assert_eq!(out.len() % 8, 0, "payload region must stay 8-aligned");
-
-        let (entries, table_offset) = self.merge_entries(store.sections().to_vec(), out.len());
-        for (_, _, payload) in &self.sections {
-            out.extend_from_slice(payload);
-            out.resize(align8(out.len()), 0);
-        }
-        debug_assert_eq!(out.len(), table_offset);
-        let (table, footer) = table_and_footer(&entries, table_offset, generation);
-        out.extend_from_slice(&table);
-        out.extend_from_slice(&footer);
-        Ok(out)
-    }
-
     /// Merge this writer's sections into `entries` — replacing a
     /// matching `(kind, tag)` in place, appending otherwise — with
     /// payload offsets assigned sequentially from `offset`. Returns the
@@ -208,11 +172,12 @@ impl StoreWriter {
         (entries, offset)
     }
 
-    /// The *durable* append plan: unlike [`StoreWriter::append_to`],
-    /// which compacts onto `base[..data_end]` (overwriting the previous
-    /// table and footer), this plans new payloads strictly *after* the
+    /// The durable append plan: new payloads go strictly *after* the
     /// full `base` length, so the previous generation — footer included
-    /// — survives as a bit-exact prefix. `casbn_store::io::append_durable`
+    /// — survives as a bit-exact prefix. A new section whose
+    /// `(kind, tag)` matches an existing entry replaces it in place in
+    /// the table (the old payload bytes remain as an unreferenced gap);
+    /// otherwise the entry is appended. [`crate::io::append_durable`]
     /// writes the payloads, then `table`, fsyncs, then `footer`.
     pub(crate) fn append_tail(&self, base: &[u8]) -> Result<AppendTail, StoreError> {
         let store = Store::open_lazy(base)?;
@@ -307,7 +272,17 @@ impl Default for StoreWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::{append_durable, MemFs, RetryPolicy};
     use crate::reader::Store;
+
+    /// `base` grown by `a`'s sections the production way: a durable
+    /// append over an in-memory filesystem.
+    fn append(a: &StoreWriter, base: &[u8]) -> Result<Vec<u8>, StoreError> {
+        let fs = MemFs::new();
+        fs.install("t.csbn", base);
+        append_durable(&fs, "t.csbn", a, RetryPolicy::default())?;
+        Ok(fs.live("t.csbn").expect("appended file exists"))
+    }
 
     #[test]
     fn empty_container_roundtrips() {
@@ -356,7 +331,7 @@ mod tests {
         let mut a = StoreWriter::new();
         a.add(SectionKind::Graph, 0, vec![9, 9, 9, 9]); // supersedes
         a.add(SectionKind::Clusters, 5, vec![0xBB; 7]); // new
-        let grown = a.append_to(&base).unwrap();
+        let grown = append(&a, &base).unwrap();
 
         // the base prefix is byte-identical (nothing rewritten)
         assert_eq!(&grown[..base.len()], &base[..]);
@@ -377,34 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_appends_supersede_the_previous_table() {
-        let mut w = StoreWriter::with_creator("append-chain");
-        w.add(SectionKind::Graph, 0, vec![1; 8]);
-        let mut bytes = w.to_bytes();
-        for round in 1..=3u8 {
-            let mut a = StoreWriter::new();
-            a.add(SectionKind::Graph, 0, vec![round; 8]);
-            bytes = a.append_to(&bytes).unwrap();
-            let s = Store::parse(&bytes).unwrap();
-            assert_eq!(s.generation(), round as u64);
-            assert_eq!(s.sections().len(), 1, "tables must not accumulate");
-            assert_eq!(s.payload(0), &[round; 8]);
-        }
-        // steady-state growth per round is exactly the payload bytes:
-        // the old table + footer are dropped, a same-sized table + footer
-        // are re-emitted
-        let four_rounds = {
-            let mut a = StoreWriter::new();
-            a.add(SectionKind::Graph, 0, vec![9; 8]);
-            a.append_to(&bytes).unwrap()
-        };
-        assert_eq!(four_rounds.len(), bytes.len() + 8);
-    }
-
-    #[test]
     fn appending_nothing_still_advances_the_generation() {
         let base = StoreWriter::with_creator("noop-append").to_bytes();
-        let grown = StoreWriter::new().append_to(&base).unwrap();
+        let grown = append(&StoreWriter::new(), &base).unwrap();
         let s = Store::parse(&grown).unwrap();
         assert!(s.is_appended());
         assert_eq!(s.generation(), 1);
@@ -414,7 +364,7 @@ mod tests {
     #[test]
     fn append_to_garbage_fails_typed() {
         assert!(matches!(
-            StoreWriter::new().append_to(b"not a container"),
+            append(&StoreWriter::new(), b"not a container"),
             Err(StoreError::BadMagic)
         ));
     }
@@ -426,7 +376,7 @@ mod tests {
         let base = w.to_bytes();
         let mut a = StoreWriter::new();
         a.add(SectionKind::Matrix, 0, vec![2; 24]);
-        let grown = a.append_to(&base).unwrap();
+        let grown = append(&a, &base).unwrap();
         assert!(Store::parse(&grown).is_ok());
         // flip one bit everywhere: never a panic, never a clean parse
         for byte in 0..grown.len() {

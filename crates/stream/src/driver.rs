@@ -1,5 +1,5 @@
 //! The streaming pipeline driver: replay windows → online correlation →
-//! delta graph → incremental chordal filter → MCODE, with per-window
+//! network deltas → incremental chordal filter → MCODE, with per-window
 //! latency, churn and cluster-stability reporting.
 
 use crate::online::OnlineCorrelation;
@@ -7,7 +7,7 @@ use casbn_chordal::{is_chordal, ChordalConfig, SelectionRule};
 use casbn_core::IncrementalChordal;
 use casbn_distsim::CostModel;
 use casbn_expr::{ExpressionMatrix, NetworkParams};
-use casbn_graph::{nbhood, store as graph_store, DeltaGraph, VertexId};
+use casbn_graph::{nbhood, store as graph_store, Graph, VertexId};
 use casbn_mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
 use casbn_store::{fnv_mix, Dec, Enc, SectionKind, Store, StoreError, StoreWriter, FNV_BASIS};
 use serde::{Deserialize, Serialize};
@@ -116,8 +116,8 @@ fn percentile_nanos(sorted: &[u64], p: u32) -> u64 {
 ///
 /// 1. feeds the window's samples to the [`OnlineCorrelation`]
 ///    accumulator, producing an edge delta;
-/// 2. applies the delta to the CSR-backed [`DeltaGraph`] (compacting by
-///    epoch as overlays grow);
+/// 2. applies the delta to the live network, a plain [`Graph`]
+///    ([`Graph::apply`]);
 /// 3. maintains the chordal subgraph with [`IncrementalChordal`]
 ///    (admissibility-tested inserts, deletion-triggered regional
 ///    rebuilds), charged to the LogP clock;
@@ -125,7 +125,9 @@ fn percentile_nanos(sorted: &[u64], p: u32) -> u64 {
 ///    stability against the previous window.
 pub struct StreamDriver {
     online: OnlineCorrelation,
-    net: DeltaGraph,
+    /// The live network: the retained edges of `online`, kept as a
+    /// graph for the chordal maintainer and the serving snapshot.
+    net: Graph,
     chordal: IncrementalChordal,
     cfg: StreamConfig,
     /// Clustered-vertex set of the previous window, sorted ascending
@@ -148,7 +150,7 @@ impl StreamDriver {
     pub fn new(genes: usize, cfg: StreamConfig) -> Self {
         StreamDriver {
             online: OnlineCorrelation::new(genes, cfg.network),
-            net: DeltaGraph::new(genes),
+            net: Graph::new(genes),
             chordal: IncrementalChordal::with_config(
                 genes,
                 casbn_chordal::ChordalConfig::default(),
@@ -172,12 +174,12 @@ impl StreamDriver {
     }
 
     /// The live network.
-    pub fn network(&self) -> &DeltaGraph {
+    pub fn network(&self) -> &Graph {
         &self.net
     }
 
     /// The maintained chordal subgraph.
-    pub fn chordal(&self) -> &casbn_graph::Graph {
+    pub fn chordal(&self) -> &Graph {
         self.chordal.subgraph()
     }
 
@@ -272,34 +274,23 @@ impl StreamDriver {
 
     /// Serialise the driver's complete resumable state into a `.csbn`
     /// checkpoint container: the online-correlation accumulators
-    /// (bit-exact `f64`s), the delta-graph network with its live
-    /// overlays, the incremental-chordal subgraph and clock, and the
-    /// driver's window history and configuration. A driver restored
+    /// (bit-exact `f64`s, and the membership bitset the network is
+    /// rebuilt from), the incremental-chordal subgraph and clock, and
+    /// the driver's window history and configuration. A driver restored
     /// with [`StreamDriver::resume_from`] and fed the rest of the
     /// stream reproduces the uninterrupted run's windows and final
     /// checksum **exactly**.
     pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        self.checkpoint_writer()?.try_to_bytes()
-    }
-
-    /// Like [`StreamDriver::checkpoint_bytes`], but grows an existing
-    /// `.csbn` container instead of rewriting it: the checkpoint
-    /// sections are appended after `base`'s payloads under a superseding
-    /// table + footer, so earlier generations of the same file stay
-    /// readable (crash-safe truncation recovers the previous
-    /// generation). `base` may be a base-layout or an already-appended
-    /// container.
-    pub fn checkpoint_append_to(&self, base: &[u8]) -> Result<Vec<u8>, StoreError> {
-        self.checkpoint_writer()?.append_to(base)
+        self.checkpoint_writer().try_to_bytes()
     }
 
     /// Stage every checkpoint section into a [`StoreWriter`] without
-    /// serialising it (shared by the rewrite and append paths). Callers
-    /// that control their own durability — e.g. the CLI routing
-    /// checkpoints through `casbn_store::io::save_atomic` /
-    /// `append_durable` — take the writer and hand it to the crash-safe
-    /// I/O layer instead of materialising bytes in memory first.
-    pub fn checkpoint_writer(&self) -> Result<StoreWriter, StoreError> {
+    /// serialising it. Callers that control their own durability — e.g.
+    /// the CLI routing checkpoints through
+    /// `casbn_store::io::save_atomic` / `append_durable` — take the
+    /// writer and hand it to the crash-safe I/O layer instead of
+    /// materialising bytes in memory first.
+    pub fn checkpoint_writer(&self) -> StoreWriter {
         let mut w = StoreWriter::new();
 
         // online-correlation accumulator state
@@ -316,8 +307,8 @@ impl StreamDriver {
         e.u64s(present);
         w.add(SectionKind::OnlineCorrelation, 0, e.into_payload());
 
-        // the live network and the maintained chordal subgraph
-        graph_store::add_delta_graph(&mut w, 0, &self.net)?;
+        // the maintained chordal subgraph (the network is the bitset's
+        // retained edges, so it is not stored a second time)
         graph_store::add_graph(&mut w, CHECKPOINT_CHORDAL_TAG, self.chordal.subgraph());
 
         // incremental-chordal scalars (config, cost model, clock, ops)
@@ -366,13 +357,17 @@ impl StreamDriver {
             e.u64(u64::try_from(r.wall.as_nanos()).unwrap_or(u64::MAX));
         }
         w.add(SectionKind::DriverState, 0, e.into_payload());
-        Ok(w)
+        w
     }
 
     /// Restore a driver from a checkpoint container written by
-    /// [`StreamDriver::checkpoint_bytes`]. All cross-section
-    /// consistency (matching vertex/gene counts, the chordal subgraph
-    /// staying a subgraph of the network, sorted stability sets) is
+    /// [`StreamDriver::checkpoint_bytes`]. The live network is rebuilt
+    /// from the accumulator's membership bitset; a
+    /// [`SectionKind::DeltaGraph`] section, which checkpoints written
+    /// before the network was stored once still carry, is ignored. All
+    /// cross-section consistency (matching vertex/gene counts, the
+    /// chordal subgraph staying a subgraph of the network, sorted
+    /// stability sets) is
     /// re-validated, and so are the accumulators (finite means, second
     /// moments and co-moments, no negative second moment, finite
     /// thresholds); violations surface as [`StoreError::Malformed`].
@@ -402,10 +397,10 @@ impl StreamDriver {
         )
         .map_err(|e| StoreError::Malformed(e.into()))?;
 
-        // network + chordal subgraph
-        let net = graph_store::load_delta_graph(store, 0)?;
+        // network (the bitset's retained edges) + chordal subgraph
+        let net = online.graph();
         let h = graph_store::load_csr(store, CHECKPOINT_CHORDAL_TAG)?.to_graph();
-        if net.n() != genes || h.n() != genes {
+        if h.n() != genes {
             return Err(malformed("checkpoint vertex counts disagree"));
         }
         for (u, v) in h.edges() {
@@ -692,7 +687,7 @@ mod tests {
         }
         // network converges to the batch network; chordal stays chordal
         let batch = casbn_expr::CorrelationNetwork::from_expression_seq(&m, cfg.network);
-        assert!(driver.network().snapshot().same_edges(&batch.graph));
+        assert!(driver.network().same_edges(&batch.graph));
         assert!(is_chordal(driver.chordal()));
         for (u, v) in driver.chordal().edges() {
             assert!(driver.network().has_edge(u, v));

@@ -13,8 +13,8 @@
 //!   [`casbn_graph::EdgeDelta`]s (edges crossing or falling below the ρ
 //!   cut). Accumulator state is bit-identical under any batching of the
 //!   same sample stream.
-//! * [`casbn_graph::DeltaGraph`] — the CSR-backed dynamic network the
-//!   deltas apply to, with epoch-based compaction.
+//! * [`casbn_graph::Graph::apply`] — applies each delta to the live
+//!   network, a plain [`casbn_graph::Graph`].
 //! * [`casbn_core::IncrementalChordal`] — maintains a chordal subgraph
 //!   under deltas (exact local admissibility test for inserts, regional
 //!   DSW rebuilds for deletes), charged to the `casbn_distsim` LogP
@@ -25,8 +25,9 @@
 //! * [`replay`] — the sample-major on-disk stream format and the
 //!   deterministic preset-based replay synthesizer.
 //!
-//! The driver's complete state — accumulators, delta graph, chordal
-//! subgraph, window history — checkpoints into a `.csbn` container
+//! The driver's complete state — accumulators (whose membership bitset
+//! is the network, stored once), chordal subgraph, window history —
+//! checkpoints into a `.csbn` container
 //! ([`StreamDriver::checkpoint_bytes`]) and resumes bit-identically
 //! ([`StreamDriver::resume_from`]): a resumed run reproduces the
 //! uninterrupted run's final checksum exactly (`casbn stream

@@ -274,7 +274,8 @@ impl OnlineCorrelation {
 
     /// The accumulator arrays the `.csbn` checkpoint serialises:
     /// per-gene means and second moments, the co-moment triangle, and
-    /// the membership bitset.
+    /// the membership bitset — the checkpoint's only copy of the
+    /// network, which a resume rebuilds with [`OnlineCorrelation::graph`].
     pub(crate) fn checkpoint_arrays(&self) -> (&[f64], &[f64], &[f64], &[u64]) {
         (&self.mean, &self.m2, &self.comoment, &self.present)
     }

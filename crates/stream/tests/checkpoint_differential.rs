@@ -4,22 +4,52 @@
 //! metrics, same final FNV checksum, same chordal subgraph, same
 //! network. This is the acceptance gate of the persistence subsystem:
 //! the checkpoint stores the exact `f64` bits of the Welford/co-moment
-//! accumulators and the exact delta-graph overlays, so the resumed
-//! recurrences continue on identical state.
+//! accumulators and the membership bitset the network is rebuilt from,
+//! so the resumed recurrences continue on identical state.
 
 use casbn_expr::{DatasetPreset, ExpressionMatrix};
-use casbn_store::{Store, StoreError};
+use casbn_graph::{Edge, Graph};
+use casbn_store::{Enc, SectionKind, Store, StoreError, StoreWriter};
 use casbn_stream::{synthesize_replay, StreamConfig, StreamDriver};
+
+/// Checksum of the uninterrupted replay, the value CI's streaming smoke
+/// pins.
+const PINNED_CHECKSUM: u64 = 17660843889947913608;
 
 fn replay() -> ExpressionMatrix {
     synthesize_replay(DatasetPreset::Yng, 0.02, Some(8))
 }
 
+/// The edges of the retained network the accumulator reports.
+fn retained_edges(driver: &StreamDriver) -> Vec<Edge> {
+    driver.retained_weights().iter().map(|&(e, _)| e).collect()
+}
+
+/// Byte offset and mask of the membership bit of pair `(u, v)`, `u < v`,
+/// inside an `OnlineCorrelation` payload of `len` bytes: the bitset is
+/// the payload's last array, one bit per pair of the row-major upper
+/// triangle.
+fn membership_bit(len: usize, genes: usize, (u, v): Edge) -> (usize, u64) {
+    let (u, v) = (u as usize, v as usize);
+    let pairs = genes * (genes - 1) / 2;
+    let pair = u * (2 * genes - u - 1) / 2 + (v - u - 1);
+    (
+        len - 8 * pairs.div_ceil(64) + 8 * (pair / 64),
+        1 << (pair % 64),
+    )
+}
+
 /// Drive `driver` over `matrix` from its current position to the end.
 fn drive_to_end(driver: &mut StreamDriver, matrix: &ExpressionMatrix, batch: usize) {
+    drive_until(driver, matrix, batch, matrix.samples());
+}
+
+/// Drive `driver` over `matrix` from its current position until
+/// `samples` samples are in.
+fn drive_until(driver: &mut StreamDriver, matrix: &ExpressionMatrix, batch: usize, samples: usize) {
     let mut lo = driver.samples_ingested();
-    while lo < matrix.samples() {
-        let hi = (lo + batch).min(matrix.samples());
+    while lo < samples {
+        let hi = (lo + batch).min(samples);
         driver.ingest_window(&matrix.columns(lo, hi));
         lo = hi;
     }
@@ -33,6 +63,7 @@ fn resume_from_any_window_boundary_is_bit_identical() {
     let mut straight = StreamDriver::new(m.genes(), cfg);
     drive_to_end(&mut straight, &m, cfg.batch);
     let straight_checksum = straight.checksum();
+    assert_eq!(straight_checksum, PINNED_CHECKSUM);
     let straight_windows: Vec<_> = straight.windows().to_vec();
     assert_eq!(straight_windows.len(), 4, "8 samples / batch 2");
 
@@ -54,6 +85,8 @@ fn resume_from_any_window_boundary_is_bit_identical() {
             .unwrap_or_else(|e| panic!("resume @{stop_after}: {e}"));
         assert_eq!(resumed.genes(), m.genes());
         assert_eq!(resumed.samples_ingested(), lo);
+        // the resumed network is exactly the accumulator's retained set
+        assert_eq!(resumed.network().edge_vec(), retained_edges(&resumed));
         drive_to_end(&mut resumed, &m, cfg.batch);
 
         assert_eq!(
@@ -89,10 +122,7 @@ fn resume_from_any_window_boundary_is_bit_identical() {
             );
         }
         assert!(resumed.chordal().same_edges(straight.chordal()));
-        assert!(resumed
-            .network()
-            .snapshot()
-            .same_edges(&straight.network().snapshot()));
+        assert!(resumed.network().same_edges(straight.network()));
     }
 }
 
@@ -143,11 +173,10 @@ fn resumed_summary_matches_uninterrupted_summary() {
 #[test]
 fn non_chordal_checkpoint_subgraph_is_rejected() {
     // a tampered-but-rechecksummed checkpoint whose chordal section
-    // holds a chordless C4 (kept a subgraph of an equally tampered
-    // network section) must fail the resume validation, not silently
-    // seed the maintainer with non-chordal state
-    use casbn_graph::{store as graph_store, DeltaGraph, Graph};
-    use casbn_store::{SectionKind, StoreWriter};
+    // holds a chordless C4 (kept a subgraph of the network by setting
+    // the C4 pairs' membership bits) must fail the resume validation,
+    // not silently seed the maintainer with non-chordal state
+    use casbn_graph::store as graph_store;
 
     let m = replay();
     let cfg = StreamConfig::default();
@@ -160,13 +189,18 @@ fn non_chordal_checkpoint_subgraph_is_rejected() {
     let mut w = StoreWriter::new();
     for (i, entry) in store.sections().iter().enumerate() {
         let kind = SectionKind::from_u32(entry.kind).unwrap();
+        let mut payload = store.payload(i).to_vec();
         match kind {
-            SectionKind::DeltaGraph => {
-                graph_store::add_delta_graph(&mut w, entry.tag, &DeltaGraph::from_graph(&c4))
-                    .unwrap()
+            SectionKind::OnlineCorrelation => {
+                for e in c4.edges() {
+                    let (at, mask) = membership_bit(payload.len(), m.genes(), e);
+                    let word = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+                    payload[at..at + 8].copy_from_slice(&(word | mask).to_le_bytes());
+                }
+                w.add(kind, entry.tag, payload);
             }
             SectionKind::Graph => graph_store::add_graph(&mut w, entry.tag, &c4),
-            _ => w.add(kind, entry.tag, store.payload(i).to_vec()),
+            _ => w.add(kind, entry.tag, payload),
         }
     }
     let tampered = w.to_bytes();
@@ -181,13 +215,65 @@ fn non_chordal_checkpoint_subgraph_is_rejected() {
 }
 
 #[test]
+fn a_stale_network_copy_in_an_old_checkpoint_is_ignored() {
+    // checkpoints written before the network was stored once carry a
+    // second copy of it, the delta-graph section. A resume must take
+    // the network from the accumulator's bitset, so a (re-checksummed)
+    // copy holding a phantom edge changes nothing downstream.
+    let m = replay();
+    let cfg = StreamConfig::default();
+    let mut driver = StreamDriver::new(m.genes(), cfg);
+    drive_until(&mut driver, &m, cfg.batch, 4);
+    let ck = driver.checkpoint_bytes().unwrap();
+    let store = Store::parse(&ck).unwrap();
+    assert!(
+        store.find(SectionKind::DeltaGraph, 0).is_none(),
+        "the network is not written twice"
+    );
+
+    let phantom = (0, 1);
+    let mut stale = driver.network().clone();
+    assert!(
+        stale.add_edge(phantom.0, phantom.1),
+        "the phantom edge is new"
+    );
+    // the retired section's layout: n, m, pending, epoch, threshold,
+    // base m, the base CSR, then two empty overlays (offsets only)
+    let csr = stale.to_csr();
+    let mut e = Enc::new();
+    e.u64(stale.n() as u64);
+    e.u64(stale.m() as u64);
+    e.u64(0);
+    e.u64(0);
+    e.u64((stale.n() / 4).max(256) as u64);
+    e.u64(stale.m() as u64);
+    e.u32s(csr.xadj());
+    e.u32s(csr.adjncy());
+    for _overlay in 0..2 {
+        e.u32s(&vec![0; stale.n() + 1]);
+    }
+    let mut w = StoreWriter::new();
+    for (i, entry) in store.sections().iter().enumerate() {
+        let kind = SectionKind::from_u32(entry.kind).unwrap();
+        w.add(kind, entry.tag, store.payload(i).to_vec());
+    }
+    w.add(SectionKind::DeltaGraph, 0, e.into_payload());
+    let old = w.to_bytes();
+
+    let store = Store::parse(&old).expect("re-checksummed container parses");
+    let mut resumed = StreamDriver::resume_from(&store).expect("old-layout checkpoint resumes");
+    assert!(!resumed.network().has_edge(phantom.0, phantom.1));
+    assert_eq!(resumed.network().edge_vec(), retained_edges(&resumed));
+    drive_to_end(&mut resumed, &m, cfg.batch);
+    assert_eq!(resumed.checksum(), PINNED_CHECKSUM);
+}
+
+#[test]
 fn poisoned_accumulators_are_rejected_naming_the_field() {
     // a re-checksummed checkpoint whose accumulator section holds a
     // non-finite float, a negative second moment or a non-finite
     // threshold must not resume: it would persist into every later
     // checkpoint and snapshot
-    use casbn_store::{SectionKind, StoreWriter};
-
     let m = replay();
     let cfg = StreamConfig::default();
     let mut driver = StreamDriver::new(m.genes(), cfg);
@@ -265,7 +351,9 @@ fn corrupted_checkpoints_are_rejected_not_resumed() {
 
 #[test]
 fn appended_checkpoints_resume_bit_identically() {
-    // suspend → append into the same container → resume, repeatedly:
+    use casbn_store::io::{append_durable, MemFs, RetryPolicy};
+
+    // suspend → durably append into the same container → resume, repeatedly:
     // every generation must resume to the uninterrupted run's checksum,
     // whether the container is opened eagerly or lazily
     let m = replay();
@@ -274,14 +362,23 @@ fn appended_checkpoints_resume_bit_identically() {
     drive_to_end(&mut straight, &m, cfg.batch);
 
     let mut driver = StreamDriver::new(m.genes(), cfg);
-    let mut container = driver.checkpoint_bytes().unwrap();
+    let fs = MemFs::new();
+    fs.install("ck.csbn", &driver.checkpoint_bytes().unwrap());
     let mut generation = 0u64;
     while driver.samples_ingested() < m.samples() {
         let lo = driver.samples_ingested();
         let hi = (lo + cfg.batch).min(m.samples());
         driver.ingest_window(&m.columns(lo, hi));
-        container = driver.checkpoint_append_to(&container).unwrap();
+        let out = append_durable(
+            &fs,
+            "ck.csbn",
+            &driver.checkpoint_writer(),
+            RetryPolicy::default(),
+        )
+        .unwrap();
         generation += 1;
+        assert_eq!(out.generation, generation);
+        let container = fs.live("ck.csbn").unwrap();
 
         for store in [
             Store::parse(&container).expect("appended checkpoint parses"),

@@ -45,7 +45,7 @@ fn checkpointed_run(fs: &dyn Vfs, matrix: &ExpressionMatrix) -> Result<(), Store
         let hi = (lo + cfg.batch).min(matrix.samples());
         driver.ingest_window(&matrix.columns(lo, hi));
         lo = hi;
-        let w = driver.checkpoint_writer()?;
+        let w = driver.checkpoint_writer();
         if fs.exists(PATH) {
             append_durable(fs, PATH, &w, RetryPolicy::default())?;
         } else {

@@ -7,7 +7,7 @@
 use casbn_chordal::{is_chordal, maximal_chordal_subgraph, ChordalConfig};
 use casbn_core::IncrementalChordal;
 use casbn_expr::{DatasetPreset, ExpressionMatrix, NetworkParams};
-use casbn_graph::DeltaGraph;
+use casbn_graph::Graph;
 use casbn_stream::{synthesize_replay, OnlineCorrelation};
 
 /// Drive a replay through the online/delta/incremental stack, checking
@@ -16,7 +16,7 @@ use casbn_stream::{synthesize_replay, OnlineCorrelation};
 fn drive(matrix: &ExpressionMatrix, batch: usize, params: NetworkParams) -> Vec<(usize, usize)> {
     let genes = matrix.genes();
     let mut online = OnlineCorrelation::new(genes, params);
-    let mut net = DeltaGraph::new(genes);
+    let mut net = Graph::new(genes);
     let mut inc = IncrementalChordal::new(genes);
     let mut counts = Vec::new();
     let mut lo = 0;
@@ -37,7 +37,7 @@ fn drive(matrix: &ExpressionMatrix, batch: usize, params: NetworkParams) -> Vec<
         }
 
         // from-scratch DSW on the same snapshot
-        let scratch = maximal_chordal_subgraph(&net.snapshot(), ChordalConfig::default());
+        let scratch = maximal_chordal_subgraph(&net, ChordalConfig::default());
         counts.push((inc.retained_edges(), scratch.graph.m()));
         lo = hi;
     }

@@ -6,7 +6,7 @@
 use casbn_core::IncrementalChordal;
 use casbn_distsim::CostModel;
 use casbn_expr::{DatasetPreset, NetworkParams};
-use casbn_graph::DeltaGraph;
+use casbn_graph::Graph;
 use casbn_stream::{rebuild_sim_seconds, synthesize_replay, OnlineCorrelation};
 
 #[test]
@@ -18,7 +18,7 @@ fn incremental_maintenance_is_5x_cheaper_than_rebuild_at_scale_015() {
     let genes = m.genes();
 
     let mut online = OnlineCorrelation::new(genes, NetworkParams::default());
-    let mut net = DeltaGraph::new(genes);
+    let mut net = Graph::new(genes);
     let mut inc = IncrementalChordal::new(genes);
 
     let mut lo = 0;
@@ -33,10 +33,8 @@ fn incremental_maintenance_is_5x_cheaper_than_rebuild_at_scale_015() {
         // what a batch pipeline would pay instead for this window: re-run
         // all-pairs Pearson over all samples seen so far plus a
         // from-scratch DSW of the resulting network
-        let scratch = casbn_chordal::maximal_chordal_subgraph(
-            &net.snapshot(),
-            casbn_chordal::ChordalConfig::default(),
-        );
+        let scratch =
+            casbn_chordal::maximal_chordal_subgraph(&net, casbn_chordal::ChordalConfig::default());
         let rebuild = rebuild_sim_seconds(genes, hi, scratch.work.ops, cost);
         assert!(stats.sim_seconds > 0.0, "window {window} charged nothing");
         let ratio = rebuild / stats.sim_seconds;

@@ -12,7 +12,8 @@
 //! `min_rho` set to the exact bits of 60 computed ρ, `min_rho` of 0 and
 //! below 0, `max_p` of 1 and of 1e-12, and several batch splits, one
 //! with an empty batch. A resumed driver whose membership bits disagree
-//! with its moments must repair them on an empty batch.
+//! with its moments must repair them on an empty batch (bits of
+//! chordal-subgraph edges excepted: clearing one fails the resume).
 //!
 //! One `#[test]` only: the rayon thread override is process-global.
 
@@ -270,6 +271,7 @@ fn with_present(ck: &[u8], tamper: impl Fn(&mut [u64])) -> Vec<u8> {
 
 /// A driver resumed with membership bits that disagree with its moments
 /// repairs every one of them on an empty batch, at every thread count.
+/// Clearing the bit of a chordal-subgraph edge is refused at resume.
 fn check_resume_repair(m: &ExpressionMatrix, params: NetworkParams) {
     let cfg = StreamConfig {
         network: params,
@@ -284,13 +286,28 @@ fn check_resume_repair(m: &ExpressionMatrix, params: NetworkParams) {
     let truth = reference.weights();
     assert!(truth.len() > 10, "the resumed network must be non-trivial");
     let ck = driver.checkpoint_bytes().expect("checkpoint serialises");
-    // clear every third retained pair, set pairs 0, 1, 2 and every
-    // 997th pair (flat index)
+    // the resumed network is rebuilt from the bits, so clearing the bit
+    // of a pair the chordal subgraph holds must fail the resume
+    let pair = |(u, v): (u32, u32)| {
+        let (u, v) = (u as usize, v as usize);
+        u * (2 * GENES - u - 1) / 2 + (v - u - 1)
+    };
+    let chordal: Vec<usize> = driver.chordal().edges().map(pair).collect();
+    let cut = *chordal
+        .first()
+        .expect("the chordal subgraph is non-trivial");
+    let broken = with_present(&ck, |bits| bits[cut / 64] &= !(1u64 << (cut % 64)));
+    match StreamDriver::resume_from(&Store::parse(&broken).expect("tampered checkpoint parses")) {
+        Err(e) => assert!(e.to_string().contains("not a subgraph"), "{e}"),
+        Ok(_) => panic!("a chordal edge outside the network must not resume"),
+    }
+    // clear every third retained pair outside the chordal subgraph, set
+    // pairs 0, 1, 2 and every 997th pair (flat index)
     let dropped: Vec<usize> = reference
         .present
         .iter()
         .enumerate()
-        .filter(|&(_, &p)| p)
+        .filter(|&(idx, &p)| p && chordal.binary_search(&idx).is_err())
         .map(|(idx, _)| idx)
         .step_by(3)
         .collect();

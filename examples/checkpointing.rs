@@ -7,8 +7,8 @@
 //! ```
 //!
 //! The checkpoint holds the driver's complete resumable state: the
-//! Welford/co-moment correlation accumulators (exact `f64` bits), the
-//! CSR-backed delta graph with its live overlays, the incremental
+//! Welford/co-moment correlation accumulators (exact `f64` bits) and
+//! the membership bitset the network is rebuilt from, the incremental
 //! chordal subgraph with its simulated clock, and the window history.
 //! On the command line the same flow is
 //! `casbn stream … --windows N --checkpoint ck.csbn` followed by

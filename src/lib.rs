@@ -17,7 +17,7 @@
 //! * [`ontology`] — GO-like DAG and edge-enrichment cluster scoring.
 //! * [`analysis`] — cluster overlap / sensitivity / specificity evaluation.
 //! * [`stream`] — the incremental streaming subsystem: online
-//!   correlation, edge-delta graphs, incremental chordal filtering.
+//!   correlation, edge deltas, incremental chordal filtering.
 //! * [`store`] — the `.csbn` versioned binary artifact container:
 //!   graph/matrix/cluster sections and stream checkpoints
 //!   (codecs live in `graph::store`, `expr::store`, `mcode::store`).
@@ -87,7 +87,7 @@ pub mod prelude {
     };
     pub use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
     pub use casbn_graph::{
-        apply_ordering, DeltaGraph, EdgeDelta, Graph, NeighborhoodScratch, OrderingKind, Partition,
+        apply_ordering, EdgeDelta, Graph, NeighborhoodScratch, OrderingKind, Partition,
         PartitionKind, VertexId,
     };
     pub use casbn_mcode::{mcode_cluster, mcode_cluster_into, Cluster, McodeParams, McodeScratch};

@@ -12,6 +12,7 @@
 
 use casbn::graph::{store as graph_store, Graph};
 use casbn::mcode::{store as mcode_store, Cluster};
+use casbn::store::io::{append_durable, MemFs, RetryPolicy};
 use casbn::store::{SectionKind, Store, StoreWriter, ENDIAN_TAG, FORMAT_VERSION, MAGIC};
 use proptest::prelude::*;
 
@@ -116,7 +117,7 @@ proptest! {
     /// whatever the mix of section kinds and (possibly odd, possibly
     /// zero) payload lengths — starts at an offset divisible by 8, so
     /// the u32/u64/f64 arrays inside keep their natural alignment.
-    /// Holds through an append generation too.
+    /// Holds through a durable append generation too.
     #[test]
     fn every_payload_starts_on_an_8_byte_boundary(
         lens in proptest::collection::vec(0usize..200, 1..8),
@@ -134,7 +135,11 @@ proptest! {
             for (i, &len) in append_lens.iter().enumerate() {
                 a.add(SectionKind::Graph, 1000 + i as u32, vec![0xCD; len]);
             }
-            bytes = a.append_to(&bytes).expect("append to a fresh container");
+            let fs = MemFs::new();
+            fs.install("t.csbn", &bytes);
+            append_durable(&fs, "t.csbn", &a, RetryPolicy::default())
+                .expect("append to a fresh container");
+            bytes = fs.live("t.csbn").expect("appended file exists");
         }
         for parsed in [Store::parse(&bytes).unwrap(), Store::open_lazy(&bytes).unwrap()] {
             for (i, e) in parsed.sections().iter().enumerate() {
