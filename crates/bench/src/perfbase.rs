@@ -168,12 +168,19 @@ fn timed<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// prior enable state is restored afterwards.
 fn timed_counted<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, Vec<(String, u64)>, T) {
     let (wall, out) = timed(repeats, &mut f);
+    let (counters, _) = counted(f);
+    (wall, counters, out)
+}
+
+/// Run `f` once with telemetry enabled; return its counter deltas and
+/// output, restoring the prior enable state.
+fn counted<T>(f: impl FnOnce() -> T) -> (Vec<(String, u64)>, T) {
     let prior = casbn_obs::set_enabled(true);
     let before = casbn_obs::snapshot();
-    let _ = f();
+    let out = f();
     let counters = casbn_obs::snapshot().counter_delta(&before);
     casbn_obs::set_enabled(prior);
-    (wall, counters, out)
+    (counters, out)
 }
 
 /// The filter seed every workload pins (with the preset seeds, this is
@@ -267,7 +274,7 @@ fn mcode_workload(name: &str, g: &Graph, repeats: usize) -> WorkloadResult {
 /// | `nocomm-yng-p8` | no-comm parallel chordal filter, 8 ranks |
 /// | `stream-yng` | streaming batch ingest: full window pipeline over the YNG replay (sim = online-correlation ingest cost) |
 /// | `inc-chordal-yng` | incremental chordal delta maintenance alone over the same delta stream |
-/// | `serve-qps-yng` | serving tier under concurrent ingest: writer advances every window while 4 readers replay probes against registry snapshots (checksum = pinned-script response checksum) |
+/// | `serve-qps-yng` | serving tier under concurrent ingest: writer advances every window while 4 readers replay probes against registry snapshots (checksum and counters = pinned-script replay) |
 pub fn run_suite(scale: f64, repeats: usize) -> PerfSuite {
     let mut results = Vec::new();
 
@@ -424,14 +431,15 @@ pub fn run_suite(scale: f64, repeats: usize) -> PerfSuite {
     });
 
     // Serving workload: the resident query tier (crates/serve) under
-    // concurrent ingest. The deterministic metric comes from a pinned
-    // query script replayed single-threaded outside the timed region —
-    // the same response-checksum gate the CI serve-smoke pins. The
-    // timed region then rebuilds the engine and runs the shape the
-    // daemon serves in production: a writer ingesting every window
-    // (one snapshot rotation each) while 4 reader threads loop
-    // read-only probes against whatever snapshot the registry
-    // currently publishes.
+    // concurrent ingest. The deterministic metrics come from a pinned
+    // query script replayed single-threaded outside the timed region:
+    // its response checksum is the same gate the CI serve-smoke pins,
+    // and its counters are the workload's, so they do not depend on
+    // scheduling. The timed region then rebuilds the engine and runs the
+    // shape the daemon serves in production, for the wall only: a
+    // writer ingesting every window (one snapshot rotation each) while 4
+    // reader threads loop read-only probes against whatever snapshot
+    // the registry currently publishes.
     let probes: Vec<Request> = {
         let mut s = vec![Request::Stats];
         for gene in 0..4u32 {
@@ -456,13 +464,13 @@ pub fn run_suite(scale: f64, repeats: usize) -> PerfSuite {
         s.extend(probes.iter().cloned());
         s
     };
-    let script_checksum = {
+    let (counters, script_checksum) = counted(|| {
         let mut eng = ServeEngine::from_replay(replay.clone(), cfg);
         let (report, _) = run_script(&mut eng, &script, &SessionConfig::default())
             .expect("pinned serve script replays");
         report.responses_checksum
-    };
-    let (wall, counters, _served) = timed_counted(repeats, || {
+    });
+    let (wall, _served) = timed(repeats, || {
         let mut eng = ServeEngine::from_replay(replay.clone(), cfg);
         let registry = eng.registry();
         let done = AtomicBool::new(false);

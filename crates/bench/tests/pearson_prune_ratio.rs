@@ -1,9 +1,10 @@
 //! Acceptance gate of the pruned Pearson kernel: on the scale-0.15 YNG
-//! array, `from_expression` must compute ρ for at most 2% of the
-//! g(g−1)/2 gene pairs (`expr.tile_pairs`), and still keep exactly the
-//! edges of the all-pairs `from_expression_seq` oracle. Both numbers are
-//! deterministic work counts, not wall times, so the gate holds in any
-//! build profile and on any host.
+//! array, `from_expression` must test the projected distance of at most
+//! 12% of the g(g−1)/2 gene pairs (`expr.grid_pairs`), compute ρ for at
+//! most 2% of them (`expr.tile_pairs`, pinned at 1,005), and still keep
+//! exactly the edges of the all-pairs `from_expression_seq` oracle. All
+//! three numbers are deterministic work counts, not wall times, so the
+//! gate holds in any build profile and on any host.
 
 use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
 
@@ -23,6 +24,7 @@ fn pruned_pearson_scores_at_most_2_percent_of_pairs() {
     casbn_obs::set_enabled(false);
     let counters = casbn_obs::snapshot().counters;
     let scored = counters["expr.tile_pairs"];
+    let tested = counters["expr.grid_pairs"];
 
     let oracle = CorrelationNetwork::from_expression_seq(&arr.matrix, params);
     assert!(
@@ -38,6 +40,14 @@ fn pruned_pearson_scores_at_most_2_percent_of_pairs() {
     assert!(
         ratio <= 0.02,
         "pruned kernel scored {scored} of {pairs} pairs ({:.2}%), gate is 2%",
+        ratio * 100.0
+    );
+    // the candidate set is fixed by the 6-D distance test, not the grid
+    assert_eq!(scored, 1005, "the pairs reaching the distance test moved");
+    let ratio = tested as f64 / pairs as f64;
+    assert!(
+        ratio <= 0.12,
+        "grid tested {tested} of {pairs} pairs ({:.2}%), gate is 12%",
         ratio * 100.0
     );
 }

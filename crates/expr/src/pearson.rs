@@ -20,13 +20,38 @@
 //! constant vector, which standardization has already removed. The basis
 //! is fixed: no random state and nothing to tune.
 //!
-//! **Candidates.** Genes are bucketed into a 3-D grid on their first
-//! three projected coordinates, with cell side `r`. The endpoints of an
-//! edge therefore lie in the same or in adjacent cells. Each cell meets
-//! itself and its 13 forward neighbours: that half-stencil of 14 cells
-//! reaches every pair of adjacent cells exactly once. A candidate pair
-//! is scored only if its full `K`-dimensional projected distance is
+//! **Candidates.** Genes are bucketed into a 5-D grid on their first
+//! five projected coordinates, with cell side `r`. The endpoints of an
+//! edge therefore lie in the same or in adjacent cells: their cell
+//! coordinates differ by at most one on every axis. A cell key packs the
+//! five coordinates at 12 bits each, so cells sort by their first four
+//! coordinates (the prefix) and then by the last. Each cell meets a
+//! half-stencil of at most 41 key runs: its own rows after the current
+//! row together with the next cell up its own column (last coordinate
+//! `c + 1`), and, for each of the 40 prefix offsets in `{−1, 0, 1}⁴`
+//! whose first nonzero entry is `+1`, the cells at that offset with last
+//! coordinate `c − 1 ..= c + 1`. Every unordered pair of adjacent cells
+//! is met exactly once. For a fixed offset the target run only moves up
+//! the sorted keys as the cell does, so one forward-only cursor per
+//! offset finds every run with no search per cell. Coordinates span
+//! `2√n` and the cell side is at least `√(2n·10⁻⁶)`, so an axis holds at
+//! most about `√(2·10⁶) ≈ 1,415` cells, below the 4,096 of a 12-bit
+//! coordinate, whenever `min_rho ≤ 1`; beyond that, the monotone clamp
+//! of each coordinate still keeps an edge's cells adjacent. A candidate
+//! pair is scored only if its full `K`-dimensional projected distance is
 //! within `r`.
+//!
+//! **Work units.** One sequential cursor walk gives each cell's forward
+//! work, which cuts the rows into up to 1,024 units of equal candidate
+//! work (at least 4,096 candidates each, so small inputs get fewer).
+//! Each unit then walks its own cursors from its first cell, seeding
+//! each by binary search on first use, so no cell's runs are stored.
+//!
+//! **Counters.** `expr.tiles` counts the occupied cells,
+//! `expr.grid_pairs` the pairs whose projected distance was tested,
+//! `expr.tile_pairs` the pairs whose ρ was computed, and
+//! `expr.edges_retained` the kept edges. Units add their own totals, so
+//! every counter depends on the input alone, not on the thread count.
 //!
 //! **Slack.** Floating point perturbs each step of that chain: the
 //! computed ρ, `‖z‖²`, the basis, the projections and the cell
@@ -82,16 +107,83 @@ pub struct CorrelationNetwork {
 
 /// Projected dimensions `K` before clipping to `samples − 1`.
 const PROJ_DIMS: usize = 6;
-/// Bits of one grid coordinate in a packed cell key (three per key).
-const CELL_BITS: u32 = 20;
+/// Projected coordinates a row is bucketed on: the first five of `K`.
+const GRID_AXES: usize = 5;
+/// Bits of one grid coordinate in a packed cell key (five per key).
+const CELL_BITS: u32 = 12;
 /// Largest grid coordinate; coordinates are clamped into `0..=CELL_MAX`.
 const CELL_MAX: u64 = (1 << CELL_BITS) - 1;
 /// Sort key of a row that bypasses the grid: after every cell.
 const UNBOUNDED: u64 = u64::MAX;
-/// Parallel work units, cut to equal candidate-check work. The rayon
-/// shim hands each thread a contiguous run of units, so equal units keep
-/// the threads equally busy at any thread count.
-const WORK_UNITS: usize = 1024;
+/// [`UNBOUNDED`] keys closing the occupied cells' key list. A stencil run
+/// spans at most three cells, so the walk reads past the last cell
+/// without a bounds test.
+const SENTINELS: usize = 3;
+/// Most parallel work units, cut to equal candidate-check work. The
+/// rayon shim hands each thread a contiguous run of units, so equal units
+/// keep the threads equally busy at any thread count.
+const WORK_UNITS: u64 = 1024;
+/// Fewest candidate checks per unit (small inputs get fewer units): a
+/// unit seeds its cursors by up to 40 binary searches, which this keeps
+/// a small share of its work.
+const UNIT_WORK: u64 = 4096;
+/// Prefix axes of a cell key: every grid axis but the last.
+const PREFIX: usize = GRID_AXES - 1;
+/// Prefix offsets of the half-stencil: the 40 of `{−1, 0, 1}⁴` whose
+/// first nonzero entry is `+1`, so exactly one of each offset and its
+/// negation.
+const FORWARD: [Step; 40] = forward_steps();
+/// Runs a cell meets: its own column, then one per forward offset.
+const RUNS: usize = 1 + FORWARD.len();
+
+/// A prefix offset `d` as the walk applies it to a cell key.
+#[derive(Clone, Copy)]
+struct Step {
+    /// `d` packed as a key delta (mod 2⁶⁴), last coordinate 0.
+    delta: u64,
+    /// Prefix axes (bit `axis`) where `d` is −1.
+    down: u32,
+    /// Prefix axes where `d` is +1.
+    up: u32,
+}
+
+/// [`FORWARD`], in lexicographic order of the offsets.
+const fn forward_steps() -> [Step; 40] {
+    const ZERO: Step = Step {
+        delta: 0,
+        down: 0,
+        up: 0,
+    };
+    let mut out = [ZERO; 40];
+    let (mut found, mut code) = (0, 0);
+    while code < 81 {
+        // the base-3 digits of `code`, most significant first, are d + 1
+        // `lead` is the first digit that is not 1 (d = 0), if any
+        let (mut step, mut lead, mut axis) = (ZERO, 1, 0);
+        while axis < PREFIX {
+            let digit = code / 3u32.pow((PREFIX - 1 - axis) as u32) % 3;
+            let unit = 1u64 << (CELL_BITS * (PREFIX - axis) as u32);
+            if digit == 0 {
+                step.down |= 1 << axis;
+                step.delta = step.delta.wrapping_sub(unit);
+            } else if digit == 2 {
+                step.up |= 1 << axis;
+                step.delta = step.delta.wrapping_add(unit);
+            }
+            if lead == 1 {
+                lead = digit;
+            }
+            axis += 1;
+        }
+        if lead == 2 {
+            out[found] = step;
+            found += 1;
+        }
+        code += 1;
+    }
+    assert!(found == 40);
+    out
+}
 
 /// A row's coordinates on the `K` DCT directions (zero past `K`).
 type Proj = [f64; PROJ_DIMS];
@@ -144,12 +236,12 @@ fn dist2(a: &Proj, b: &Proj) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Packed grid cell of the first three projected coordinates. Each
-/// coordinate is `⌊(p + offset) / side⌋` clamped into `0..=CELL_MAX`. The
-/// clamp is monotone, so two rows within one side of each other still
-/// land in the same or adjacent cells.
+/// Packed grid cell of the first [`GRID_AXES`] projected coordinates.
+/// Each coordinate is `⌊(p + offset) / side⌋` clamped into
+/// `0..=CELL_MAX`. The clamp is monotone, so two rows within one side of
+/// each other still land in the same or adjacent cells.
 fn cell_key(p: &Proj, offset: f64, side: f64) -> u64 {
-    p[..3].iter().fold(0, |key, &x| {
+    p[..GRID_AXES].iter().fold(0, |key, &x| {
         let c = ((x + offset) / side).floor();
         let c = if c >= CELL_MAX as f64 {
             CELL_MAX
@@ -162,10 +254,68 @@ fn cell_key(p: &Proj, offset: f64, side: f64) -> u64 {
     })
 }
 
-/// Packed key of grid coordinates `(x, y, z)`.
-#[inline]
-fn pack(x: u64, y: u64, z: u64) -> u64 {
-    (x << CELL_BITS | y) << CELL_BITS | z
+/// The half-stencil walk over the sorted keys of the occupied cells,
+/// followed by [`SENTINELS`] unbounded keys. Cells must be visited in
+/// non-decreasing order: each forward offset's target run then only
+/// moves up the keys, so one cursor per offset, seeded by binary search
+/// on first use, finds every run.
+struct HalfStencil<'a> {
+    keys: &'a [u64],
+    /// Per forward offset, the first cell at or after its last target
+    /// (`usize::MAX` until first use).
+    cursor: [usize; FORWARD.len()],
+}
+
+impl<'a> HalfStencil<'a> {
+    fn new(keys: &'a [u64]) -> Self {
+        HalfStencil {
+            keys,
+            cursor: [usize::MAX; FORWARD.len()],
+        }
+    }
+
+    /// Cell `c`'s half-stencil as runs of cell indices, all after `c`:
+    /// first the next cell up its own column (empty unless occupied),
+    /// then per forward offset the cells whose prefix is `c`'s plus the
+    /// offset and whose last coordinate is within one of `c`'s.
+    fn runs(&mut self, c: usize) -> [(usize, usize); RUNS] {
+        let keys = self.keys;
+        let key = keys[c];
+        let last = key & CELL_MAX;
+        let mut runs = [(c + 1, c + 1); RUNS];
+        if last < CELL_MAX && keys[c + 1] == key + 1 {
+            runs[0].1 = c + 2;
+        }
+        // prefix axes where a step down, or up, would leave the grid
+        let (mut floor, mut ceil) = (0, 0);
+        for axis in 0..PREFIX {
+            let x = key >> (CELL_BITS * (PREFIX - axis) as u32) & CELL_MAX;
+            floor |= u32::from(x == 0) << axis;
+            ceil |= u32::from(x == CELL_MAX) << axis;
+        }
+        let (below, above) = (u64::from(last > 0), u64::from(last < CELL_MAX));
+        for ((run, step), cursor) in runs[1..].iter_mut().zip(&FORWARD).zip(&mut self.cursor) {
+            if step.down & floor | step.up & ceil != 0 {
+                continue;
+            }
+            let target = key.wrapping_add(step.delta);
+            let (lo, hi) = (target - below, target + above);
+            if *cursor == usize::MAX {
+                *cursor = keys.partition_point(|&k| k < lo);
+            }
+            let mut a = *cursor;
+            while keys[a] < lo {
+                a += 1;
+            }
+            // the run holds at most three cells, and the sentinels stop it
+            let width = usize::from(keys[a] <= hi)
+                + usize::from(keys[a + 1] <= hi)
+                + usize::from(keys[a + 2] <= hi);
+            *cursor = a;
+            *run = (a, a + width);
+        }
+        runs
+    }
 }
 
 impl CorrelationNetwork {
@@ -175,10 +325,9 @@ impl CorrelationNetwork {
     /// is bit-identical to [`CorrelationNetwork::from_expression_seq`]
     /// at any thread count.
     ///
-    /// Telemetry: `expr.tiles` counts occupied grid cells,
-    /// `expr.tile_pairs` the pairs whose ρ was computed, and
-    /// `expr.edges_retained` the kept edges. All three depend on the
-    /// input alone.
+    /// Telemetry: `expr.tiles`, `expr.grid_pairs`, `expr.tile_pairs`
+    /// and `expr.edges_retained`, as the [module docs](self) define
+    /// them. All four depend on the input alone.
     pub fn from_expression(m: &ExpressionMatrix, params: NetworkParams) -> Self {
         let genes = m.genes();
         let samples = m.samples();
@@ -211,7 +360,7 @@ impl CorrelationNetwork {
             .collect();
         keyed.sort_unstable();
 
-        // occupied cells: their keys and first rows (plus an end sentinel)
+        // occupied cells: their keys and first rows (plus end sentinels)
         let grid_rows = keyed.partition_point(|&(k, _)| k != UNBOUNDED);
         let mut cell_keys: Vec<u64> = Vec::new();
         let mut cell_start: Vec<usize> = Vec::new();
@@ -222,6 +371,8 @@ impl CorrelationNetwork {
             }
         }
         cell_start.push(grid_rows);
+        let cells = cell_keys.len();
+        cell_keys.extend([UNBOUNDED; SENTINELS]);
         let order: Vec<u32> = keyed.into_iter().map(|(_, g)| g).collect();
 
         // the one standardized copy and the projections, built directly
@@ -236,97 +387,113 @@ impl CorrelationNetwork {
         }
         let z = ExpressionMatrix::from_rows(genes, samples, data);
 
-        // each cell's half-stencil as five row ranges: the rest of its own
-        // (x, y) column up to dz = +1, then the forward columns
-        // (0, 1), (1, −1), (1, 0), (1, 1), each spanning dz ∈ {−1, 0, 1}
-        let rows_of = |lo: u64, hi: u64| {
-            let a = cell_keys.partition_point(|&k| k < lo);
-            let b = cell_keys.partition_point(|&k| k <= hi);
-            (cell_start[a], cell_start[b])
-        };
-        let stencils: Vec<[(usize, usize); 5]> = cell_keys
-            .iter()
-            .map(|&key| {
-                let (x, y, cz) = (
-                    key >> (2 * CELL_BITS),
-                    key >> CELL_BITS & CELL_MAX,
-                    key & CELL_MAX,
-                );
-                let z_hi = (cz + 1).min(CELL_MAX);
-                let mut s = [(0, 0); 5];
-                s[0] = rows_of(key, pack(x, y, z_hi));
-                for (slot, (dx, dy)) in s[1..].iter_mut().zip([(0, 1), (1, -1), (1, 0), (1, 1)]) {
-                    let (nx, ny) = (x + dx, y as i64 + dy);
-                    if nx <= CELL_MAX && (0..=CELL_MAX as i64).contains(&ny) {
-                        let ny = ny as u64;
-                        *slot = rows_of(pack(nx, ny, cz.saturating_sub(1)), pack(nx, ny, z_hi));
-                    }
-                }
-                s
-            })
-            .collect();
-
-        // the rows row q is compared against, all after it in cell order
-        // except for an unbounded row, which meets every row before it
-        let candidates = |q: usize| -> [(usize, usize); 5] {
-            let mut s = [(0, 0); 5];
-            if q >= grid_rows {
-                s[0] = (0, q);
-            } else if !prune_all {
-                s = stencils[cell_start.partition_point(|&c| c <= q) - 1];
-                s[0].0 = q + 1;
-            }
-            s
-        };
-
-        // cut the rows into units of equal candidate work
-        let units = WORK_UNITS.min(genes.max(1));
-        let cuts: Vec<usize> = {
-            let mut work = Vec::with_capacity(genes + 1);
-            work.push(0u64);
-            for q in 0..genes {
-                let w: usize = candidates(q).iter().map(|&(lo, hi)| hi - lo).sum();
-                work.push(work[q] + w as u64);
-            }
-            let total = work[genes];
-            (0..units)
-                .map(|u| work[..genes].partition_point(|&w| w < total * u as u64 / units as u64))
-                .chain([genes])
+        // each cell's forward work: the rows of its runs past its own
+        let run_rows = |(a, b): (usize, usize)| cell_start[b] - cell_start[a];
+        let forward: Vec<u64> = if prune_all {
+            vec![0; cells]
+        } else {
+            let mut stencil = HalfStencil::new(&cell_keys);
+            (0..cells)
+                .map(|c| stencil.runs(c).into_iter().map(run_rows).sum::<usize>() as u64)
                 .collect()
         };
 
+        // row q's candidate count: the rest of its own cell plus its
+        // cell's forward work, or every row before an unbounded row;
+        // `c` is q's cell and advances with q
+        let row_work = |c: &mut usize, q: usize| -> u64 {
+            if q >= grid_rows {
+                return q as u64;
+            }
+            while cell_start[*c + 1] <= q {
+                *c += 1;
+            }
+            let own = if prune_all {
+                0
+            } else {
+                cell_start[*c + 1] - q - 1
+            };
+            own as u64 + forward[*c]
+        };
+
+        // cut the rows into units of equal candidate work
+        let cuts: Vec<usize> = {
+            let mut c = 0;
+            let total: u64 = (0..genes).map(|q| row_work(&mut c, q)).sum();
+            let units = (total / UNIT_WORK).clamp(1, WORK_UNITS);
+            let mut cuts = Vec::with_capacity(units as usize + 1);
+            let (mut c, mut done) = (0, 0u64);
+            for q in 0..genes {
+                while cuts.len() < units as usize && done >= total * cuts.len() as u64 / units {
+                    cuts.push(q);
+                }
+                done += row_work(&mut c, q);
+            }
+            cuts.resize(units as usize, genes);
+            cuts.push(genes);
+            cuts
+        };
+
         // score the candidates that pass the projected-distance test
-        let mut weights: Vec<(Edge, f64)> = (0..units)
+        let mut weights: Vec<(Edge, f64)> = (0..cuts.len() - 1)
             .into_par_iter()
             .flat_map_iter(|u| {
+                let (lo, hi) = (cuts[u], cuts[u + 1]);
                 let mut kept = Vec::new();
-                let mut scored = 0u64;
-                for q in cuts[u]..cuts[u + 1] {
-                    let unbounded = q >= grid_rows;
-                    let pq = proj[q];
-                    for (lo, hi) in candidates(q) {
-                        for (j, pj) in (lo..hi).zip(&proj[lo..hi]) {
-                            if unbounded || dist2(&pq, pj) <= r2 {
-                                scored += 1;
-                                let rho = rho_of(&z, q, j, inv);
-                                if rho >= params.min_rho
-                                    && pearson_p_value(rho, samples) <= params.max_p
-                                {
-                                    let (a, b) = (order[q], order[j]);
-                                    kept.push(((a.min(b), a.max(b)), rho));
+                let (mut tested, mut scored) = (0u64, 0u64);
+                let mut score = |q: usize, j: usize| {
+                    scored += 1;
+                    let rho = rho_of(&z, q, j, inv);
+                    if rho >= params.min_rho && pearson_p_value(rho, samples) <= params.max_p {
+                        let (a, b) = (order[q], order[j]);
+                        kept.push(((a.min(b), a.max(b)), rho));
+                    }
+                };
+                // grid rows, cell by cell: each row meets the rest of its
+                // own column run, then its cell's forward runs
+                let grid_hi = if prune_all { 0 } else { hi.min(grid_rows) };
+                let mut stencil = HalfStencil::new(&cell_keys);
+                for c in cell_start.partition_point(|&s| s <= lo) - 1..cells {
+                    let rows = cell_start[c].max(lo)..cell_start[c + 1].min(grid_hi);
+                    if rows.is_empty() {
+                        break;
+                    }
+                    // the cell's nonempty forward runs, as row ranges
+                    let runs = stencil.runs(c);
+                    let own_end = cell_start[runs[0].1];
+                    let mut row_runs = [(0, 0); RUNS];
+                    let mut len = 0;
+                    for &(a, b) in runs[1..].iter().filter(|(a, b)| a < b) {
+                        row_runs[len] = (cell_start[a], cell_start[b]);
+                        len += 1;
+                    }
+                    for q in rows {
+                        let pq = proj[q];
+                        for &(a, b) in [(q + 1, own_end)].iter().chain(&row_runs[..len]) {
+                            tested += (b - a) as u64;
+                            for (j, pj) in (a..b).zip(&proj[a..b]) {
+                                if dist2(&pq, pj) <= r2 {
+                                    score(q, j);
                                 }
                             }
                         }
                     }
                 }
+                // an unbounded row meets every row before it, untested
+                for q in lo.max(grid_rows)..hi {
+                    for j in 0..q {
+                        score(q, j);
+                    }
+                }
                 // unit totals depend on the input alone, so the summed
-                // counter is thread-count-invariant
+                // counters are thread-count-invariant
+                casbn_obs::counter_add("expr.grid_pairs", tested);
                 casbn_obs::counter_add("expr.tile_pairs", scored);
                 kept
             })
             .collect();
         weights.sort_unstable_by_key(|&(e, _)| e);
-        casbn_obs::counter_add("expr.tiles", cell_keys.len() as u64);
+        casbn_obs::counter_add("expr.tiles", cells as u64);
         casbn_obs::counter_add("expr.edges_retained", weights.len() as u64);
         Self::from_sorted_weights(genes, weights)
     }
@@ -752,7 +919,7 @@ mod tests {
     #[test]
     fn cell_keys_clamp_monotonically() {
         let side = 0.5;
-        let key = |x: f64| cell_key(&[x, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0, side) >> (2 * CELL_BITS);
+        let key = |x: f64| cell_key(&[x, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0, side) >> (4 * CELL_BITS);
         // below the offset clamps to 0, far above clamps to CELL_MAX
         assert_eq!(key(-5.0), 0);
         assert_eq!(key(f64::MAX), CELL_MAX);
@@ -763,6 +930,69 @@ mod tests {
                 if (a - b).abs() <= side {
                     assert!(key(a).abs_diff(key(b)) <= 1, "{a} vs {b}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn half_stencil_meets_every_adjacent_cell_pair_once() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        // per axis, coordinates at both ends of the 12-bit range
+        let values = [0, 1, 2, CELL_MAX - 1, CELL_MAX];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(20);
+        for density in [0.03, 0.2, 0.5, 0.95] {
+            // `values` ascend, so the keys come out sorted
+            let cells: Vec<[u64; GRID_AXES]> = (0..values.len().pow(GRID_AXES as u32))
+                .filter(|_| rng.gen_bool(density))
+                .map(|code| {
+                    let mut at = [0; GRID_AXES];
+                    for (axis, x) in at.iter_mut().enumerate() {
+                        *x = values
+                            [code / values.len().pow((GRID_AXES - 1 - axis) as u32) % values.len()];
+                    }
+                    at
+                })
+                .collect();
+            for axis in 0..GRID_AXES {
+                for end in [0, CELL_MAX] {
+                    assert!(
+                        cells.iter().any(|at| at[axis] == end),
+                        "axis {axis} misses {end}"
+                    );
+                }
+            }
+            let mut keys: Vec<u64> = cells
+                .iter()
+                .map(|at| at.iter().fold(0, |key, &x| key << CELL_BITS | x))
+                .collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            keys.extend([UNBOUNDED; SENTINELS]);
+            // a whole walk, and walks started mid-range as work units are
+            for start in [0, cells.len() / 3, cells.len() - 1] {
+                let mut met: BTreeMap<(usize, usize), u32> = BTreeMap::new();
+                let mut stencil = HalfStencil::new(&keys);
+                for c in start..cells.len() {
+                    for (a, b) in stencil.runs(c) {
+                        for other in a..b {
+                            *met.entry((c, other)).or_default() += 1;
+                        }
+                    }
+                }
+                let mut want = BTreeMap::new();
+                for a in start..cells.len() {
+                    for b in a + 1..cells.len() {
+                        if cells[a]
+                            .iter()
+                            .zip(&cells[b])
+                            .all(|(x, y)| x.abs_diff(*y) <= 1)
+                        {
+                            want.insert((a, b), 1);
+                        }
+                    }
+                }
+                assert!(start > 0 || !want.is_empty());
+                assert_eq!(met, want, "density {density}, walk from cell {start}");
             }
         }
     }

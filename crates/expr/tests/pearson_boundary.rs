@@ -10,9 +10,16 @@
 //! −1 to 1.5. Thresholds set to the exact bits of a computed ρ check
 //! that a pair on the boundary survives the slack.
 //!
+//! A CRE-shaped input (about 3,000 genes × 9 samples of planted modules
+//! plus noise) occupies thousands of grid cells, so every run of the
+//! half-stencil, the grid's edges and the work-unit cuts are exercised.
+//!
 //! One `#[test]` only: the rayon thread override is process-global.
 
-use casbn_expr::{CorrelationNetwork, ExpressionMatrix, NetworkParams};
+use casbn_expr::{
+    pearson_p_value, CorrelationNetwork, DatasetPreset, ExpressionMatrix, NetworkParams,
+    SyntheticMicroarray,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -75,24 +82,39 @@ fn bits(net: &CorrelationNetwork) -> Vec<((u32, u32), u64)> {
 /// Assert the kernel equals the oracle at every thread count.
 fn check(m: &ExpressionMatrix, params: NetworkParams, what: &str) -> CorrelationNetwork {
     let oracle = CorrelationNetwork::from_expression_seq(m, params);
-    for threads in [1, 2, 4, 8] {
+    for net in agree(m, params, &bits(&oracle), what) {
+        assert!(net.graph.same_edges(&oracle.graph), "{what}");
+    }
+    oracle
+}
+
+/// Assert the kernel's `(edge, ρ bits)` equal `want` at 1/2/4/8
+/// threads, and return the four networks.
+fn agree(
+    m: &ExpressionMatrix,
+    params: NetworkParams,
+    want: &[((u32, u32), u64)],
+    what: &str,
+) -> [CorrelationNetwork; 4] {
+    let nets = [1, 2, 4, 8].map(|threads| {
         std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
         let net = CorrelationNetwork::from_expression(m, params);
         assert_eq!(
             bits(&net),
-            bits(&oracle),
+            want,
             "{what} min_rho={:?} max_p={} at {threads} threads",
             params.min_rho,
             params.max_p
         );
-        assert!(net.graph.same_edges(&oracle.graph), "{what}");
-    }
+        net
+    });
     std::env::remove_var("RAYON_NUM_THREADS");
-    oracle
+    nets
 }
 
 #[test]
 fn pruned_kernel_equals_oracle_on_boundary_inputs() {
+    cre_shaped();
     for samples in [0usize, 1, 2, 3, 9, 40] {
         let m = boundary_matrix(samples, 11 + samples as u64);
         let what = format!("samples={samples}");
@@ -152,5 +174,50 @@ fn pruned_kernel_equals_oracle_on_boundary_inputs() {
                 );
             }
         }
+    }
+}
+
+/// The CRE-shaped case: thresholds across the paper's range, with and
+/// without the p-value test, then thresholds on the exact bits of
+/// computed ρ. The oracle runs once, at the loosest thresholds: it
+/// computes each pair's ρ independently of the thresholds, so its output
+/// at stricter ones is that list filtered by the same predicate.
+fn cre_shaped() {
+    let arr = SyntheticMicroarray::generate(
+        &DatasetPreset::Cre.scaled_params(0.11),
+        DatasetPreset::Cre.seed(),
+    );
+    let m = &arr.matrix;
+    assert_eq!((m.genes(), m.samples()), (3068, 9));
+    let loosest = NetworkParams {
+        min_rho: 0.5,
+        max_p: 1.0,
+    };
+    let oracle = CorrelationNetwork::from_expression_seq(m, loosest);
+    assert!(oracle.graph.m() > 10_000, "cre: {} edges", oracle.graph.m());
+    let expect = |params: NetworkParams| -> Vec<((u32, u32), u64)> {
+        oracle
+            .weights
+            .iter()
+            .filter(|&&(_, r)| r >= params.min_rho && pearson_p_value(r, 9) <= params.max_p)
+            .map(|&(e, r)| (e, r.to_bits()))
+            .collect()
+    };
+    for min_rho in [0.5, 0.8, 0.95, 0.99] {
+        for max_p in [5e-4, 1.0] {
+            let params = NetworkParams { min_rho, max_p };
+            agree(m, params, &expect(params), "cre");
+        }
+    }
+    // boundary pairs spread over the ρ ≥ 0.9 network
+    let tight: Vec<_> = oracle.weights.iter().filter(|&&(_, r)| r >= 0.9).collect();
+    for &&(edge, rho) in tight.iter().step_by(tight.len() / 4) {
+        let params = NetworkParams {
+            min_rho: rho,
+            max_p: 1.0,
+        };
+        let want = expect(params);
+        assert!(want.contains(&(edge, rho.to_bits())), "{edge:?}");
+        agree(m, params, &want, &format!("cre boundary {edge:?}"));
     }
 }

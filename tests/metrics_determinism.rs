@@ -67,6 +67,7 @@ fn deterministic_snapshot_is_thread_count_and_tier_invariant() {
     }
     for key in [
         "\"expr.tiles\"",
+        "\"expr.grid_pairs\"",
         "\"expr.tile_pairs\"",
         "\"stream.windows\"",
         "\"inc_chordal.batches\"",
