@@ -43,7 +43,7 @@
 //!   test pins the gap: it keeps about 30% fewer edges of a planted
 //!   partition).
 
-use casbn_graph::{nbhood, norm_edge, Edge, Graph, VertexId};
+use casbn_graph::{nbhood, Graph, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
@@ -301,15 +301,6 @@ pub fn repair_maximal(g: &Graph, h: &Graph) -> Graph {
     out
 }
 
-/// The edges of `g` *not* kept by `h` (both over the same vertex set):
-/// the noise removed by the filter, in the paper's interpretation.
-pub fn removed_edges(g: &Graph, h: &Graph) -> Vec<Edge> {
-    g.edges()
-        .filter(|&(u, v)| !h.has_edge(u, v))
-        .map(|(u, v)| norm_edge(u, v))
-        .collect()
-}
-
 #[inline]
 fn insert_sorted(v: &mut Vec<VertexId>, x: VertexId) {
     if let Err(pos) = v.binary_search(&x) {
@@ -506,14 +497,6 @@ mod tests {
         let small = maximal_chordal_subgraph(&gnm(50, 100, 1), ChordalConfig::default());
         let large = maximal_chordal_subgraph(&gnm(500, 1500, 1), ChordalConfig::default());
         assert!(large.work.ops > small.work.ops);
-    }
-
-    #[test]
-    fn removed_edges_partition_edge_set() {
-        let g = gnm(80, 240, 5);
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
-        let removed = removed_edges(&g, &r.graph);
-        assert_eq!(removed.len() + r.graph.m(), g.m());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Random chordal graph generation — by construction, via reverse
 //! perfect-elimination insertion: vertex `i` is attached to a random
-//! clique of the graph built so far. Used by the property-test suite to
-//! exercise the "noise-free data ⇒ no reduction" fixed-point claim
-//! (§III: "Ideally, if the data is noise free, no reduction should
-//! occur").
+//! clique of the graph built so far. This module's unit tests use it to
+//! pin the "noise-free data ⇒ no reduction" fixed-point claim (§III:
+//! "Ideally, if the data is noise free, no reduction should occur").
 
 use casbn_graph::{Graph, VertexId};
 use rand::{Rng, SeedableRng};

@@ -19,19 +19,15 @@
 //!   edge, guaranteeing maximality (used by the test-suite to quantify how
 //!   close the greedy pass is to maximal).
 
-pub mod cliques;
 pub mod dsw;
 pub mod generate;
-pub mod lexbfs;
 pub mod test_chordal;
 
-pub use cliques::{clique_edge_retention, clique_number, maximal_cliques};
 pub use dsw::{
     maximal_chordal_subgraph, maximal_chordal_subgraph_with, repair_maximal, ChordalConfig,
     ChordalResult, DswScratch, SelectionRule, WorkCounter,
 };
 pub use generate::random_chordal;
-pub use lexbfs::{is_chordal_lexbfs, lexbfs_order};
 pub use test_chordal::{
     check_peo, is_chordal, is_chordal_with, mcs_order, mcs_order_with, McsScratch,
 };

@@ -15,6 +15,33 @@ fn arb_graph(nmax: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Fulkerson–Gross recognition, an oracle independent of MCS: a graph is
+/// chordal iff repeatedly deleting simplicial vertices (those whose live
+/// neighbours form a clique) deletes every vertex.
+fn chordal_by_simplicial_elimination(g: &Graph) -> bool {
+    let mut alive = vec![true; g.n()];
+    for _ in 0..g.n() {
+        let simplicial = (0..g.n() as VertexId)
+            .filter(|&v| alive[v as usize])
+            .find(|&v| {
+                let nb: Vec<VertexId> = g
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| alive[w as usize])
+                    .collect();
+                nb.iter()
+                    .enumerate()
+                    .all(|(i, &a)| nb[i + 1..].iter().all(|&b| g.has_edge(a, b)))
+            });
+        match simplicial {
+            Some(v) => alive[v as usize] = false,
+            None => return false,
+        }
+    }
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -60,6 +87,13 @@ proptest! {
         let edges: Vec<_> = (0..n).map(|i| (i as VertexId, ((i + 1) % n) as VertexId)).collect();
         let g = Graph::from_edges(n, &edges);
         prop_assert!(!is_chordal(&g));
+    }
+
+    #[test]
+    fn is_chordal_agrees_with_simplicial_elimination(g in arb_graph(16)) {
+        prop_assert_eq!(is_chordal(&g), chordal_by_simplicial_elimination(&g));
+        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        prop_assert!(chordal_by_simplicial_elimination(&r.graph));
     }
 
     #[test]

@@ -61,6 +61,40 @@ fn generate_filter_compare_pipeline() {
 }
 
 #[test]
+fn stats_centrality_prints_ten_hubs_in_betweenness_order() {
+    let net = tmp("centrality.tsv");
+    let code = commands::generate(&sv(&[
+        "--preset",
+        "yng",
+        "--scale",
+        "0.05",
+        "--out",
+        net.to_str().unwrap(),
+    ]));
+    assert_eq!(code, 0);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_casbn"))
+        .args(["stats", "--in", net.to_str().unwrap(), "--centrality"])
+        .output()
+        .expect("run casbn");
+    let _ = std::fs::remove_file(net);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let (_, rows) = stdout
+        .split_once("top betweenness vertices:\n")
+        .expect("centrality header");
+    let scores: Vec<f64> = rows
+        .lines()
+        .map(|row| {
+            let mut words = row.split_whitespace();
+            words.find(|&w| w == "betweenness").expect("row format");
+            words.next().unwrap().parse().unwrap()
+        })
+        .collect();
+    assert_eq!(scores.len(), 10, "{stdout}");
+    assert!(scores.windows(2).all(|w| w[0] >= w[1]), "{scores:?}");
+}
+
+#[test]
 fn stream_replay_roundtrip() {
     let replay = tmp("replay.tsv");
     let chordal = tmp("chordal.tsv");

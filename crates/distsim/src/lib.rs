@@ -3,8 +3,8 @@
 //!
 //! Each *rank* runs on its own OS thread with private state; ranks
 //! communicate only by explicit message passing (point-to-point send/recv
-//! with tags, plus barriers and gather), exactly the programming model of
-//! the paper's MPI implementation.
+//! with tags, plus barriers), exactly the programming model of the
+//! paper's MPI implementation.
 //!
 //! On top of the real threaded execution, every rank carries a
 //! [`SimClock`] driven by a [`CostModel`]: compute is charged per abstract
@@ -16,11 +16,9 @@
 //! host, deterministically. Real wall-clock time is reported as well for
 //! runs that fit the physical machine.
 
-pub mod collectives;
 pub mod comm;
 pub mod cost;
 
-pub use collectives::{allreduce_u64, broadcast, gather};
 pub use comm::{run, DistResult, RankCtx};
 pub use cost::{CostModel, SimClock};
 

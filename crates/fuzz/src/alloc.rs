@@ -76,11 +76,6 @@ pub fn gauge_active() -> bool {
     PEAK.load(Ordering::Relaxed) > 0
 }
 
-/// Currently live heap bytes (0 when no gauge is installed).
-pub fn live_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
-
 /// Reset the peak to the current live level and return the live level —
 /// call before a measured region.
 pub fn reset_peak() -> usize {
@@ -92,12 +87,4 @@ pub fn reset_peak() -> usize {
 /// Peak live bytes since the last [`reset_peak`].
 pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
-}
-
-/// Peak heap growth of `f` over the live level at entry, in bytes.
-/// Only meaningful when [`gauge_active`] (otherwise returns 0).
-pub fn peak_growth_of(f: impl FnOnce()) -> usize {
-    let base = reset_peak();
-    f();
-    peak_bytes().saturating_sub(base)
 }

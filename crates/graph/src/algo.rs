@@ -1,5 +1,5 @@
 //! Small graph analyses shared across the workspace: BFS, connected
-//! components, triangles, k-cores and cycle census.
+//! components, triangles and cycle census.
 
 use crate::graph::{Graph, VertexId};
 use std::collections::VecDeque;
@@ -82,74 +82,6 @@ pub fn total_triangles(g: &Graph) -> usize {
     triangle_counts(g).iter().sum::<usize>() / 3
 }
 
-/// K-core decomposition: returns the core number of every vertex
-/// (the largest `k` such that the vertex belongs to the `k`-core).
-/// Implemented with the linear-time bucket peeling of Batagelj–Zaveršnik.
-pub fn core_numbers(g: &Graph) -> Vec<usize> {
-    let n = g.n();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v as VertexId)).collect();
-    let maxd = *deg.iter().max().unwrap();
-    // bucket sort vertices by degree
-    let mut bin = vec![0usize; maxd + 2];
-    for &d in &deg {
-        bin[d] += 1;
-    }
-    let mut start = 0;
-    for b in bin.iter_mut() {
-        let cnt = *b;
-        *b = start;
-        start += cnt;
-    }
-    let mut pos = vec![0usize; n];
-    let mut vert = vec![0usize; n];
-    for v in 0..n {
-        pos[v] = bin[deg[v]];
-        vert[pos[v]] = v;
-        bin[deg[v]] += 1;
-    }
-    for d in (1..bin.len()).rev() {
-        bin[d] = bin[d - 1];
-    }
-    bin[0] = 0;
-    let mut core = deg.clone();
-    for i in 0..n {
-        let v = vert[i];
-        for &w in g.neighbors(v as VertexId) {
-            let w = w as usize;
-            if deg[w] > deg[v] {
-                let dw = deg[w];
-                let pw = pos[w];
-                let ps = bin[dw];
-                let s = vert[ps];
-                if w != s {
-                    vert[pw] = s;
-                    vert[ps] = w;
-                    pos[w] = ps;
-                    pos[s] = pw;
-                }
-                bin[dw] += 1;
-                deg[w] -= 1;
-            }
-        }
-        core[v] = deg[v];
-    }
-    core
-}
-
-/// The maximum `k` over all vertices' core numbers, and the vertices of that
-/// highest k-core.
-pub fn highest_kcore(g: &Graph) -> (usize, Vec<VertexId>) {
-    let core = core_numbers(g);
-    let k = core.iter().copied().max().unwrap_or(0);
-    let verts = (0..g.n() as VertexId)
-        .filter(|&v| core[v as usize] == k)
-        .collect();
-    (k, verts)
-}
-
 /// Census of chordless cycle lengths ≥ 4 would be exponential in general;
 /// instead we report the *cyclomatic profile* the paper cares about for
 /// quasi-chordal graphs: for each connected component, `m - n + 1`
@@ -201,21 +133,6 @@ pub fn cycle_census(g: &Graph) -> CycleCensus {
         independent_cycles,
         triangle_free_edges: triangle_free,
     }
-}
-
-/// Local clustering coefficient of every vertex.
-pub fn clustering_coefficients(g: &Graph) -> Vec<f64> {
-    let tri = triangle_counts(g);
-    (0..g.n())
-        .map(|v| {
-            let d = g.degree(v as VertexId);
-            if d < 2 {
-                0.0
-            } else {
-                2.0 * tri[v] as f64 / (d as f64 * (d - 1) as f64)
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -277,26 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn core_numbers_clique_plus_tail() {
-        // K4 with a pendant path 4-5
-        let mut g = clique(4);
-        let mut g2 = Graph::new(6);
-        for (u, v) in g.edges() {
-            g2.add_edge(u, v);
-        }
-        g2.add_edge(3, 4);
-        g2.add_edge(4, 5);
-        g = g2;
-        let core = core_numbers(&g);
-        assert_eq!(&core[0..4], &[3, 3, 3, 3]);
-        assert_eq!(core[4], 1);
-        assert_eq!(core[5], 1);
-        let (k, verts) = highest_kcore(&g);
-        assert_eq!(k, 3);
-        assert_eq!(verts, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn cycle_census_on_c5() {
         let c = cycle_census(&cycle(5));
         assert_eq!(c.independent_cycles, 1);
@@ -308,16 +205,5 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (1, 3)]);
         let c = cycle_census(&g);
         assert_eq!(c.independent_cycles, 0);
-    }
-
-    #[test]
-    fn clustering_of_triangle() {
-        let g = clique(3);
-        assert_eq!(clustering_coefficients(&g), vec![1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn core_numbers_empty_graph() {
-        assert!(core_numbers(&Graph::new(0)).is_empty());
     }
 }

@@ -3,9 +3,10 @@
 //! betweenness, closeness and their combinations) to relate to node
 //! essentiality in terms of network robustness and organism survival."
 //!
-//! Used by the evaluation harness to verify that the chordal filter keeps
-//! the high-centrality backbone of the network (key genes), and exposed
-//! through the CLI for exploratory analysis.
+//! Degree and betweenness are the two measures implemented. The
+//! `essential_genes` example uses them to check that the chordal filter
+//! keeps the network's hubs (key genes), and `casbn stats --centrality`
+//! prints them.
 
 use crate::graph::{Graph, VertexId};
 use rayon::prelude::*;
@@ -23,54 +24,32 @@ pub fn degree_centrality(g: &Graph) -> Vec<f64> {
         .collect()
 }
 
-/// Closeness centrality with the Wasserman–Faust component correction:
-/// `((r−1)/(n−1)) · ((r−1)/Σd)` where `r` is the size of `v`'s reachable
-/// set — well-defined on the fragmented correlation networks this
-/// workspace produces.
-pub fn closeness_centrality(g: &Graph) -> Vec<f64> {
-    let n = g.n();
-    if n <= 1 {
-        return vec![0.0; n];
-    }
-    (0..n as VertexId)
-        .into_par_iter()
-        .map(|v| {
-            let dist = crate::algo::bfs_distances(g, v);
-            let mut sum = 0usize;
-            let mut reach = 0usize;
-            for &d in &dist {
-                if d != usize::MAX && d > 0 {
-                    sum += d;
-                    reach += 1;
-                }
-            }
-            if sum == 0 {
-                0.0
-            } else {
-                let r = reach as f64;
-                (r / (n - 1) as f64) * (r / sum as f64)
-            }
-        })
-        .collect()
-}
-
 /// Betweenness centrality by Brandes' algorithm (unweighted), with the
 /// per-source accumulation parallelised over sources. Scores are the raw
 /// (unnormalised) pair-dependency sums of the undirected convention
 /// (each pair counted once).
+///
+/// Sources run in parallel blocks of 64; each block's partial vectors are
+/// added into the scores in source order before the next block starts.
+/// Memory stays at `64 · n` floats rather than `n²`, and the summation
+/// order — hence every score's bits — does not depend on the block size
+/// or the thread count.
 pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
     let n = g.n();
     if n == 0 {
         return Vec::new();
     }
-    let partials: Vec<Vec<f64>> = (0..n as VertexId)
-        .into_par_iter()
-        .map(|s| brandes_source(g, s))
-        .collect();
     let mut bc = vec![0.0; n];
-    for p in partials {
-        for (i, x) in p.into_iter().enumerate() {
-            bc[i] += x;
+    for start in (0..n).step_by(SOURCE_BLOCK) {
+        let end = (start + SOURCE_BLOCK).min(n);
+        let partials: Vec<Vec<f64>> = (start as VertexId..end as VertexId)
+            .into_par_iter()
+            .map(|s| brandes_source(g, s))
+            .collect();
+        for p in &partials {
+            for (b, x) in bc.iter_mut().zip(p) {
+                *b += x;
+            }
         }
     }
     // undirected: each pair double-counted
@@ -79,6 +58,9 @@ pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
     }
     bc
 }
+
+/// Sources per parallel block in [`betweenness_centrality`].
+const SOURCE_BLOCK: usize = 64;
 
 fn brandes_source(g: &Graph, s: VertexId) -> Vec<f64> {
     let n = g.n();
@@ -117,53 +99,6 @@ fn brandes_source(g: &Graph, s: VertexId) -> Vec<f64> {
     out
 }
 
-/// Spearman rank correlation between two score vectors — used to compare
-/// centrality rankings before and after filtering.
-pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let n = a.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let ra = ranks(a);
-    let rb = ranks(b);
-    let mean = (n as f64 - 1.0) / 2.0;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for i in 0..n {
-        let (da, db) = (ra[i] - mean, rb[i] - mean);
-        cov += da * db;
-        va += da * da;
-        vb += db * db;
-    }
-    if va == 0.0 || vb == 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
-}
-
-fn ranks(x: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..x.len()).collect();
-    idx.sort_by(|&i, &j| x[i].partial_cmp(&x[j]).unwrap().then(i.cmp(&j)));
-    let mut r = vec![0.0; x.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        // average ranks over ties
-        let mut j = i;
-        while j + 1 < idx.len() && x[idx[j + 1]] == x[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0;
-        for &k in &idx[i..=j] {
-            r[k] = avg;
-        }
-        i = j + 1;
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,18 +123,6 @@ mod tests {
         for &x in &c[1..] {
             assert!((x - 0.25).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn closeness_peaks_at_path_center() {
-        let c = closeness_centrality(&path(5));
-        let max = c
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(max, 2, "center of a P5 has max closeness: {c:?}");
     }
 
     #[test]
@@ -234,26 +157,8 @@ mod tests {
     #[test]
     fn disconnected_graphs_handled() {
         let g = Graph::from_edges(5, &[(0, 1), (2, 3)]);
-        let c = closeness_centrality(&g);
-        assert!(c[4] == 0.0);
         let bc = betweenness_centrality(&g);
         assert!(bc.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn spearman_perfect_and_reversed() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [10.0, 20.0, 30.0, 40.0];
-        assert!((spearman(&a, &b) - 1.0).abs() < 1e-12);
-        let c = [4.0, 3.0, 2.0, 1.0];
-        assert!((spearman(&a, &c) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let a = [1.0, 1.0, 2.0, 3.0];
-        let b = [1.0, 1.0, 2.0, 3.0];
-        assert!((spearman(&a, &b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -261,15 +166,44 @@ mod tests {
         let g = barabasi_albert(300, 3, 7);
         let deg = degree_centrality(&g);
         let bet = betweenness_centrality(&g);
-        let rho = spearman(&deg, &bet);
-        assert!(rho > 0.5, "degree/betweenness rank agreement {rho:.2}");
+        let top = |scores: &[f64]| {
+            let mut idx: Vec<usize> = (0..scores.len()).collect();
+            idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+            idx.truncate(20);
+            idx
+        };
+        let (td, tb) = (top(&deg), top(&bet));
+        let shared = td.iter().filter(|v| tb.contains(v)).count();
+        assert!(
+            shared >= 15,
+            "degree/betweenness top-20 overlap {shared}/20"
+        );
+    }
+
+    #[test]
+    fn blocked_sum_matches_sequential_brandes_bitwise() {
+        // spans several source blocks, with a ragged last block
+        let g = barabasi_albert(3 * SOURCE_BLOCK + 17, 3, 11);
+        let mut want = vec![0.0; g.n()];
+        for s in 0..g.n() as VertexId {
+            for (w, x) in want.iter_mut().zip(brandes_source(&g, s)) {
+                *w += x;
+            }
+        }
+        for w in want.iter_mut() {
+            *w /= 2.0;
+        }
+        let got = betweenness_centrality(&g);
+        assert!(got
+            .iter()
+            .zip(&want)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
     fn centrality_vectors_have_graph_length() {
         let g = gnm(40, 80, 3);
         assert_eq!(degree_centrality(&g).len(), 40);
-        assert_eq!(closeness_centrality(&g).len(), 40);
         assert_eq!(betweenness_centrality(&g).len(), 40);
     }
 }

@@ -139,42 +139,6 @@ pub fn planted_partition(
     (g, PlantedModules { modules: planted })
 }
 
-/// Watts–Strogatz small world: a ring lattice where each vertex connects
-/// to its `k/2` nearest neighbours on both sides, with each edge rewired
-/// to a random endpoint with probability `beta`.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
-    assert!(
-        k >= 2 && k.is_multiple_of(2) && n > k,
-        "need even k >= 2 and n > k"
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for d in 1..=k / 2 {
-            let v = (u + d) % n;
-            if rng.gen_bool(beta) {
-                // rewire: keep u, pick a random non-neighbour endpoint
-                let mut guard = 0;
-                loop {
-                    let w = rng.gen_range(0..n);
-                    if w != u && !g.has_edge(u as VertexId, w as VertexId) {
-                        g.add_edge(u as VertexId, w as VertexId);
-                        break;
-                    }
-                    guard += 1;
-                    if guard > 50 {
-                        g.add_edge(u as VertexId, v as VertexId);
-                        break;
-                    }
-                }
-            } else {
-                g.add_edge(u as VertexId, v as VertexId);
-            }
-        }
-    }
-    g
-}
-
 /// Connected caveman graph: `cliques` cliques of size `csize` joined in a
 /// ring by single edges. The worst case for partition border analysis —
 /// any block cut slices through a clique.
@@ -264,22 +228,6 @@ mod tests {
         let (g, truth) = planted_partition(200, 3, 10, 1.0, 50, 4);
         let module_edges: usize = truth.modules.len() * (10 * 9) / 2;
         assert_eq!(g.m(), module_edges + 50);
-    }
-
-    #[test]
-    fn watts_strogatz_no_rewire_is_ring_lattice() {
-        let g = watts_strogatz(20, 4, 0.0, 1);
-        assert_eq!(g.m(), 40); // n*k/2
-        for v in 0..20u32 {
-            assert_eq!(g.degree(v), 4);
-        }
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_keeps_edge_count_close() {
-        let g = watts_strogatz(100, 6, 0.3, 2);
-        // rewiring can collide and fall back, but stays within a few edges
-        assert!(g.m() >= 290 && g.m() <= 300, "m={}", g.m());
     }
 
     #[test]

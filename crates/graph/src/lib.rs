@@ -14,8 +14,8 @@
 //!   applies them to the streaming subsystem's live network.
 //! * [`generators`] — seeded synthetic graph generators (G(n,m),
 //!   Barabási–Albert, planted-partition, caveman chains).
-//! * [`algo`] — BFS, connected components, triangles, k-cores, density and
-//!   other small analyses used by MCODE and the evaluation harness.
+//! * [`algo`] — BFS, connected components, triangles and the cycle census
+//!   used by MCODE and the evaluation harness.
 //! * [`store`] — the `.csbn` graph-section codec: CSR graph sections
 //!   loaded with no per-edge parsing.
 //! * [`nbhood`] — zero-allocation neighbourhood kernels: adaptive

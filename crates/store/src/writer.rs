@@ -9,7 +9,6 @@ use crate::{
     align8, fnv1a, Fnv1a, SectionKind, CREATOR_LEN, ENDIAN_TAG, FOOTER_LEN, FOOTER_MAGIC,
     FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
-use std::io::Write;
 
 /// Builds a `.csbn` container from section payloads.
 ///
@@ -194,11 +193,6 @@ impl StoreWriter {
             footer,
             generation,
         })
-    }
-
-    /// Write the assembled container to `w`.
-    pub fn write_to<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(&self.to_bytes())
     }
 
     /// Write the assembled container to a file path **atomically**: the
