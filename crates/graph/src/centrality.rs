@@ -10,7 +10,7 @@
 
 use crate::graph::{Graph, VertexId};
 use rayon::prelude::*;
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Degree centrality: degree / (n − 1).
 pub fn degree_centrality(g: &Graph) -> Vec<f64> {
@@ -29,27 +29,47 @@ pub fn degree_centrality(g: &Graph) -> Vec<f64> {
 /// (unnormalised) pair-dependency sums of the undirected convention
 /// (each pair counted once).
 ///
-/// Sources run in parallel blocks of 64; each block's partial vectors are
-/// added into the scores in source order before the next block starts.
-/// Memory stays at `64 · n` floats rather than `n²`, and the summation
-/// order — hence every score's bits — does not depend on the block size
-/// or the thread count.
+/// Sources run in parallel blocks of 64, split into one contiguous run
+/// per worker thread. Each worker owns one set of length-n buffers for the
+/// whole call and resets only what a source's BFS touched, so a source
+/// costs time linear in its own component, not in n. A source returns a
+/// sparse partial, the `(vertex, dependency)` pairs its BFS reached with a
+/// non-zero dependency, and each block's partials are added into the
+/// scores in source order before the next block starts. The scores start
+/// at +0.0 and every dependency is positive, so the zero terms left out
+/// would not change a bit, and the summation order — hence every score's
+/// bits — does not depend on the block size or the thread count.
 pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
     let n = g.n();
     if n == 0 {
         return Vec::new();
     }
+    let workers = rayon::current_num_threads().clamp(1, SOURCE_BLOCK);
+    let mut scratches: Vec<BrandesScratch> = (0..workers).map(|_| BrandesScratch::new(n)).collect();
     let mut bc = vec![0.0; n];
     for start in (0..n).step_by(SOURCE_BLOCK) {
         let end = (start + SOURCE_BLOCK).min(n);
-        let partials: Vec<Vec<f64>> = (start as VertexId..end as VertexId)
-            .into_par_iter()
-            .map(|s| brandes_source(g, s))
+        let per = (end - start).div_ceil(workers);
+        let runs: Vec<(BrandesScratch, Range<usize>)> = scratches
+            .drain(..)
+            .enumerate()
+            .map(|(i, scratch)| {
+                let lo = (start + i * per).min(end);
+                (scratch, lo..(lo + per).min(end))
+            })
             .collect();
-        for p in &partials {
-            for (b, x) in bc.iter_mut().zip(p) {
-                *b += x;
+        let done: Vec<(BrandesScratch, Vec<Partial>)> = runs
+            .into_par_iter()
+            .map(|(mut scratch, sources)| {
+                let partials = sources.map(|s| scratch.source(g, s as VertexId)).collect();
+                (scratch, partials)
+            })
+            .collect();
+        for (scratch, partials) in done {
+            for &(w, x) in partials.iter().flatten() {
+                bc[w as usize] += x;
             }
+            scratches.push(scratch);
         }
     }
     // undirected: each pair double-counted
@@ -62,41 +82,83 @@ pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
 /// Sources per parallel block in [`betweenness_centrality`].
 const SOURCE_BLOCK: usize = 64;
 
-fn brandes_source(g: &Graph, s: VertexId) -> Vec<f64> {
-    let n = g.n();
-    let mut stack: Vec<VertexId> = Vec::with_capacity(n);
-    let mut preds: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut sigma = vec![0.0f64; n];
-    let mut dist = vec![i64::MAX; n];
-    sigma[s as usize] = 1.0;
-    dist[s as usize] = 0;
-    let mut q = VecDeque::new();
-    q.push_back(s);
-    while let Some(v) = q.pop_front() {
-        stack.push(v);
-        let dv = dist[v as usize];
-        for &w in g.neighbors(v) {
-            if dist[w as usize] == i64::MAX {
-                dist[w as usize] = dv + 1;
-                q.push_back(w);
-            }
-            if dist[w as usize] == dv + 1 {
-                sigma[w as usize] += sigma[v as usize];
-                preds[w as usize].push(v);
-            }
+/// One source's dependencies, as sparse `(vertex, dependency)` pairs.
+type Partial = Vec<(VertexId, f64)>;
+
+/// One worker's Brandes buffers, all of length n. Between sources `dist`
+/// holds `u32::MAX` and `sigma`/`delta` hold 0.0 everywhere; a source
+/// resets only the vertices its BFS reached.
+struct BrandesScratch {
+    dist: Vec<u32>,
+    sigma: Vec<f64>,
+    delta: Vec<f64>,
+    /// BFS order of the current source: the FIFO queue of the forward
+    /// pass, popped from the back as the stack of the backward pass.
+    order: Vec<VertexId>,
+}
+
+impl BrandesScratch {
+    fn new(n: usize) -> BrandesScratch {
+        BrandesScratch {
+            dist: vec![u32::MAX; n],
+            sigma: vec![0.0; n],
+            delta: vec![0.0; n],
+            order: Vec::new(),
         }
     }
-    let mut delta = vec![0.0f64; n];
-    let mut out = vec![0.0f64; n];
-    while let Some(w) = stack.pop() {
-        for &v in &preds[w as usize] {
-            delta[v as usize] += sigma[v as usize] / sigma[w as usize] * (1.0 + delta[w as usize]);
+
+    /// Source `s`'s dependencies `δ_s(w)`, as `(w, δ_s(w))` for every
+    /// `w ≠ s` with `δ_s(w) > 0`.
+    ///
+    /// The backward pass finds `w`'s shortest-path predecessors as the
+    /// neighbours one level closer to `s` instead of storing them. Each
+    /// `delta[v]` still receives one term per successor `w`, in the order
+    /// the `w` leave the stack, so every dependency keeps its bits.
+    fn source(&mut self, g: &Graph, s: VertexId) -> Partial {
+        let BrandesScratch {
+            dist,
+            sigma,
+            delta,
+            order,
+        } = self;
+        order.clear();
+        dist[s as usize] = 0;
+        sigma[s as usize] = 1.0;
+        order.push(s);
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            let dv = dist[v as usize];
+            for &w in g.neighbors(v) {
+                if dist[w as usize] == u32::MAX {
+                    dist[w as usize] = dv + 1;
+                    order.push(w);
+                }
+                if dist[w as usize] == dv + 1 {
+                    sigma[w as usize] += sigma[v as usize];
+                }
+            }
         }
-        if w != s {
-            out[w as usize] += delta[w as usize];
+        let mut out = Vec::new();
+        for &w in order.iter().rev() {
+            let dw = dist[w as usize];
+            let coeff = 1.0 + delta[w as usize];
+            for &v in g.neighbors(w) {
+                if dist[v as usize] + 1 == dw {
+                    delta[v as usize] += sigma[v as usize] / sigma[w as usize] * coeff;
+                }
+            }
+            if w != s && delta[w as usize] != 0.0 {
+                out.push((w, delta[w as usize]));
+            }
         }
+        for &v in order.iter() {
+            dist[v as usize] = u32::MAX;
+            sigma[v as usize] = 0.0;
+            delta[v as usize] = 0.0;
+        }
+        out
     }
-    out
 }
 
 #[cfg(test)]
@@ -114,6 +176,78 @@ mod tests {
             .map(|i| (i as VertexId, i as VertexId + 1))
             .collect();
         Graph::from_edges(n, &edges)
+    }
+
+    /// One source's dependencies as a dense length-n vector.
+    fn brandes_source(g: &Graph, s: VertexId) -> Vec<f64> {
+        let mut dense = vec![0.0; g.n()];
+        for (w, x) in BrandesScratch::new(g.n()).source(g, s) {
+            dense[w as usize] = x;
+        }
+        dense
+    }
+
+    /// The textbook Brandes source pass, with fresh length-n arrays and
+    /// stored predecessor lists: the oracle of the scratch kernel.
+    fn brandes_source_stored_preds(g: &Graph, s: VertexId) -> Vec<f64> {
+        let n = g.n();
+        let mut stack: Vec<VertexId> = Vec::with_capacity(n);
+        let mut preds: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut sigma = vec![0.0f64; n];
+        let mut dist = vec![i64::MAX; n];
+        sigma[s as usize] = 1.0;
+        dist[s as usize] = 0;
+        let mut q = std::collections::VecDeque::new();
+        q.push_back(s);
+        while let Some(v) = q.pop_front() {
+            stack.push(v);
+            let dv = dist[v as usize];
+            for &w in g.neighbors(v) {
+                if dist[w as usize] == i64::MAX {
+                    dist[w as usize] = dv + 1;
+                    q.push_back(w);
+                }
+                if dist[w as usize] == dv + 1 {
+                    sigma[w as usize] += sigma[v as usize];
+                    preds[w as usize].push(v);
+                }
+            }
+        }
+        let mut delta = vec![0.0f64; n];
+        let mut out = vec![0.0f64; n];
+        while let Some(w) = stack.pop() {
+            for &v in &preds[w as usize] {
+                delta[v as usize] +=
+                    sigma[v as usize] / sigma[w as usize] * (1.0 + delta[w as usize]);
+            }
+            if w != s {
+                out[w as usize] += delta[w as usize];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn scratch_kernel_matches_stored_predecessor_kernel_bitwise() {
+        // one scratch across every source, so a missed reset shows up; the
+        // sparse gnm graph has many small components and isolated vertices
+        for g in [barabasi_albert(150, 3, 5), gnm(300, 240, 9), star(9)] {
+            let mut scratch = BrandesScratch::new(g.n());
+            for s in 0..g.n() as VertexId {
+                let mut got = vec![0.0f64; g.n()];
+                for (w, x) in scratch.source(&g, s) {
+                    assert!(x > 0.0 && w != s);
+                    got[w as usize] = x;
+                }
+                let want = brandes_source_stored_preds(&g, s);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "source {s} diverged"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! processes vertices in ascending *new* label, so "High Degree Order"
 //! means hub vertices receive the smallest new labels.
 
-use crate::algo::bfs_distances;
 use crate::graph::{Graph, VertexId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 
 /// The vertex orderings compared in the paper, plus `Random` for testing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -63,7 +62,7 @@ pub fn ordering_permutation(g: &Graph, kind: OrderingKind) -> Vec<VertexId> {
         OrderingKind::Natural => (0..n as VertexId).collect(),
         OrderingKind::HighDegree => {
             let mut verts: Vec<VertexId> = (0..n as VertexId).collect();
-            verts.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+            verts.sort_by_key(|&v| (Reverse(g.degree(v)), v));
             rank_of(&verts)
         }
         OrderingKind::LowDegree => {
@@ -100,20 +99,51 @@ fn rank_of(verts: &[VertexId]) -> Vec<VertexId> {
 
 /// Find a pseudo-peripheral vertex of the component containing `start` by
 /// the standard double-BFS sweep (George–Liu).
-fn pseudo_peripheral(g: &Graph, start: VertexId) -> VertexId {
+///
+/// Each sweep is a BFS that touches only `start`'s component: `dist` is a
+/// length-n buffer shared by the whole ordering, which must hold
+/// `usize::MAX` everywhere on entry; the sweep records the vertices it
+/// reaches in `seen` and resets exactly those before returning, so a sweep
+/// costs O(component vertices + edges), not O(n). Every sweep strictly
+/// lengthens the eccentricity, so a component takes at most its diameter
+/// plus one sweeps, and in practice two or three.
+///
+/// The next sweep starts from the farthest vertex, chosen by the key
+/// `(distance, Reverse(degree), Reverse(id))`: farthest first, then lowest
+/// degree (the classic RCM heuristic), then lowest id. The id makes the key
+/// unique per vertex, so the choice depends only on the set of vertices at
+/// each distance, never on the order the BFS visited them in.
+fn pseudo_peripheral(
+    g: &Graph,
+    start: VertexId,
+    dist: &mut [usize],
+    seen: &mut Vec<VertexId>,
+) -> VertexId {
     let mut v = start;
     let mut ecc = 0usize;
     loop {
-        let dist = bfs_distances(g, v);
-        let (far, fd) = dist
+        seen.clear();
+        dist[v as usize] = 0;
+        seen.push(v);
+        let mut head = 0;
+        while let Some(&u) = seen.get(head) {
+            head += 1;
+            let du = dist[u as usize];
+            for &w in g.neighbors(u) {
+                if dist[w as usize] == usize::MAX {
+                    dist[w as usize] = du + 1;
+                    seen.push(w);
+                }
+            }
+        }
+        let (far, fd) = seen
             .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != usize::MAX)
-            // among farthest, prefer lowest degree (classic RCM heuristic),
-            // then lowest id for determinism
-            .map(|(u, &d)| (u as VertexId, d))
-            .max_by_key(|&(u, d)| (d, std::cmp::Reverse(g.degree(u)), std::cmp::Reverse(u)))
+            .map(|&u| (u, dist[u as usize]))
+            .max_by_key(|&(u, d)| (d, Reverse(g.degree(u)), Reverse(u)))
             .unwrap();
+        for &u in seen.iter() {
+            dist[u as usize] = usize::MAX;
+        }
         if fd <= ecc {
             return v;
         }
@@ -124,10 +154,20 @@ fn pseudo_peripheral(g: &Graph, start: VertexId) -> VertexId {
 
 /// Reverse Cuthill–McKee: BFS from a pseudo-peripheral vertex of each
 /// component (components visited by smallest contained id), neighbours
-/// enqueued in ascending degree, final order reversed.
+/// enqueued in ascending `(degree, id)`, final order reversed.
+///
+/// Cost: every BFS — the pseudo-peripheral sweeps and the numbering pass —
+/// is linear in its own component, and the numbering pass sorts each
+/// vertex's unvisited neighbours once, so the whole ordering costs
+/// O(n + m log Δ) (Δ the maximum degree) times the few sweeps per
+/// component. The numbering pass uses `order` itself as its FIFO queue:
+/// vertices are numbered in the order they are enqueued.
 fn rcm_permutation(g: &Graph) -> Vec<VertexId> {
     let n = g.n();
     let mut visited = vec![false; n];
+    let mut dist = vec![usize::MAX; n];
+    let mut seen: Vec<VertexId> = Vec::new();
+    let mut nbrs: Vec<VertexId> = Vec::new();
     let mut order: Vec<VertexId> = Vec::with_capacity(n);
     for s in 0..n {
         if visited[s] {
@@ -136,23 +176,25 @@ fn rcm_permutation(g: &Graph) -> Vec<VertexId> {
         let root = if g.degree(s as VertexId) == 0 {
             s as VertexId
         } else {
-            pseudo_peripheral(g, s as VertexId)
+            pseudo_peripheral(g, s as VertexId, &mut dist, &mut seen)
         };
-        let mut q = VecDeque::new();
         visited[root as usize] = true;
-        q.push_back(root);
-        while let Some(v) = q.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<VertexId> = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&w| !visited[w as usize])
-                .collect();
-            nbrs.sort_by_key(|&w| (g.degree(w), w));
-            for w in nbrs {
+        let mut head = order.len();
+        order.push(root);
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            nbrs.clear();
+            nbrs.extend(
+                g.neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| !visited[w as usize]),
+            );
+            // the id makes every key distinct, so an unstable sort is exact
+            nbrs.sort_unstable_by_key(|&w| (g.degree(w), w));
+            for &w in &nbrs {
                 visited[w as usize] = true;
-                q.push_back(w);
+                order.push(w);
             }
         }
     }
