@@ -10,7 +10,7 @@
 
 use crate::graph::{Graph, VertexId};
 use rayon::prelude::*;
-use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Degree centrality: degree / (n − 1).
 pub fn degree_centrality(g: &Graph) -> Vec<f64> {
@@ -29,16 +29,21 @@ pub fn degree_centrality(g: &Graph) -> Vec<f64> {
 /// (unnormalised) pair-dependency sums of the undirected convention
 /// (each pair counted once).
 ///
-/// Sources run in parallel blocks of 64, split into one contiguous run
-/// per worker thread. Each worker owns one set of length-n buffers for the
-/// whole call and resets only what a source's BFS touched, so a source
-/// costs time linear in its own component, not in n. A source returns a
-/// sparse partial, the `(vertex, dependency)` pairs its BFS reached with a
-/// non-zero dependency, and each block's partials are added into the
-/// scores in source order before the next block starts. The scores start
-/// at +0.0 and every dependency is positive, so the zero terms left out
-/// would not change a bit, and the summation order — hence every score's
-/// bits — does not depend on the block size or the thread count.
+/// Sources run in parallel blocks of 64. Within a block the workers take
+/// sources one at a time from a shared counter, so a worker that drew
+/// cheap sources (isolated vertices, small components) moves on instead
+/// of idling while another works through the giant component, and a
+/// block's workers finish within one source's work of each other.
+/// Each worker owns one set of length-n buffers for the whole call and
+/// resets only what a source's BFS touched, so a source costs time linear
+/// in its own component, not in n. A source returns a sparse partial, the
+/// `(vertex, dependency)` pairs its BFS reached with a non-zero
+/// dependency, and each block's partials are added into the scores in
+/// source order before the next block starts. The scores start at +0.0
+/// and every dependency is positive, so the zero terms left out would not
+/// change a bit, and the summation order — hence every score's bits —
+/// does not depend on the block size, the thread count or which worker
+/// ran which source.
 pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
     let n = g.n();
     if n == 0 {
@@ -47,29 +52,37 @@ pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
     let workers = rayon::current_num_threads().clamp(1, SOURCE_BLOCK);
     let mut scratches: Vec<BrandesScratch> = (0..workers).map(|_| BrandesScratch::new(n)).collect();
     let mut bc = vec![0.0; n];
+    let mut slots: Vec<Partial> = Vec::new();
     for start in (0..n).step_by(SOURCE_BLOCK) {
         let end = (start + SOURCE_BLOCK).min(n);
-        let per = (end - start).div_ceil(workers);
-        let runs: Vec<(BrandesScratch, Range<usize>)> = scratches
-            .drain(..)
-            .enumerate()
-            .map(|(i, scratch)| {
-                let lo = (start + i * per).min(end);
-                (scratch, lo..(lo + per).min(end))
-            })
-            .collect();
-        let done: Vec<(BrandesScratch, Vec<Partial>)> = runs
+        // hands out source indices only; partials come back through the
+        // workers' joins
+        let next = AtomicUsize::new(start);
+        let done: Vec<(BrandesScratch, Vec<(usize, Partial)>)> = std::mem::take(&mut scratches)
             .into_par_iter()
-            .map(|(mut scratch, sources)| {
-                let partials = sources.map(|s| scratch.source(g, s as VertexId)).collect();
+            .map(|mut scratch| {
+                let mut partials = Vec::new();
+                loop {
+                    let s = next.fetch_add(1, Ordering::Relaxed);
+                    if s >= end {
+                        break;
+                    }
+                    partials.push((s, scratch.source(g, s as VertexId)));
+                }
                 (scratch, partials)
             })
             .collect();
+        slots.resize_with(end - start, Vec::new);
         for (scratch, partials) in done {
-            for &(w, x) in partials.iter().flatten() {
-                bc[w as usize] += x;
+            for (s, partial) in partials {
+                slots[s - start] = partial;
             }
             scratches.push(scratch);
+        }
+        for partial in slots.drain(..) {
+            for (w, x) in partial {
+                bc[w as usize] += x;
+            }
         }
     }
     // undirected: each pair double-counted

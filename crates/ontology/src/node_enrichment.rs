@@ -9,12 +9,17 @@
 //! (AEES) scorer: AEES scores *relationships*, node enrichment scores
 //! *memberships*, and the two must agree on the planted modules — which
 //! the cross-validation test at the bottom asserts.
+//!
+//! The serving tier answers gene-set queries through a resident
+//! [`EnrichmentIndex`]: each query costs one sort of its genes' terms and
+//! table reads, with no map and no logarithm, and returns bit for bit
+//! what [`hypergeometric_tail`] over a fresh count would
+//! (`tests/enrich_differential.rs` holds the map-based oracle).
 
 use crate::dag::TermId;
 use crate::enrichment::AnnotatedOntology;
 use casbn_graph::VertexId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One enriched term in a cluster.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -33,6 +38,14 @@ pub struct EnrichedTerm {
 /// population of `n` containing `big_k` successes. Exact summation in
 /// log-space; fine for the population sizes here (≤ ~30k genes).
 pub fn hypergeometric_tail(x: usize, k: usize, big_k: usize, n: usize) -> f64 {
+    tail_with(x, k, big_k, n, ln_factorial)
+}
+
+/// The one tail routine behind [`hypergeometric_tail`] and
+/// [`EnrichmentIndex::enrich`]; they differ only in where `ln i!` comes
+/// from (computed, or read from a table of the same function's values).
+/// Every `ln_fact` argument is at most `n`.
+fn tail_with(x: usize, k: usize, big_k: usize, n: usize, ln_fact: impl Fn(usize) -> f64) -> f64 {
     if x == 0 {
         return 1.0;
     }
@@ -43,7 +56,7 @@ pub fn hypergeometric_tail(x: usize, k: usize, big_k: usize, n: usize) -> f64 {
         if r > n {
             return f64::NEG_INFINITY;
         }
-        ln_factorial(n) - ln_factorial(r) - ln_factorial(n - r)
+        ln_fact(n) - ln_fact(r) - ln_fact(n - r)
     };
     let denom = ln_choose(n, k);
     let mut p = 0.0f64;
@@ -69,32 +82,49 @@ fn ln_factorial(n: usize) -> f64 {
 
 /// Resident background-frequency index for repeated enrichment queries.
 ///
-/// [`enrich_cluster`] rebuilds the background term-frequency table on
-/// every call — fine for a one-shot pipeline pass, wasteful for a
-/// serving tier that answers many gene-set queries against the same
-/// annotation snapshot. `EnrichmentIndex` precomputes the table once;
-/// [`EnrichmentIndex::enrich`] then only counts terms inside the query
-/// set.
+/// [`enrich_cluster`] rebuilds this index on every call — fine for a
+/// one-shot pipeline pass, wasteful for a serving tier that answers many
+/// gene-set queries against the same annotation snapshot.
+/// `EnrichmentIndex` is built once per annotation: the background count
+/// of every term, in a vector indexed by [`TermId`] (term ids are
+/// dense), and `ln i!` for every `i ≤ N`. A query then costs one sort of
+/// its genes' concatenated term lists plus table reads: no map and no
+/// logarithm (only the `exp` of each tail summand).
+///
+/// The answers are bit-identical to the map-and-`ln` path it replaces:
+/// the table holds the values of the function [`hypergeometric_tail`]
+/// calls, both go through one tail routine that sums in the same order,
+/// and the sorted term runs come out in ascending term order, as a
+/// `BTreeMap` iterates, so the tested set, the Bonferroni factor and the
+/// tie order do not change.
 #[derive(Clone, Debug)]
 pub struct EnrichmentIndex {
     /// Background gene count `N`.
     n: usize,
-    /// Background annotation frequency per term.
-    bg: BTreeMap<TermId, usize>,
+    /// Background annotation frequency, indexed by term id.
+    bg: Vec<u32>,
+    /// `ln_fact[i] = ln i!` for `i in 0..=N`.
+    ln_fact: Vec<f64>,
 }
 
 impl EnrichmentIndex {
     /// Build the background table from an annotated ontology.
     pub fn new(onto: &AnnotatedOntology) -> EnrichmentIndex {
-        let mut bg: BTreeMap<TermId, usize> = BTreeMap::new();
+        let mut bg = vec![0u32; onto.dag.n_terms()];
         for ann in &onto.annotations {
             for &t in ann {
-                *bg.entry(t).or_default() += 1;
+                let t = t as usize;
+                if t >= bg.len() {
+                    bg.resize(t + 1, 0);
+                }
+                bg[t] += 1;
             }
         }
+        let n = onto.annotations.len();
         EnrichmentIndex {
-            n: onto.annotations.len(),
+            n,
             bg,
+            ln_fact: (0..=n).map(ln_factorial).collect(),
         }
     }
 
@@ -113,19 +143,27 @@ impl EnrichmentIndex {
         genes: &[VertexId],
         max_p: f64,
     ) -> Vec<EnrichedTerm> {
-        let mut inside: BTreeMap<TermId, usize> = BTreeMap::new();
+        let len = genes.iter().map(|&g| onto.terms_of(g).len()).sum();
+        let mut terms: Vec<TermId> = Vec::with_capacity(len);
         for &g in genes {
-            for &t in onto.terms_of(g) {
-                *inside.entry(t).or_default() += 1;
-            }
+            terms.extend_from_slice(onto.terms_of(g));
         }
-        let tested: Vec<(&TermId, &usize)> = inside.iter().filter(|&(_, &c)| c >= 2).collect();
+        terms.sort_unstable();
+        // (term, genes carrying it) for every term at least two carry,
+        // in ascending term order
+        let tested: Vec<(TermId, usize)> = terms
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= 2)
+            .map(|run| (run[0], run.len()))
+            .collect();
         let correction = tested.len().max(1) as f64;
+        let ln_fact = |i: usize| self.ln_fact[i];
         let mut out: Vec<EnrichedTerm> = tested
             .into_iter()
-            .filter_map(|(&t, &x)| {
-                let big_k = self.bg[&t];
-                let p = (hypergeometric_tail(x, genes.len(), big_k, self.n) * correction).min(1.0);
+            .filter_map(|(t, x)| {
+                let big_k = self.bg[t as usize] as usize;
+                let tail = tail_with(x, genes.len(), big_k, self.n, ln_fact);
+                let p = (tail * correction).min(1.0);
                 (p <= max_p).then_some(EnrichedTerm {
                     term: t,
                     in_cluster: x,

@@ -316,15 +316,32 @@ pub enum Response {
 impl Response {
     /// Encode to a canonical payload (no length prefix).
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut out = self.encode_frame();
+        out.drain(..4);
+        out
+    }
+
+    /// Encode to a full frame (length prefix + payload).
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_frame_into(&mut out);
+        out
+    }
+
+    /// Append one full frame to `out`, after whatever it already holds:
+    /// the length prefix is reserved, the payload encoded in place and
+    /// the prefix patched, so a session can encode every response of a
+    /// batch into one reused buffer.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut e = Enc::from_vec(std::mem::take(out));
+        e.u32(0); // payload length, patched below
         match self {
             Response::Error { code, message } => {
                 e.u32(1);
                 e.u32(*code);
                 e.u32(message.len() as u32);
-                let mut p = e.into_payload();
-                p.extend_from_slice(message.as_bytes());
-                return p;
+                e.bytes(message.as_bytes());
             }
             Response::Neighborhood { gene, neighbors } => {
                 e.u32(0);
@@ -388,12 +405,10 @@ impl Response {
                 e.u64(*epoch);
             }
         }
-        e.into_payload()
-    }
-
-    /// Encode to a full frame (length prefix + payload).
-    pub fn encode_frame(&self) -> Vec<u8> {
-        frame(&self.encode_payload())
+        *out = e.into_payload();
+        let len = out.len() - start - 4;
+        assert!(len <= MAX_FRAME, "frame payload exceeds cap");
+        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     }
 
     /// Decode one response from a frame payload (the scripted client
@@ -545,9 +560,23 @@ pub fn read_frame<R: Read>(
     r: &mut R,
     shutdown: &AtomicBool,
 ) -> Result<Option<Vec<u8>>, ProtocolError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload, shutdown)?.then_some(payload))
+}
+
+/// [`read_frame`] into a caller-owned buffer: on `Ok(true)` `payload`
+/// holds exactly the frame's payload, so one buffer serves a whole
+/// session. `Ok(false)` is a clean EOF or shutdown between frames. The
+/// declared length is checked against [`MAX_FRAME`] before the buffer
+/// grows.
+pub fn read_frame_into<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+    shutdown: &AtomicBool,
+) -> Result<bool, ProtocolError> {
     let mut header = [0u8; 4];
     match read_full(r, &mut header, shutdown)? {
-        0 => return Ok(None),
+        0 => return Ok(false),
         4 => {}
         got => return Err(ProtocolError::Truncated { need: 4, have: got }),
     }
@@ -555,15 +584,16 @@ pub fn read_frame<R: Read>(
     if len > MAX_FRAME {
         return Err(ProtocolError::Oversize { len });
     }
-    let mut payload = vec![0u8; len];
-    let got = read_full(r, &mut payload, shutdown)?;
+    payload.clear();
+    payload.resize(len, 0);
+    let got = read_full(r, payload, shutdown)?;
     if got != len {
         return Err(ProtocolError::Truncated {
             need: len,
             have: got,
         });
     }
-    Ok(Some(payload))
+    Ok(true)
 }
 
 /// Fill `buf` from `r`, tolerating interrupted and timed-out reads.
@@ -622,9 +652,10 @@ mod tests {
         roundtrip(Request::Ingest { windows: 1 });
     }
 
-    #[test]
-    fn response_roundtrips() {
-        let cases = vec![
+    /// One response of every variant (both `ClusterOf` shapes, an empty
+    /// and a non-empty `Enrich`).
+    fn every_response() -> Vec<Response> {
+        vec![
             Response::Neighborhood {
                 gene: 2,
                 neighbors: vec![0, 5, 9],
@@ -667,16 +698,35 @@ mod tests {
                 windows_run: 2,
                 epoch: 5,
             },
+            Response::Enrich { terms: vec![] },
             Response::Error {
                 code: ERR_BAD_GENE,
                 message: "gene 99 out of range".into(),
             },
-        ];
-        for r in cases {
+        ]
+    }
+
+    #[test]
+    fn response_roundtrips() {
+        for r in every_response() {
             let payload = r.encode_payload();
             let back = Response::decode_payload(&payload).unwrap();
             assert_eq!(back, r);
             assert_eq!(back.encode_payload(), payload);
+        }
+    }
+
+    #[test]
+    fn frame_into_appends_the_same_bytes() {
+        let mut out = b"earlier bytes".to_vec();
+        let mut want = out.clone();
+        for r in every_response() {
+            let frame = r.encode_frame();
+            assert_eq!(&frame[4..], &r.encode_payload()[..]);
+            assert_eq!(frame[..4], ((frame.len() - 4) as u32).to_le_bytes());
+            r.encode_frame_into(&mut out);
+            want.extend_from_slice(&frame);
+            assert_eq!(out, want, "{r:?}");
         }
     }
 
@@ -794,5 +844,45 @@ mod tests {
             read_frame(&mut cur, &shutdown),
             Err(ProtocolError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn read_frame_into_reuses_one_buffer() {
+        let shutdown = AtomicBool::new(false);
+        let long = Request::Enrich {
+            genes: (0..40).collect(),
+        };
+        let mut buf = long.encode_frame();
+        buf.extend_from_slice(&Request::Stats.encode_frame());
+        let mut cur = std::io::Cursor::new(buf);
+        let mut payload = Vec::new();
+        assert!(read_frame_into(&mut cur, &mut payload, &shutdown).unwrap());
+        assert_eq!(payload, long.encode_payload());
+        // the short payload after it carries no stale tail
+        assert!(read_frame_into(&mut cur, &mut payload, &shutdown).unwrap());
+        assert_eq!(payload, Request::Stats.encode_payload());
+        assert!(!read_frame_into(&mut cur, &mut payload, &shutdown).unwrap());
+
+        // an oversize header fails before the buffer grows
+        let mut cur = std::io::Cursor::new(((MAX_FRAME + 1) as u32).to_le_bytes().to_vec());
+        let mut fresh = Vec::new();
+        assert_eq!(
+            read_frame_into(&mut cur, &mut fresh, &shutdown),
+            Err(ProtocolError::Oversize { len: MAX_FRAME + 1 })
+        );
+        assert_eq!(fresh.capacity(), 0);
+
+        // a truncated header or body is typed truncation
+        let frame = Request::Rho { u: 1, v: 2 }.encode_frame();
+        let mut cur = std::io::Cursor::new(frame[..2].to_vec());
+        assert_eq!(
+            read_frame_into(&mut cur, &mut payload, &shutdown),
+            Err(ProtocolError::Truncated { need: 4, have: 2 })
+        );
+        let mut cur = std::io::Cursor::new(frame[..9].to_vec());
+        assert_eq!(
+            read_frame_into(&mut cur, &mut payload, &shutdown),
+            Err(ProtocolError::Truncated { need: 12, have: 5 })
+        );
     }
 }

@@ -9,6 +9,14 @@
 //! buffered query is answered before the session returns, so no
 //! accepted request is ever dropped.
 //!
+//! A session owns two buffers for its whole life: the read buffer every
+//! request payload lands in ([`read_frame_into`] sizes it to each frame
+//! after the length check), and the write buffer every response frame of
+//! a batch is encoded into, back to back
+//! ([`Response::encode_frame_into`]). Each batch reaches the transport as
+//! one `write_all` of that buffer, and the response checksum folds over
+//! it. So the steady state allocates no per-frame buffers.
+//!
 //! Pipe mode (`stdin`/`stdout`) is the deterministic test surface: a
 //! session over the same input bytes produces the same output bytes for
 //! any worker count. The TCP listener serves concurrent read-only
@@ -18,7 +26,7 @@
 use crate::batch::{execute_batch, BATCH_MAX};
 use crate::engine::ServeEngine;
 use crate::protocol::{
-    read_frame, ProtocolError, Request, Response, ERR_ENGINE, ERR_PROTOCOL, ERR_READ_ONLY,
+    read_frame_into, ProtocolError, Request, Response, ERR_ENGINE, ERR_PROTOCOL, ERR_READ_ONLY,
 };
 use crate::snapshot::SnapshotRegistry;
 use casbn_store::{fnv_mix, FNV_BASIS};
@@ -102,17 +110,24 @@ fn session_loop<R: Read, W: Write>(
     mut engine: Option<&mut ServeEngine>,
     registry: Option<&SnapshotRegistry>,
     mut input: R,
-    mut output: W,
+    output: W,
     cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<SessionReport, ProtocolError> {
     let batch_cap = cfg.batch_max.clamp(1, BATCH_MAX);
-    let mut report = SessionReport::default();
     let mut pending: Vec<Request> = Vec::with_capacity(batch_cap);
+    let mut payload: Vec<u8> = Vec::new();
+    let mut sink = Sink {
+        output,
+        frames: Vec::new(),
+        report: SessionReport {
+            responses_checksum: FNV_BASIS,
+            ..SessionReport::default()
+        },
+    };
 
     let flush = |pending: &mut Vec<Request>,
-                 output: &mut W,
-                 report: &mut SessionReport,
+                 sink: &mut Sink<W>,
                  engine: &mut Option<&mut ServeEngine>|
      -> Result<(), ProtocolError> {
         if pending.is_empty() {
@@ -125,31 +140,24 @@ fn session_loop<R: Read, W: Write>(
             (None, Some(r)) => r.acquire(),
             (None, None) => unreachable!("session needs an engine or a registry"),
         };
-        let frames = execute_batch(&snap, pending, cfg.threads);
-        report.batches += 1;
-        report.requests += pending.len() as u64;
-        for f in &frames {
-            report.responses_checksum = fnv1a(report.responses_checksum, f);
-            output
-                .write_all(f)
-                .map_err(|e| ProtocolError::Io(e.to_string()))?;
-        }
+        execute_batch(&snap, pending, cfg.threads, &mut sink.frames);
+        sink.report.batches += 1;
+        sink.report.requests += pending.len() as u64;
         pending.clear();
-        Ok(())
+        sink.send()
     };
 
-    report.responses_checksum = FNV_BASIS;
     loop {
         if shutdown.load(Ordering::Relaxed) {
-            flush(&mut pending, &mut output, &mut report, &mut engine)?;
-            report.drained_on_shutdown = true;
+            flush(&mut pending, &mut sink, &mut engine)?;
+            sink.report.drained_on_shutdown = true;
             break;
         }
-        let payload = match read_frame(&mut input, shutdown) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                flush(&mut pending, &mut output, &mut report, &mut engine)?;
-                report.drained_on_shutdown = shutdown.load(Ordering::Relaxed);
+        match read_frame_into(&mut input, &mut payload, shutdown) {
+            Ok(true) => {}
+            Ok(false) => {
+                flush(&mut pending, &mut sink, &mut engine)?;
+                sink.report.drained_on_shutdown = shutdown.load(Ordering::Relaxed);
                 break;
             }
             Err(ProtocolError::Io(e)) => return Err(ProtocolError::Io(e)),
@@ -157,30 +165,28 @@ fn session_loop<R: Read, W: Write>(
                 // drain what was accepted, then report the framing error
                 // and end the session: past a malformed frame the stream
                 // has no trustworthy boundaries left
-                flush(&mut pending, &mut output, &mut report, &mut engine)?;
-                let resp = Response::Error {
+                flush(&mut pending, &mut sink, &mut engine)?;
+                sink.respond(&Response::Error {
                     code: ERR_PROTOCOL,
                     message: e.to_string(),
-                };
-                write_response(&mut output, &mut report, &resp)?;
+                })?;
                 break;
             }
-        };
+        }
         let req = match Request::decode_payload(&payload) {
             Ok(r) => r,
             Err(e) => {
-                flush(&mut pending, &mut output, &mut report, &mut engine)?;
-                let resp = Response::Error {
+                flush(&mut pending, &mut sink, &mut engine)?;
+                sink.respond(&Response::Error {
                     code: ERR_PROTOCOL,
                     message: e.to_string(),
-                };
-                write_response(&mut output, &mut report, &resp)?;
+                })?;
                 break;
             }
         };
         if let Request::Ingest { windows } = req {
             // barrier: answer everything before the boundary first
-            flush(&mut pending, &mut output, &mut report, &mut engine)?;
+            flush(&mut pending, &mut sink, &mut engine)?;
             let resp = match &mut engine {
                 None => Response::Error {
                     code: ERR_READ_ONLY,
@@ -201,31 +207,49 @@ fn session_loop<R: Read, W: Write>(
                     },
                 },
             };
-            write_response(&mut output, &mut report, &resp)?;
+            sink.respond(&resp)?;
             continue;
         }
         pending.push(req);
         if pending.len() >= batch_cap {
-            flush(&mut pending, &mut output, &mut report, &mut engine)?;
+            flush(&mut pending, &mut sink, &mut engine)?;
         }
     }
-    output
+    sink.output
         .flush()
         .map_err(|e| ProtocolError::Io(e.to_string()))?;
-    Ok(report)
+    Ok(sink.report)
 }
 
-fn write_response<W: Write>(
-    output: &mut W,
-    report: &mut SessionReport,
-    resp: &Response,
-) -> Result<(), ProtocolError> {
-    let frame = resp.encode_frame();
-    report.requests += 1;
-    report.responses_checksum = fnv1a(report.responses_checksum, &frame);
-    output
-        .write_all(&frame)
-        .map_err(|e| ProtocolError::Io(e.to_string()))
+/// A session's write side: the transport, the one buffer every response
+/// frame is encoded into, and the running report.
+struct Sink<W> {
+    output: W,
+    frames: Vec<u8>,
+    report: SessionReport,
+}
+
+impl<W: Write> Sink<W> {
+    /// Fold the encoded frames into the checksum, write them with one
+    /// `write_all` and empty the buffer for the next batch. Byte-wise FNV
+    /// over the concatenation equals the per-frame fold.
+    fn send(&mut self) -> Result<(), ProtocolError> {
+        self.report.responses_checksum = fnv1a(self.report.responses_checksum, &self.frames);
+        let sent = self
+            .output
+            .write_all(&self.frames)
+            .map_err(|e| ProtocolError::Io(e.to_string()));
+        self.frames.clear();
+        sent
+    }
+
+    /// Encode one response outside a batch (an ingest reply or a
+    /// protocol error) and send it.
+    fn respond(&mut self, resp: &Response) -> Result<(), ProtocolError> {
+        resp.encode_frame_into(&mut self.frames);
+        self.report.requests += 1;
+        self.send()
+    }
 }
 
 /// Parse a query script: one request per line, `#` comments and blank

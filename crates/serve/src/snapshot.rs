@@ -321,10 +321,16 @@ impl SnapshotRegistry {
         self.current.read().unwrap().clone()
     }
 
-    /// Atomically replace the current snapshot.
+    /// Atomically replace the current snapshot. The replaced handle is
+    /// dropped after the write lock is released, so freeing an old
+    /// snapshot never holds readers out.
     pub fn publish(&self, snap: Arc<ServeSnapshot>) {
         let epoch = snap.epoch();
-        *self.current.write().unwrap() = snap;
+        let old = {
+            let mut current = self.current.write().unwrap();
+            std::mem::replace(&mut *current, snap)
+        };
+        drop(old);
         self.epoch.store(epoch, Ordering::SeqCst);
         self.rotations.fetch_add(1, Ordering::SeqCst);
         casbn_obs::counter_inc("serve.snapshot_rotations");

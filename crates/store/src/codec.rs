@@ -21,6 +21,12 @@ impl Enc {
         Enc::default()
     }
 
+    /// Continue writing at the end of `buf` (its bytes stay in front of
+    /// the payload; [`Enc::into_payload`] hands the whole buffer back).
+    pub fn from_vec(buf: Vec<u8>) -> Enc {
+        Enc { buf }
+    }
+
     /// Append a `u32`.
     #[inline]
     pub fn u32(&mut self, x: u32) {
@@ -37,6 +43,11 @@ impl Enc {
     #[inline]
     pub fn f64(&mut self, x: f64) {
         self.u64(x.to_bits());
+    }
+
+    /// Append raw bytes.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
     }
 
     /// Append a `u32` slice.
