@@ -24,7 +24,7 @@ use casbn_distsim::CostModel;
 use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
 use casbn_graph::{EdgeDelta, Graph, PartitionKind};
 use casbn_mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
-use casbn_serve::{run_script, Request, ServeEngine, SessionConfig};
+use casbn_serve::{responses_checksum, run_script, Request, ServeEngine};
 use casbn_store::{Store, StoreWriter};
 use casbn_stream::{synthesize_replay, OnlineCorrelation, StreamConfig, StreamDriver};
 use serde::{Deserialize, Serialize};
@@ -466,9 +466,8 @@ pub fn run_suite(scale: f64, repeats: usize) -> PerfSuite {
     };
     let (counters, script_checksum) = counted(|| {
         let mut eng = ServeEngine::from_replay(replay.clone(), cfg);
-        let (report, _) = run_script(&mut eng, &script, &SessionConfig::default())
-            .expect("pinned serve script replays");
-        report.responses_checksum
+        let (_, bytes) = run_script(&mut eng, &script).expect("pinned serve script replays");
+        responses_checksum(&bytes)
     });
     let (wall, _served) = timed(repeats, || {
         let mut eng = ServeEngine::from_replay(replay.clone(), cfg);

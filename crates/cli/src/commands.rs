@@ -19,8 +19,8 @@ use casbn_graph::io::{read_edge_list, write_edge_list};
 use casbn_graph::{store as graph_store, Graph, PartitionKind};
 use casbn_mcode::{mcode_cluster, store as mcode_store, Cluster, McodeParams};
 use casbn_serve::{
-    install_sigint_handler, parse_script, run_script, serve_session, serve_tcp, shutdown_flag,
-    ServeEngine, SessionConfig, BATCH_MAX,
+    install_sigint_handler, parse_script, responses_checksum, run_script, serve_session, serve_tcp,
+    shutdown_flag, ServeEngine,
 };
 use casbn_store::io::{append_durable, save_atomic, write_atomic, RealFs, RetryPolicy};
 use casbn_store::{is_store_bytes, SectionKind, Store, StoreWriter};
@@ -50,8 +50,8 @@ USAGE:
                  [--checkpoint FILE] [--resume FILE [--degraded]]
                  [--windows N] [--metrics FILE|-]
   casbn serve    (--in FILE | --preset P [--scale F] [--samples N])
-                 [--script FILE] [--listen ADDR] [--threads N] [--batch N]
-                 [--checkpoint FILE] [--expect-checksum N] [--metrics FILE|-]
+                 [--script FILE] [--listen ADDR] [--checkpoint FILE]
+                 [--expect-checksum N] [--metrics FILE|-]
   casbn pack     --in FILE --kind graph|replay|clusters --out FILE
   casbn inspect  --in FILE [--json] [--degraded] [--metrics FILE|-]
   casbn verify   --in FILE [--metrics FILE|-]
@@ -100,8 +100,7 @@ FLAGS:
                against --baseline to FILE (the CI job-summary artifact)
   --samples    `stream` sample count of a synthesized replay (default:
                the preset's native array count)
-  --batch      `stream` samples ingested per window (default 2); for
-               `serve`: queries buffered per batch dispatch (default 16)
+  --batch      `stream` samples ingested per window (default 2)
   --min-rho    `stream` correlation retention threshold (default 0.95)
   --replay-out write the synthesized replay to FILE (sample-major rows,
                re-playable with `casbn stream --in FILE`)
@@ -132,8 +131,6 @@ FLAGS:
   --listen     `serve`: accept concurrent read-only TCP sessions on ADDR
                (e.g. 127.0.0.1:7878) until SIGINT; a streaming source
                ingests concurrently, rotating snapshots per window
-  --threads    `serve` worker threads per query batch (default 1; the
-               response bytes are identical for any value)
   --target     `fuzz` input surface: edge-list | replay | csbn |
                csbn-lazy | csbn-append | csbn-crash | checkpoint-resume |
                csbn-serve | cli-argv | all (default all)
@@ -310,9 +307,9 @@ casbn serve — resident concurrent query daemon over the pipeline
 Holds the current network, its MCODE clusters and the rho/enrichment
 indices resident, and answers queries over a length-prefixed
 request/response protocol: gene neighborhood, cluster membership, rho
-lookup, gene-set enrichment, snapshot statistics. Decoded queries are
-grouped into batches of up to 16 and dispatched onto a worker pool; the
-response bytes are identical for any --threads value.
+lookup, gene-set enrichment, snapshot statistics. Each session answers
+on its own thread, in batches of the queries that have arrived (at most
+16): a client that sends one query and waits gets its answer.
 
 A --preset (or .csbn matrix) source streams: `ingest N` requests advance
 the replay window by window, each boundary atomically publishing a new
@@ -328,13 +325,13 @@ Modes (in precedence order):
                  SIGINT; a streaming source ingests all windows
                  concurrently, rotating snapshots as readers query
   (neither)      pipe mode: one session over stdin/stdout (the
-                 deterministic test transport); SIGINT or EOF drains
-                 in-flight batches and writes a final checkpoint
+                 deterministic test transport); SIGINT or EOF answers
+                 the queries already read and writes a final checkpoint
 
 USAGE:
   casbn serve (--in FILE | --preset yng|mid|unt|cre [--scale F] [--samples N])
-              [--script FILE] [--listen ADDR] [--threads N] [--batch N]
-              [--checkpoint FILE] [--expect-checksum N] [--metrics FILE|-]
+              [--script FILE] [--listen ADDR] [--checkpoint FILE]
+              [--expect-checksum N] [--metrics FILE|-]
 
 FLAGS:
   --in         a .csbn container (a graph section serves static, a
@@ -347,8 +344,6 @@ FLAGS:
                cluster G | rho U V | enrich G G… | stats | ingest N;
                `#` comments and blank lines are skipped
   --listen     TCP listen address, e.g. 127.0.0.1:7878
-  --threads    worker threads per batch dispatch (default 1)
-  --batch      queries buffered per dispatch, 1..=16 (default 16)
   --checkpoint durable .csbn checkpoint FILE: written after every
                ingested window and at shutdown (atomic replace first,
                then appended in place as durable generations);
@@ -480,8 +475,6 @@ pub const COMMANDS: &[Command] = &[
             "samples",
             "script",
             "listen",
-            "threads",
-            "batch",
             "checkpoint",
             "expect-checksum",
             "metrics",
@@ -1477,17 +1470,6 @@ fn run_stream(args: &Args) -> Result<Job<'_>, String> {
 /// (see [`SERVE_USAGE`] for the protocol and mode reference).
 /// Exit codes: 0 ok, 1 checksum mismatch, 2 usage/configuration error.
 fn run_serve(args: &Args) -> Result<Job<'_>, String> {
-    let threads: usize = args.get_or("threads", 1)?;
-    let batch: usize = args.get_or("batch", BATCH_MAX)?;
-    if threads == 0 || batch == 0 || batch > BATCH_MAX {
-        return Err(format!(
-            "need --threads > 0 and 1 <= --batch <= {BATCH_MAX}"
-        ));
-    }
-    let cfg = SessionConfig {
-        threads,
-        batch_max: batch,
-    };
     let expect = args.parsed("expect-checksum")?;
     if expect.is_some() && args.get("script").is_none() {
         return Err("--expect-checksum gates a --script run".into());
@@ -1559,14 +1541,12 @@ fn run_serve(args: &Args) -> Result<Job<'_>, String> {
             // serve-smoke gate and the determinism suite replay
             let text = std::fs::read_to_string(path).map_err(|e| format!("open {path}: {e}"))?;
             let script = parse_script(&text).map_err(|e| format!("{path}: {e}"))?;
-            let (report, _) = run_script(&mut engine, &script, &cfg)
-                .map_err(|e| format!("script session: {e}"))?;
+            let (report, bytes) =
+                run_script(&mut engine, &script).map_err(|e| format!("script session: {e}"))?;
             engine.final_checkpoint()?;
-            println!(
-                "responses {} checksum {}",
-                report.requests, report.responses_checksum
-            );
-            return Ok(checksum_gate(expect, report.responses_checksum));
+            let checksum = responses_checksum(&bytes);
+            println!("responses {} checksum {checksum}", report.requests);
+            return Ok(checksum_gate(expect, checksum));
         }
         if let Some(addr) = args.get("listen") {
             let listener =
@@ -1587,7 +1567,7 @@ fn run_serve(args: &Args) -> Result<Job<'_>, String> {
                     engine.final_checkpoint()?;
                     Ok(())
                 });
-                let sessions = serve_tcp(registry, listener, &cfg, shutdown_flag())
+                let sessions = serve_tcp(registry, listener, shutdown_flag())
                     .map_err(|e| format!("serve: {e}"))?;
                 writer.join().expect("writer thread panicked")?;
                 Ok(sessions)
@@ -1599,20 +1579,13 @@ fn run_serve(args: &Args) -> Result<Job<'_>, String> {
         install_sigint_handler();
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        let report = serve_session(
-            &mut engine,
-            stdin.lock(),
-            stdout.lock(),
-            &cfg,
-            shutdown_flag(),
-        )
-        .map_err(|e| format!("session: {e}"))?;
+        let report = serve_session(&mut engine, stdin.lock(), stdout.lock(), shutdown_flag())
+            .map_err(|e| format!("session: {e}"))?;
         engine.final_checkpoint()?;
         eprintln!(
-            "session over: {} request(s) in {} batch(es), checksum {}{}",
+            "session over: {} request(s) in {} batch(es){}",
             report.requests,
             report.batches,
-            report.responses_checksum,
             if report.drained_on_shutdown {
                 " (drained on shutdown)"
             } else {

@@ -184,7 +184,7 @@ const REJECTED: &[(&str, &str)] = &[
     ("stream --preset yng --batch 0", "need --batch > 0"),
     ("stream --preset yng --min-rho 2", "--min-rho <= 1"),
     ("stream --preset yng --windows 0", "need --windows > 0"),
-    ("serve --preset yng --threads 0", "need --threads > 0"),
+    ("serve --preset yng --threads 0", "unknown flag --threads"),
     ("bench --threshold -1", "need --threshold >= 0"),
     ("pack --in X --kind bogus --out X", "unknown --kind bogus"),
     ("fuzz --target frobnicator", "unknown --target"),

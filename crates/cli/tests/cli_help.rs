@@ -121,6 +121,11 @@ fn serve_help_snapshot_matches_serve_usage_constant() {
     assert!(out.status.success(), "serve --help exited nonzero");
     let stdout = String::from_utf8(out.stdout).expect("utf8 help output");
     assert_eq!(stdout, SERVE_USAGE, "serve help drifted from SERVE_USAGE");
+    // the session has no worker-count or batch-size knob to document
+    for gone in ["--threads", "--batch"] {
+        assert!(!SERVE_USAGE.contains(gone), "serve help still names {gone}");
+    }
+    assert!(!USAGE.contains("--threads"), "USAGE still names --threads");
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Process-level tests for `casbn serve`: scripted query replay is
-//! byte-deterministic across worker counts, the checksum gate exits 1
-//! on mismatch, and configuration errors exit 2 before any serving
-//! starts.
+//! byte-deterministic, the checksum gate exits 1 on mismatch, and
+//! configuration errors exit 2 before any serving starts.
 
 use std::process::Command;
 
@@ -12,7 +11,7 @@ fn script_path() -> String {
     )
 }
 
-fn run_scripted(threads: &str) -> (i32, String, String) {
+fn run_scripted() -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_casbn"))
         .args([
             "serve",
@@ -24,8 +23,6 @@ fn run_scripted(threads: &str) -> (i32, String, String) {
             "8",
             "--script",
             &script_path(),
-            "--threads",
-            threads,
         ])
         .output()
         .expect("run casbn serve --script");
@@ -49,15 +46,12 @@ fn parse_checksum(stdout: &str) -> u64 {
 }
 
 #[test]
-fn scripted_replay_is_deterministic_across_worker_counts() {
-    let (code1, stdout1, stderr1) = run_scripted("1");
-    assert_eq!(code1, 0, "threads=1 failed: {stderr1}");
-    let (code4, stdout4, stderr4) = run_scripted("4");
-    assert_eq!(code4, 0, "threads=4 failed: {stderr4}");
-    assert_eq!(
-        stdout1, stdout4,
-        "summary must not depend on the worker count"
-    );
+fn scripted_replay_is_deterministic() {
+    let (code1, stdout1, stderr1) = run_scripted();
+    assert_eq!(code1, 0, "first run failed: {stderr1}");
+    let (code2, stdout2, stderr2) = run_scripted();
+    assert_eq!(code2, 0, "second run failed: {stderr2}");
+    assert_eq!(stdout1, stdout2, "summary must not change between runs");
     let checksum = parse_checksum(&stdout1);
     assert_ne!(checksum, 0, "summary carries a real FNV checksum");
 
@@ -132,7 +126,7 @@ fn serve_rejects_bad_inputs() {
         .output()
         .expect("run casbn serve --expect-checksum without --script");
     assert_eq!(out.status.code(), Some(2));
-    // zero worker threads
+    // the session has no worker-count knob
     let out = Command::new(env!("CARGO_BIN_EXE_casbn"))
         .args([
             "serve",
@@ -143,11 +137,13 @@ fn serve_rejects_bad_inputs() {
             "--script",
             &script_path(),
             "--threads",
-            "0",
+            "1",
         ])
         .output()
-        .expect("run casbn serve --threads 0");
+        .expect("run casbn serve --threads 1");
     assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --threads"), "got {stderr:?}");
     // typo'd flag must not be silently ignored
     let out = Command::new(env!("CARGO_BIN_EXE_casbn"))
         .args(["serve", "--preset", "yng", "--scrpit", "x"])

@@ -12,36 +12,33 @@
 //! * [`snapshot`] — immutable [`ServeSnapshot`]s (graph + clusters +
 //!   membership/rho/enrichment indices) and the [`SnapshotRegistry`]
 //!   rotation point.
-//! * [`batch`] — the batched execution core: 8–16 decoded queries per
-//!   dispatch onto a worker pool, byte-deterministic for any worker
-//!   count.
 //! * [`engine`] — the writer side: [`ServeEngine`] advances a
 //!   [`casbn_stream::StreamDriver`] window by window, publishing a
 //!   snapshot rotation and a durable checkpoint at every boundary.
 //! * [`server`] — session loops: stdin/stdout pipe mode, the scripted
 //!   deterministic client ([`run_script`]), a TCP listener, and
-//!   graceful SIGINT/EOF drain.
+//!   graceful SIGINT/EOF drain. A session answers on its own thread,
+//!   in batches of the requests that have arrived (at most 16).
 //!
-//! Concurrency model: readers clone `Arc<ServeSnapshot>` handles from
-//! the registry and never block the writer; the writer publishes whole
-//! snapshots atomically. A reader that acquired a snapshot before a
-//! rotation keeps answering from it consistently — there is no torn
-//! state to observe, which the rotation test suite proves against a
-//! single-threaded oracle.
+//! Concurrency model: each TCP connection is a session on its own
+//! thread. Readers clone `Arc<ServeSnapshot>` handles from the registry
+//! and never block the writer; the writer publishes whole snapshots
+//! atomically. A reader that acquired a snapshot before a rotation keeps
+//! answering from it consistently — there is no torn state to observe,
+//! which the rotation test suite proves against a single-threaded
+//! oracle.
 
-pub mod batch;
 pub mod engine;
 pub mod protocol;
 pub mod server;
 pub mod snapshot;
 
-pub use batch::{execute_batch, BATCH_MAX, BATCH_MIN};
 pub use engine::{CheckpointSink, ServeEngine};
 pub use protocol::{
     ClusterInfo, EnrichHit, ProtocolError, Request, Response, StatsInfo, MAX_FRAME,
 };
 pub use server::{
-    fnv1a, install_sigint_handler, parse_script, run_script, script_to_frames,
+    install_sigint_handler, parse_script, responses_checksum, run_script, script_to_frames,
     serve_readonly_session, serve_session, serve_tcp, shutdown_flag, SessionConfig, SessionReport,
 };
 pub use snapshot::{ServeSnapshot, SnapshotRegistry};

@@ -551,24 +551,14 @@ pub fn split_frame(buf: &[u8]) -> Result<Option<SplitFrame<'_>>, ProtocolError> 
     Ok(Some((payload, rest)))
 }
 
-/// Read one frame payload from a transport. `Ok(None)` on a clean EOF
-/// at a frame boundary or when `shutdown` is observed between frames;
-/// EOF inside a frame is a [`ProtocolError::Truncated`]. Reads that
-/// time out (a TCP socket with a read timeout) re-check `shutdown` and
-/// keep waiting, which is how a blocked session wakes up to drain.
-pub fn read_frame<R: Read>(
-    r: &mut R,
-    shutdown: &AtomicBool,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
-    let mut payload = Vec::new();
-    Ok(read_frame_into(r, &mut payload, shutdown)?.then_some(payload))
-}
-
-/// [`read_frame`] into a caller-owned buffer: on `Ok(true)` `payload`
-/// holds exactly the frame's payload, so one buffer serves a whole
-/// session. `Ok(false)` is a clean EOF or shutdown between frames. The
-/// declared length is checked against [`MAX_FRAME`] before the buffer
-/// grows.
+/// Read one frame payload from a transport into a caller-owned buffer:
+/// on `Ok(true)` `payload` holds exactly the frame's payload, so one
+/// buffer serves a whole session. `Ok(false)` is a clean EOF at a frame
+/// boundary, or `shutdown` observed between frames; EOF inside a frame
+/// is a [`ProtocolError::Truncated`]. Reads that time out (a TCP socket
+/// with a read timeout) re-check `shutdown` and keep waiting, which is
+/// how a blocked session wakes up to drain. The declared length is
+/// checked against [`MAX_FRAME`] before the buffer grows.
 pub fn read_frame_into<R: Read>(
     r: &mut R,
     payload: &mut Vec<u8>,
@@ -819,30 +809,6 @@ mod tests {
         assert!(matches!(
             split_frame(&huge),
             Err(ProtocolError::Oversize { .. })
-        ));
-    }
-
-    #[test]
-    fn read_frame_from_stream() {
-        let shutdown = AtomicBool::new(false);
-        let mut buf = Request::Stats.encode_frame();
-        buf.extend_from_slice(&Request::Rho { u: 0, v: 1 }.encode_frame());
-        let mut cur = std::io::Cursor::new(buf);
-        assert_eq!(
-            read_frame(&mut cur, &shutdown).unwrap().unwrap(),
-            Request::Stats.encode_payload()
-        );
-        assert_eq!(
-            read_frame(&mut cur, &shutdown).unwrap().unwrap(),
-            Request::Rho { u: 0, v: 1 }.encode_payload()
-        );
-        assert!(read_frame(&mut cur, &shutdown).unwrap().is_none());
-        // EOF inside a frame body is typed truncation
-        let partial = Request::Stats.encode_frame();
-        let mut cur = std::io::Cursor::new(partial[..5].to_vec());
-        assert!(matches!(
-            read_frame(&mut cur, &shutdown),
-            Err(ProtocolError::Truncated { .. })
         ));
     }
 

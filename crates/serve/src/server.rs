@@ -1,129 +1,122 @@
 //! Session loops: pipe mode, the scripted client, and the TCP listener.
 //!
-//! A **session** reads request frames, groups read-only queries into
-//! batches of up to [`BATCH_MAX`], and writes
-//! response frames in request order. `Ingest` requests are barriers:
-//! the pending batch flushes against the pre-ingest snapshot, the
-//! engine advances (publishing rotations), and later queries see the
-//! new snapshot. EOF and the shutdown flag both **drain**: every
-//! buffered query is answered before the session returns, so no
-//! accepted request is ever dropped.
+//! A **session** reads request frames and writes response frames in
+//! request order, answering every request on its own thread. Read-only
+//! queries gather into a batch answered against one snapshot. The batch
+//! is answered as soon as the input buffer holds no further complete
+//! frame (before the session waits on the transport), or at 16 queries.
+//! So a client that sends one request and waits gets its answer, and a
+//! client that pipelines gets its answers in batches. `Ingest` requests
+//! are barriers: the pending batch is answered against the pre-ingest
+//! snapshot, the engine advances (publishing rotations), and later
+//! queries see the new snapshot. EOF and the shutdown flag both
+//! **drain**: every decoded query is answered before the session
+//! returns, so no accepted request is ever dropped.
 //!
-//! A session owns two buffers for its whole life: the read buffer every
-//! request payload lands in ([`read_frame_into`] sizes it to each frame
-//! after the length check), and the write buffer every response frame of
-//! a batch is encoded into, back to back
-//! ([`Response::encode_frame_into`]). Each batch reaches the transport as
-//! one `write_all` of that buffer, and the response checksum folds over
-//! it. So the steady state allocates no per-frame buffers.
+//! A session owns three buffers for its whole life: a 1 KB read buffer
+//! over the transport (whose contents tell whether a complete frame has
+//! arrived), the payload buffer every request lands in
+//! ([`read_frame_into`] sizes it to each frame after the length check),
+//! and the write buffer every response frame of a batch is encoded into,
+//! back to back ([`Response::encode_frame_into`]). Each batch reaches
+//! the transport as one `write_all` of that buffer, so the steady state
+//! allocates no per-frame buffers.
 //!
-//! Pipe mode (`stdin`/`stdout`) is the deterministic test surface: a
-//! session over the same input bytes produces the same output bytes for
-//! any worker count. The TCP listener serves concurrent read-only
-//! sessions against the shared [`SnapshotRegistry`]; only the process
-//! that owns the [`ServeEngine`] may ingest.
+//! In a writer session, how requests arrive decides only how they batch:
+//! the response bytes are a function of the request bytes, which the
+//! pinned-script gates check with [`responses_checksum`]. (A read-only
+//! session acquires the registry's snapshot per batch, so rotations a
+//! writer publishes meanwhile show up at batch boundaries.) The TCP
+//! listener serves concurrent read-only sessions, one thread each,
+//! against the shared [`SnapshotRegistry`]; only the process that owns
+//! the [`ServeEngine`] may ingest.
 
-use crate::batch::{execute_batch, BATCH_MAX};
 use crate::engine::ServeEngine;
 use crate::protocol::{
-    read_frame_into, ProtocolError, Request, Response, ERR_ENGINE, ERR_PROTOCOL, ERR_READ_ONLY,
+    read_frame_into, split_frame, ProtocolError, Request, Response, ERR_ENGINE, ERR_PROTOCOL,
+    ERR_READ_ONLY,
 };
-use crate::snapshot::SnapshotRegistry;
+use crate::snapshot::{ServeSnapshot, SnapshotRegistry};
 use casbn_store::{fnv_mix, FNV_BASIS};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Session tuning knobs.
-#[derive(Clone, Debug)]
-pub struct SessionConfig {
-    /// Worker threads per batch dispatch (1 = sequential).
-    pub threads: usize,
-    /// Queries buffered before a dispatch (clamped to
-    /// 1..=[`BATCH_MAX`]).
-    pub batch_max: usize,
-}
+/// Most queries answered in one batch.
+const BATCH_MAX: usize = 16;
 
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig {
-            threads: 1,
-            batch_max: BATCH_MAX,
-        }
-    }
-}
+/// Bytes of a session's read buffer. Small because a client may open a
+/// session per burst of a few requests.
+const READ_BUFFER: usize = 1024;
+
+/// Carries no settings. It stays only because the benchmark client
+/// passes `&SessionConfig::default()` to [`serve_readonly_session`].
+#[derive(Debug, Default)]
+pub struct SessionConfig;
 
 /// What a finished session did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionReport {
     /// Requests decoded and answered.
     pub requests: u64,
-    /// Batch dispatches performed.
+    /// Batches answered.
     pub batches: u64,
-    /// FNV-1a checksum over every response frame byte, in order — the
-    /// value the pinned-script gates compare.
-    pub responses_checksum: u64,
     /// Whether the session ended on the shutdown flag (vs EOF).
     pub drained_on_shutdown: bool,
 }
 
-/// Fold `bytes` into an FNV-1a accumulator, one byte per step (unlike
-/// the store's word-wise [`casbn_store::fnv1a`], which also folds in
-/// the length).
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = fnv_mix(h, u64::from(b));
-    }
-    h
+/// FNV-1a over a session's response bytes, one byte per step (unlike the
+/// store's word-wise [`casbn_store::fnv1a`], which also folds in the
+/// length): the value the pinned-script gates compare.
+pub fn responses_checksum(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(FNV_BASIS, |h, &b| fnv_mix(h, u64::from(b)))
 }
 
 /// A writer session: the full protocol including ingest, against the
 /// engine's registry. Returns when the input reaches EOF, the shutdown
 /// flag is observed, or the request stream turns malformed (a typed
-/// error response is sent first); in every case in-flight queries are
+/// error response is sent first); in every case decoded queries are
 /// drained and answered.
 pub fn serve_session<R: Read, W: Write>(
     engine: &mut ServeEngine,
     input: R,
     output: W,
-    cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<SessionReport, ProtocolError> {
-    session_loop(Some(engine), None, input, output, cfg, shutdown)
+    session_loop(Some(engine), None, input, output, shutdown)
 }
 
 /// A read-only session against a registry (TCP connections use this):
-/// ingest requests answer [`ERR_READ_ONLY`].
+/// ingest requests answer [`ERR_READ_ONLY`]. `_cfg` is ignored (see
+/// [`SessionConfig`]).
 pub fn serve_readonly_session<R: Read, W: Write>(
     registry: &SnapshotRegistry,
     input: R,
     output: W,
-    cfg: &SessionConfig,
+    _cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<SessionReport, ProtocolError> {
-    session_loop(None, Some(registry), input, output, cfg, shutdown)
+    session_loop(None, Some(registry), input, output, shutdown)
 }
 
 fn session_loop<R: Read, W: Write>(
     mut engine: Option<&mut ServeEngine>,
     registry: Option<&SnapshotRegistry>,
-    mut input: R,
+    input: R,
     output: W,
-    cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<SessionReport, ProtocolError> {
-    let batch_cap = cfg.batch_max.clamp(1, BATCH_MAX);
-    let mut pending: Vec<Request> = Vec::with_capacity(batch_cap);
+    let mut input = BufReader::with_capacity(READ_BUFFER, input);
+    let mut pending: Vec<Request> = Vec::with_capacity(BATCH_MAX);
     let mut payload: Vec<u8> = Vec::new();
     let mut sink = Sink {
         output,
         frames: Vec::new(),
-        report: SessionReport {
-            responses_checksum: FNV_BASIS,
-            ..SessionReport::default()
-        },
+        report: SessionReport::default(),
     };
 
     let flush = |pending: &mut Vec<Request>,
@@ -140,7 +133,7 @@ fn session_loop<R: Read, W: Write>(
             (None, Some(r)) => r.acquire(),
             (None, None) => unreachable!("session needs an engine or a registry"),
         };
-        execute_batch(&snap, pending, cfg.threads, &mut sink.frames);
+        answer_batch(&snap, pending, &mut sink.frames);
         sink.report.batches += 1;
         sink.report.requests += pending.len() as u64;
         pending.clear();
@@ -153,29 +146,24 @@ fn session_loop<R: Read, W: Write>(
             sink.report.drained_on_shutdown = true;
             break;
         }
-        match read_frame_into(&mut input, &mut payload, shutdown) {
-            Ok(true) => {}
-            Ok(false) => {
-                flush(&mut pending, &mut sink, &mut engine)?;
+        if !matches!(split_frame(input.buffer()), Ok(Some(_))) {
+            // the next frame needs the transport: answer what has
+            // arrived before waiting on it
+            flush(&mut pending, &mut sink, &mut engine)?;
+        }
+        let next = read_frame_into(&mut input, &mut payload, shutdown)
+            .and_then(|more| more.then(|| Request::decode_payload(&payload)).transpose());
+        let req = match next {
+            Ok(Some(req)) => req,
+            Ok(None) => {
                 sink.report.drained_on_shutdown = shutdown.load(Ordering::Relaxed);
                 break;
             }
             Err(ProtocolError::Io(e)) => return Err(ProtocolError::Io(e)),
             Err(e) => {
-                // drain what was accepted, then report the framing error
-                // and end the session: past a malformed frame the stream
-                // has no trustworthy boundaries left
-                flush(&mut pending, &mut sink, &mut engine)?;
-                sink.respond(&Response::Error {
-                    code: ERR_PROTOCOL,
-                    message: e.to_string(),
-                })?;
-                break;
-            }
-        }
-        let req = match Request::decode_payload(&payload) {
-            Ok(r) => r,
-            Err(e) => {
+                // drain what was accepted, then report the framing or
+                // decode error and end the session: past a malformed
+                // frame the stream has no trustworthy boundaries left
                 flush(&mut pending, &mut sink, &mut engine)?;
                 sink.respond(&Response::Error {
                     code: ERR_PROTOCOL,
@@ -211,7 +199,7 @@ fn session_loop<R: Read, W: Write>(
             continue;
         }
         pending.push(req);
-        if pending.len() >= batch_cap {
+        if pending.len() >= BATCH_MAX {
             flush(&mut pending, &mut sink, &mut engine)?;
         }
     }
@@ -219,6 +207,16 @@ fn session_loop<R: Read, W: Write>(
         .flush()
         .map_err(|e| ProtocolError::Io(e.to_string()))?;
     Ok(sink.report)
+}
+
+/// Answer every query in `batch` against one snapshot, appending the
+/// encoded response frames to `out` in request order.
+fn answer_batch(snap: &ServeSnapshot, batch: &[Request], out: &mut Vec<u8>) {
+    casbn_obs::counter_add("serve.requests", batch.len() as u64);
+    casbn_obs::record_hist("serve.batch_size", batch.len() as u64);
+    for req in batch {
+        snap.answer(req).encode_frame_into(out);
+    }
 }
 
 /// A session's write side: the transport, the one buffer every response
@@ -230,11 +228,9 @@ struct Sink<W> {
 }
 
 impl<W: Write> Sink<W> {
-    /// Fold the encoded frames into the checksum, write them with one
-    /// `write_all` and empty the buffer for the next batch. Byte-wise FNV
-    /// over the concatenation equals the per-frame fold.
+    /// Write the encoded frames with one `write_all` and empty the buffer
+    /// for the next batch.
     fn send(&mut self) -> Result<(), ProtocolError> {
-        self.report.responses_checksum = fnv1a(self.report.responses_checksum, &self.frames);
         let sent = self
             .output
             .write_all(&self.frames)
@@ -323,22 +319,15 @@ pub fn script_to_frames(script: &[Request]) -> Vec<u8> {
 /// Replay a script through a writer session in memory; returns the
 /// report and the raw response bytes. This is the deterministic client
 /// the CLI `--script` mode, the CI smoke gate and the determinism tests
-/// share.
+/// share; they gate on [`responses_checksum`] of the bytes.
 pub fn run_script(
     engine: &mut ServeEngine,
     script: &[Request],
-    cfg: &SessionConfig,
 ) -> Result<(SessionReport, Vec<u8>), ProtocolError> {
     let input = script_to_frames(script);
     let mut output = Vec::new();
     let shutdown = AtomicBool::new(false);
-    let report = serve_session(
-        engine,
-        std::io::Cursor::new(input),
-        &mut output,
-        cfg,
-        &shutdown,
-    )?;
+    let report = serve_session(engine, &input[..], &mut output, &shutdown)?;
     Ok((report, output))
 }
 
@@ -350,7 +339,6 @@ pub fn run_script(
 pub fn serve_tcp(
     registry: Arc<SnapshotRegistry>,
     listener: TcpListener,
-    cfg: &SessionConfig,
     shutdown: &AtomicBool,
 ) -> Result<u64, ProtocolError> {
     listener
@@ -366,14 +354,19 @@ pub fn serve_tcp(
                 Ok((stream, _peer)) => {
                     sessions.fetch_add(1, Ordering::Relaxed);
                     let registry = registry.clone();
-                    let cfg = cfg.clone();
                     scope.spawn(move || {
                         let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
                         let mut out = match stream.try_clone() {
                             Ok(s) => s,
                             Err(_) => return,
                         };
-                        let _ = serve_readonly_session(&registry, stream, &mut out, &cfg, shutdown);
+                        let _ = serve_readonly_session(
+                            &registry,
+                            stream,
+                            &mut out,
+                            &SessionConfig,
+                            shutdown,
+                        );
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -428,12 +421,45 @@ pub fn install_sigint_handler() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::serving_dag;
     use casbn_expr::DatasetPreset;
     use casbn_stream::{synthesize_replay, StreamConfig};
 
     fn engine() -> ServeEngine {
         let replay = synthesize_replay(DatasetPreset::Yng, 0.02, Some(8));
         ServeEngine::from_replay(replay, StreamConfig::default())
+    }
+
+    #[test]
+    fn batch_frames_are_the_per_request_frames_in_order() {
+        use casbn_graph::generators::planted_partition;
+        use casbn_mcode::{mcode_cluster, McodeParams};
+        let (g, _) = planted_partition(80, 4, 10, 0.85, 40, 21);
+        let clusters = mcode_cluster(&g, &McodeParams::default());
+        let snap = ServeSnapshot::build(1, 4, g.clone(), g, clusters, &[], &serving_dag());
+        let batch: Vec<Request> = (0..BATCH_MAX as u32)
+            .map(|i| match i % 5 {
+                0 => Request::Neighborhood { gene: i },
+                1 => Request::ClusterOf { gene: i * 3 },
+                2 => Request::Rho { u: i, v: i + 1 },
+                3 => Request::Enrich {
+                    genes: (i..i + 6).collect(),
+                },
+                _ => Request::Stats,
+            })
+            .collect();
+        let frames: Vec<u8> = batch
+            .iter()
+            .flat_map(|req| snap.answer(req).encode_frame())
+            .collect();
+        let mut out = Vec::new();
+        answer_batch(&snap, &batch, &mut out);
+        assert_eq!(out, frames);
+        // appends after what the buffer already holds
+        let mut out = b"prefix".to_vec();
+        answer_batch(&snap, &batch, &mut out);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &frames[..]);
     }
 
     #[test]
@@ -462,7 +488,7 @@ mod tests {
             Request::Ingest { windows: 1 },
             Request::Stats,
         ];
-        let (report, bytes) = run_script(&mut eng, &script, &SessionConfig::default()).unwrap();
+        let (report, bytes) = run_script(&mut eng, &script).unwrap();
         assert_eq!(report.requests, 6);
         assert!(!report.drained_on_shutdown);
         // decode responses back and check the epochs advance across barriers
@@ -491,7 +517,6 @@ mod tests {
             &mut eng,
             std::io::Cursor::new(input),
             &mut output,
-            &SessionConfig::default(),
             &shutdown,
         )
         .unwrap();
@@ -540,20 +565,13 @@ mod tests {
             shutdown: shutdown.clone(),
         };
         let mut output = Vec::new();
-        let report = serve_session(
-            &mut eng,
-            input,
-            &mut output,
-            &SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
+        let report = serve_session(&mut eng, input, &mut output, &shutdown).unwrap();
         assert!(report.drained_on_shutdown);
         assert_eq!(report.requests, 1, "the buffered query was answered");
     }
 
     #[test]
-    fn tcp_listener_serves_readonly_sessions() {
+    fn tcp_session_answers_each_lone_request() {
         use std::io::Write as _;
         let mut eng = engine();
         eng.ingest_windows(2).unwrap();
@@ -561,30 +579,42 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
-        let reg = registry.clone();
-        let cfg = SessionConfig::default();
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp(reg, listener, &cfg, &shutdown));
-            let mut conn = std::net::TcpStream::connect(addr).unwrap();
-            let mut frames = Request::Stats.encode_frame();
-            frames.extend_from_slice(&Request::Ingest { windows: 1 }.encode_frame());
-            conn.write_all(&frames).unwrap();
-            conn.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut bytes = Vec::new();
-            conn.read_to_end(&mut bytes).unwrap();
-            let (p1, rest) = crate::protocol::split_frame(&bytes).unwrap().unwrap();
-            match Response::decode_payload(p1).unwrap() {
+            let server = scope.spawn(|| serve_tcp(registry, listener, &shutdown));
+            // each request goes out alone, and its reply must come back
+            // while the client's write half is still open
+            let client = (|| -> std::io::Result<(Vec<Vec<u8>>, Vec<u8>)> {
+                let mut conn = std::net::TcpStream::connect(addr)?;
+                conn.set_read_timeout(Some(Duration::from_secs(5)))?;
+                let mut replies = Vec::new();
+                for req in [Request::Stats, Request::Ingest { windows: 1 }] {
+                    conn.write_all(&req.encode_frame())?;
+                    let mut len = [0u8; 4];
+                    conn.read_exact(&mut len)?;
+                    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+                    conn.read_exact(&mut payload)?;
+                    replies.push(payload);
+                }
+                // at EOF the session ends with nothing left to send
+                conn.shutdown(std::net::Shutdown::Write)?;
+                let mut tail = Vec::new();
+                conn.read_to_end(&mut tail)?;
+                Ok((replies, tail))
+            })();
+            // stop the listener whatever the client saw, so a failure
+            // cannot hang the test
+            shutdown.store(true, Ordering::Relaxed);
+            assert_eq!(server.join().unwrap().unwrap(), 1);
+            let (replies, tail) = client.expect("each lone request is answered within 5 s");
+            match Response::decode_payload(&replies[0]).unwrap() {
                 Response::Stats(s) => assert_eq!(s.epoch, 2),
                 other => panic!("unexpected {other:?}"),
             }
-            let (p2, _) = crate::protocol::split_frame(rest).unwrap().unwrap();
-            match Response::decode_payload(p2).unwrap() {
+            match Response::decode_payload(&replies[1]).unwrap() {
                 Response::Error { code, .. } => assert_eq!(code, ERR_READ_ONLY),
                 other => panic!("unexpected {other:?}"),
             }
-            shutdown.store(true, Ordering::Relaxed);
-            let served = server.join().unwrap().unwrap();
-            assert_eq!(served, 1);
+            assert!(tail.is_empty());
         });
     }
 }

@@ -8,7 +8,7 @@
 
 use casbn_expr::DatasetPreset;
 use casbn_serve::protocol::{split_frame, Request, Response};
-use casbn_serve::{serve_session, ServeEngine, SessionConfig};
+use casbn_serve::{serve_session, ServeEngine};
 use casbn_store::io::{write_atomic, MemFs, RetryPolicy};
 use casbn_store::Store;
 use casbn_stream::{synthesize_replay, StreamConfig, StreamDriver};
@@ -57,8 +57,11 @@ fn sigint_drains_in_flight_batch_and_checkpoint_resumes_bit_exact() {
     let total_windows = engine.remaining_windows();
     assert_eq!(total_windows, 4);
 
-    // the interrupted session: ingest half the replay, then leave
-    // queries sitting in the pending batch when the "signal" lands
+    // the interrupted session: ingest half the replay, then send three
+    // queries and raise the "signal" when the session next waits for
+    // input. A pending batch exists only while complete frames are
+    // buffered, so the session answers the three before that wait; the
+    // drain must still report every accepted request.
     let script = [
         Request::Stats,
         Request::Ingest { windows: 2 },
@@ -77,14 +80,7 @@ fn sigint_drains_in_flight_batch_and_checkpoint_resumes_bit_exact() {
         flag: flag.clone(),
     };
     let mut out = Vec::new();
-    let report = serve_session(
-        &mut engine,
-        input,
-        &mut out,
-        &SessionConfig::default(),
-        &flag,
-    )
-    .unwrap();
+    let report = serve_session(&mut engine, input, &mut out, &flag).unwrap();
     assert!(report.drained_on_shutdown);
     assert_eq!(
         report.requests,
@@ -139,14 +135,7 @@ fn eof_drain_also_leaves_a_resumable_checkpoint() {
     }
     let flag = AtomicBool::new(false);
     let mut out = Vec::new();
-    let report = serve_session(
-        &mut engine,
-        buf.as_slice(),
-        &mut out,
-        &SessionConfig::default(),
-        &flag,
-    )
-    .unwrap();
+    let report = serve_session(&mut engine, buf.as_slice(), &mut out, &flag).unwrap();
     assert!(!report.drained_on_shutdown, "EOF is not the shutdown path");
     assert_eq!(report.requests, 2);
     assert!(engine.final_checkpoint().unwrap());

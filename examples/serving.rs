@@ -9,7 +9,7 @@
 
 use casbn::prelude::*;
 use casbn::serve::protocol::split_frame;
-use casbn::serve::{parse_script, run_script};
+use casbn::serve::{parse_script, responses_checksum, run_script};
 
 fn main() {
     // A YNG-shaped replay at 5% of paper scale: 8 arrays in 4 windows.
@@ -41,11 +41,12 @@ fn main() {
          stats\n",
     )
     .expect("script parses");
-    let (report, bytes) =
-        run_script(&mut engine, &script, &SessionConfig::default()).expect("script replays");
+    let (report, bytes) = run_script(&mut engine, &script).expect("script replays");
     println!(
         "{} requests in {} batches, response checksum {}",
-        report.requests, report.batches, report.responses_checksum
+        report.requests,
+        report.batches,
+        responses_checksum(&bytes)
     );
 
     // Walk the response frames back out of the byte stream.

@@ -92,9 +92,7 @@ pub mod prelude {
     };
     pub use casbn_mcode::{mcode_cluster, mcode_cluster_into, Cluster, McodeParams, McodeScratch};
     pub use casbn_ontology::{enrich_cluster, AnnotatedOntology, EnrichmentScorer, GoDag};
-    pub use casbn_serve::{
-        Request, Response, ServeEngine, ServeSnapshot, SessionConfig, SnapshotRegistry,
-    };
+    pub use casbn_serve::{Request, Response, ServeEngine, ServeSnapshot, SnapshotRegistry};
     pub use casbn_store::{SectionKind, Store, StoreError, StoreWriter};
     pub use casbn_stream::{synthesize_replay, OnlineCorrelation, StreamConfig, StreamDriver};
 }
