@@ -1521,13 +1521,13 @@ fn run_serve(args: &Args) -> Result<Job<'_>, String> {
         }
 
         {
-            let snap = engine.snapshot();
+            let stats = engine.snapshot().stats();
             eprintln!(
                 "serving epoch {}: {} genes, {} network edges, {} clusters{}",
-                snap.epoch(),
-                snap.network().n(),
-                snap.network().m(),
-                snap.clusters().len(),
+                stats.epoch,
+                stats.genes,
+                stats.network_edges,
+                stats.clusters,
                 if engine.can_ingest() {
                     format!(", {} window(s) ingestable", engine.remaining_windows())
                 } else {

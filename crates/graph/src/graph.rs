@@ -321,61 +321,6 @@ impl Graph {
     }
 }
 
-/// Resident edge-rank view: maps a canonical undirected edge `(u, v)`,
-/// `u < v`, to its index in [`Graph::edges`] enumeration order.
-///
-/// Built once per immutable graph snapshot in `O(n + m)`; a rank lookup
-/// is then `O(log d)`. This lets per-edge side tables (a rho value per
-/// retained edge, say) live in flat arrays indexed by canonical edge
-/// rank instead of a keyed map — the layout the serving tier uses for
-/// its resident rho index.
-///
-/// The index stores only per-vertex prefix counts, so it stays valid
-/// exactly as long as the graph it was built from is unmodified; rank
-/// queries take the graph again to avoid duplicating adjacency storage.
-#[derive(Clone, Debug)]
-pub struct EdgeRankIndex {
-    /// `prefix[u]` = number of canonical edges `(a, b)` with `a < u`.
-    prefix: Vec<u32>,
-}
-
-impl EdgeRankIndex {
-    /// Build the prefix table for `g` (`O(n + m)`).
-    pub fn new(g: &Graph) -> EdgeRankIndex {
-        let mut prefix = Vec::with_capacity(g.n() + 1);
-        let mut acc = 0u32;
-        prefix.push(0);
-        for u in g.vertices() {
-            let nbrs = g.neighbors(u);
-            let greater = nbrs.len() - nbrs.partition_point(|&w| w < u);
-            acc += greater as u32;
-            prefix.push(acc);
-        }
-        EdgeRankIndex { prefix }
-    }
-
-    /// Total canonical edges covered (equals `g.m()` at build time).
-    pub fn edge_count(&self) -> usize {
-        *self.prefix.last().unwrap_or(&0) as usize
-    }
-
-    /// Rank of edge `(u, v)` in canonical order, or `None` when the edge
-    /// is absent (or out of range / a self-loop). `g` must be the
-    /// unmodified graph the index was built from.
-    pub fn rank(&self, g: &Graph, u: VertexId, v: VertexId) -> Option<usize> {
-        if u == v {
-            return None;
-        }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let nbrs = g.try_neighbors(a)?;
-        let upper = &nbrs[nbrs.partition_point(|&w| w < a)..];
-        match upper.binary_search(&b) {
-            Ok(i) => Some(self.prefix[a as usize] as usize + i),
-            Err(_) => None,
-        }
-    }
-}
-
 /// Compressed-sparse-row form of a [`Graph`]: an `n + 1` offset array
 /// and a `2m` flat adjacency array.
 ///
@@ -710,22 +655,6 @@ mod tests {
         // the empty graph is valid
         let empty = Csr::try_from_parts(vec![0], vec![]).unwrap();
         assert_eq!((empty.n(), empty.m()), (0, 0));
-    }
-
-    #[test]
-    fn edge_rank_enumerates_canonical_order() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]);
-        let idx = EdgeRankIndex::new(&g);
-        assert_eq!(idx.edge_count(), g.m());
-        for (rank, (u, v)) in g.edges().enumerate() {
-            assert_eq!(idx.rank(&g, u, v), Some(rank));
-            assert_eq!(idx.rank(&g, v, u), Some(rank), "order-insensitive");
-        }
-        assert_eq!(idx.rank(&g, 0, 2), None, "absent edge");
-        assert_eq!(idx.rank(&g, 3, 3), None, "self-loop");
-        assert_eq!(idx.rank(&g, 0, 9), None, "out of range");
-        let empty = Graph::new(0);
-        assert_eq!(EdgeRankIndex::new(&empty).edge_count(), 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod partition;
 pub mod store;
 
 pub use crate::delta::{DeltaGraph, EdgeDelta};
-pub use crate::graph::{Csr, Edge, EdgeRankIndex, Graph, InvariantViolation, VertexId};
+pub use crate::graph::{Csr, Edge, Graph, InvariantViolation, VertexId};
 pub use crate::nbhood::NeighborhoodScratch;
 pub use crate::ordering::{apply_ordering, ordering_permutation, OrderingKind};
 pub use crate::partition::{BorderEdges, Partition, PartitionKind, RankEdges};

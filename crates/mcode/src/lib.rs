@@ -454,28 +454,8 @@ fn fluff(g: &Graph, w: &[f64], threshold: f64, s: &mut McodeScratch) {
     s.members.sort_unstable();
 }
 
-/// Sentinel in a [`membership_index`] for a vertex in no cluster.
+/// Cluster index that marks a vertex in no cluster.
 pub const NO_CLUSTER: u32 = u32::MAX;
-
-/// Resident cluster-membership view: for each of `n` vertices, the index
-/// into `clusters` of the cluster containing it, or [`NO_CLUSTER`].
-///
-/// When clusters overlap (MCODE's fluff stage can share vertices), the
-/// lowest cluster index wins — clusters are sorted by descending score,
-/// so that is the strongest cluster. Built once per immutable snapshot;
-/// membership queries are then `O(1)` instead of scanning every cluster.
-pub fn membership_index(clusters: &[Cluster], n: usize) -> Vec<u32> {
-    let mut member = vec![NO_CLUSTER; n];
-    for (i, c) in clusters.iter().enumerate() {
-        for &v in &c.vertices {
-            let slot = &mut member[v as usize];
-            if *slot == NO_CLUSTER {
-                *slot = i as u32;
-            }
-        }
-    }
-    member
-}
 
 /// Materialise `scratch.members` into the pooled cluster `out[used]`
 /// (recycling its buffers); returns whether the cluster clears
@@ -533,31 +513,6 @@ mod tests {
             }
         }
         g
-    }
-
-    #[test]
-    fn membership_index_marks_cluster_vertices() {
-        let (g, _) = planted_partition(120, 4, 10, 0.9, 60, 7);
-        let clusters = mcode_cluster(&g, &McodeParams::default());
-        assert!(!clusters.is_empty());
-        let member = membership_index(&clusters, g.n());
-        assert_eq!(member.len(), g.n());
-        for (i, c) in clusters.iter().enumerate() {
-            for &v in &c.vertices {
-                let m = member[v as usize] as usize;
-                // lowest (strongest) cluster index wins on overlap
-                assert!(m <= i, "vertex {v} mapped to weaker cluster");
-                assert!(clusters[m].vertices.contains(&v));
-            }
-        }
-        for (v, &m) in member.iter().enumerate() {
-            if m == NO_CLUSTER {
-                assert!(
-                    clusters.iter().all(|c| !c.vertices.contains(&(v as u32))),
-                    "vertex {v} marked unclustered but belongs to a cluster"
-                );
-            }
-        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ impl AnnotatedOntology {
     /// breadth ⇒ high enrichment). Every gene additionally receives
     /// `noise_terms` random terms; genes outside any module carry only
     /// random terms (so coincidental edges have shallow DCPs and large
-    /// breadth ⇒ scores ≤ 0, the paper's "noise" signature).
+    /// breadth ⇒ scores ≤ 0, the paper's "noise" signature). The terms
+    /// come from [`synthetic_annotation`], split into one list per gene.
     pub fn synthetic(
         n_genes: usize,
         modules: &[Vec<VertexId>],
@@ -34,42 +35,21 @@ impl AnnotatedOntology {
         noise_terms: usize,
         seed: u64,
     ) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut annotations: Vec<Vec<TermId>> = vec![Vec::new(); n_genes];
-        let deep_terms = dag.terms_at_depth(module_term_depth.min(dag.max_depth()));
-        assert!(
-            !deep_terms.is_empty(),
-            "no terms at depth {module_term_depth}"
+        let mut offsets = vec![0u32; n_genes + 1];
+        let mut terms = Vec::new();
+        synthetic_annotation(
+            modules.iter().map(Vec::as_slice),
+            &dag,
+            module_term_depth,
+            noise_terms,
+            seed,
+            &mut offsets,
+            &mut terms,
         );
-        // children of each candidate term, for within-module variation
-        let mut children: BTreeMap<TermId, Vec<TermId>> = BTreeMap::new();
-        for t in 0..dag.n_terms() as TermId {
-            for &p in dag.parents(t) {
-                children.entry(p).or_default().push(t);
-            }
-        }
-        for (mi, module) in modules.iter().enumerate() {
-            let term = deep_terms[mi % deep_terms.len()];
-            let kids = children.get(&term).cloned().unwrap_or_default();
-            for &gene in module {
-                // 70%: the module term itself; 30%: one of its children —
-                // mimics annotation granularity differences between genes
-                let t = if !kids.is_empty() && rng.gen_bool(0.3) {
-                    kids[rng.gen_range(0..kids.len())]
-                } else {
-                    term
-                };
-                annotations[gene as usize].push(t);
-            }
-        }
-        let all_terms = dag.n_terms() as TermId;
-        for ann in annotations.iter_mut() {
-            for _ in 0..noise_terms {
-                ann.push(rng.gen_range(1..all_terms));
-            }
-            ann.sort_unstable();
-            ann.dedup();
-        }
+        let annotations = offsets
+            .windows(2)
+            .map(|w| terms[w[0] as usize..w[1] as usize].to_vec())
+            .collect();
         AnnotatedOntology { dag, annotations }
     }
 
@@ -77,6 +57,121 @@ impl AnnotatedOntology {
     pub fn terms_of(&self, g: VertexId) -> &[TermId] {
         &self.annotations[g as usize]
     }
+}
+
+/// A per-gene record that holds where the gene's terms start in a flat
+/// term array (see [`synthetic_annotation`]).
+pub trait TermOffset {
+    /// The offset slot.
+    fn term_offset(&mut self) -> &mut u32;
+}
+
+impl TermOffset for u32 {
+    fn term_offset(&mut self) -> &mut u32 {
+        self
+    }
+}
+
+/// The synthetic annotation generator behind
+/// [`AnnotatedOntology::synthetic`], writing into flat buffers: gene
+/// `g`'s terms, sorted and deduplicated, end up in
+/// `terms[slots[g]..slots[g + 1]]` (`slots` holds one record per gene
+/// plus one that closes the last range; `terms` is overwritten).
+///
+/// The RNG draws come in one order: each module's genes in module order
+/// (70% the module's term, 30% one of its children), then each gene's
+/// `noise_terms` random terms in gene order. A gene's list is sorted after its draws, so
+/// where a term lands before the sort does not matter. The call makes a
+/// fixed number of allocations (the term array, the depth's terms and
+/// the DAG's parent links), none per gene or per module.
+///
+/// # Panics
+///
+/// Panics if the DAG has no term at the module depth, if a module names
+/// a gene outside `slots`, or if `noise_terms > 0` and the DAG is only
+/// its root.
+pub fn synthetic_annotation<'m, R: TermOffset>(
+    modules: impl Iterator<Item = &'m [VertexId]> + Clone,
+    dag: &GoDag,
+    module_term_depth: u32,
+    noise_terms: usize,
+    seed: u64,
+    slots: &mut [R],
+    terms: &mut Vec<TermId>,
+) {
+    let n_genes = slots.len() - 1;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let deep_terms = dag.terms_at_depth(module_term_depth.min(dag.max_depth()));
+    assert!(
+        !deep_terms.is_empty(),
+        "no terms at depth {module_term_depth}"
+    );
+    // (parent, child) links, sorted: each term's children are one run,
+    // ascending, for within-module variation
+    let n_terms = dag.n_terms();
+    let all = 0..n_terms as TermId;
+    let mut links = Vec::with_capacity(all.clone().map(|t| dag.parents(t).len()).sum());
+    links.extend(all.flat_map(|t| dag.parents(t).iter().map(move |&p| (p, t))));
+    links.sort_unstable();
+
+    // each gene's range holds its module draws, then its noise draws
+    for r in slots.iter_mut() {
+        *r.term_offset() = 0;
+    }
+    let genes = &mut slots[..n_genes];
+    for module in modules.clone() {
+        for &gene in module {
+            *genes[gene as usize].term_offset() += 1;
+        }
+    }
+    let mut total = 0u32;
+    for r in genes.iter_mut() {
+        let count = *r.term_offset();
+        *r.term_offset() = total;
+        total += count + noise_terms as u32;
+    }
+    terms.clear();
+    terms.resize(total as usize, 0);
+    // the cursors advance past each gene's module draws
+    for (mi, module) in modules.enumerate() {
+        let term = deep_terms[mi % deep_terms.len()];
+        let first = links.partition_point(|l| l.0 < term);
+        let kids = &links[first..links.partition_point(|l| l.0 <= term)];
+        for &gene in module {
+            // 70%: the module term itself; 30%: one of its children —
+            // mimics annotation granularity differences between genes
+            let t = if !kids.is_empty() && rng.gen_bool(0.3) {
+                kids[rng.gen_range(0..kids.len())].1
+            } else {
+                term
+            };
+            let at = genes[gene as usize].term_offset();
+            terms[*at as usize] = t;
+            *at += 1;
+        }
+    }
+    // noise draws, then sort, dedup and compact each gene's range
+    let all_terms = n_terms as TermId;
+    let (mut range_start, mut write) = (0usize, 0usize);
+    for r in genes.iter_mut() {
+        let cursor = *r.term_offset() as usize;
+        let range_end = cursor + noise_terms;
+        for t in &mut terms[cursor..range_end] {
+            *t = rng.gen_range(1..all_terms);
+        }
+        terms[range_start..range_end].sort_unstable();
+        *r.term_offset() = write as u32;
+        let first = write;
+        for i in range_start..range_end {
+            if write == first || terms[write - 1] != terms[i] {
+                terms[write] = terms[i];
+                write += 1;
+            }
+        }
+        range_start = range_end;
+    }
+    terms.truncate(write);
+    *slots[n_genes].term_offset() = write as u32;
 }
 
 /// Per-cluster annotation produced by the scorer.

@@ -23,5 +23,9 @@ pub mod enrichment;
 pub mod node_enrichment;
 
 pub use dag::{GoDag, TermId};
-pub use enrichment::{AnnotatedOntology, ClusterAnnotation, EnrichmentScorer};
-pub use node_enrichment::{enrich_cluster, hypergeometric_tail, EnrichedTerm, EnrichmentIndex};
+pub use enrichment::{
+    synthetic_annotation, AnnotatedOntology, ClusterAnnotation, EnrichmentScorer, TermOffset,
+};
+pub use node_enrichment::{
+    enrich_cluster, hypergeometric_tail, ln_factorial_table, EnrichedTerm, EnrichmentIndex,
+};

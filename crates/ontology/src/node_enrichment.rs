@@ -11,15 +11,18 @@
 //! the cross-validation test at the bottom asserts.
 //!
 //! The serving tier answers gene-set queries through a resident
-//! [`EnrichmentIndex`]: each query costs one sort of its genes' terms and
-//! table reads, with no map and no logarithm, and returns bit for bit
-//! what [`hypergeometric_tail`] over a fresh count would
+//! [`EnrichmentIndex`]: each query counts its genes' terms in a per-thread
+//! array, sorts only the terms that at least two genes carry, and reads
+//! tables, with no map and no logarithm. It returns bit for bit what
+//! [`hypergeometric_tail`] over a fresh count would
 //! (`tests/enrich_differential.rs` holds the map-based oracle).
 
 use crate::dag::TermId;
 use crate::enrichment::AnnotatedOntology;
 use casbn_graph::VertexId;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// One enriched term in a cluster.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -80,6 +83,18 @@ fn ln_factorial(n: usize) -> f64 {
     }
 }
 
+/// `ln i!` for every `i ≤ n`: the table an [`EnrichmentIndex`] over `n`
+/// background genes reads. Snapshots of one gene count can share one.
+pub fn ln_factorial_table(n: usize) -> Arc<[f64]> {
+    (0..=n).map(ln_factorial).collect()
+}
+
+thread_local! {
+    /// Per-thread query counts, indexed by term id, all zero between
+    /// queries; the flag is set while a query runs.
+    static TERM_COUNTS: RefCell<(Vec<u32>, bool)> = const { RefCell::new((Vec::new(), false)) };
+}
+
 /// Resident background-frequency index for repeated enrichment queries.
 ///
 /// [`enrich_cluster`] rebuilds this index on every call — fine for a
@@ -87,14 +102,16 @@ fn ln_factorial(n: usize) -> f64 {
 /// gene-set queries against the same annotation snapshot.
 /// `EnrichmentIndex` is built once per annotation: the background count
 /// of every term, in a vector indexed by [`TermId`] (term ids are
-/// dense), and `ln i!` for every `i ≤ N`. A query then costs one sort of
-/// its genes' concatenated term lists plus table reads: no map and no
+/// dense), and `ln i!` for every `i ≤ N`. A query counts its genes'
+/// terms into a zeroed per-thread array sized to the term count,
+/// collects the terms whose count reaches 2, sorts only those, and
+/// zeroes the slots it touched; then it reads tables: no map and no
 /// logarithm (only the `exp` of each tail summand).
 ///
 /// The answers are bit-identical to the map-and-`ln` path it replaces:
 /// the table holds the values of the function [`hypergeometric_tail`]
 /// calls, both go through one tail routine that sums in the same order,
-/// and the sorted term runs come out in ascending term order, as a
+/// and the tested terms are taken in ascending term order, as a
 /// `BTreeMap` iterates, so the tested set, the Bonferroni factor and the
 /// tie order do not change.
 #[derive(Clone, Debug)]
@@ -104,28 +121,50 @@ pub struct EnrichmentIndex {
     /// Background annotation frequency, indexed by term id.
     bg: Vec<u32>,
     /// `ln_fact[i] = ln i!` for `i in 0..=N`.
-    ln_fact: Vec<f64>,
+    ln_fact: Arc<[f64]>,
 }
 
 impl EnrichmentIndex {
     /// Build the background table from an annotated ontology.
     pub fn new(onto: &AnnotatedOntology) -> EnrichmentIndex {
-        let mut bg = vec![0u32; onto.dag.n_terms()];
-        for ann in &onto.annotations {
-            for &t in ann {
-                let t = t as usize;
-                if t >= bg.len() {
-                    bg.resize(t + 1, 0);
-                }
-                bg[t] += 1;
-            }
-        }
         let n = onto.annotations.len();
-        EnrichmentIndex {
+        EnrichmentIndex::count(
             n,
-            bg,
-            ln_fact: (0..=n).map(ln_factorial).collect(),
+            onto.dag.n_terms(),
+            onto.annotations.iter().flatten().copied(),
+            ln_factorial_table(n),
+        )
+    }
+
+    /// Build the background table of `genes` genes over `n_terms` terms
+    /// from the genes' terms, concatenated (`terms`, as
+    /// [`crate::synthetic_annotation`] writes them). `ln_fact` must be
+    /// [`ln_factorial_table`]`(genes)`.
+    pub fn from_terms(
+        genes: usize,
+        n_terms: usize,
+        terms: &[TermId],
+        ln_fact: Arc<[f64]>,
+    ) -> EnrichmentIndex {
+        EnrichmentIndex::count(genes, n_terms, terms.iter().copied(), ln_fact)
+    }
+
+    fn count(
+        n: usize,
+        n_terms: usize,
+        terms: impl Iterator<Item = TermId>,
+        ln_fact: Arc<[f64]>,
+    ) -> EnrichmentIndex {
+        assert_eq!(ln_fact.len(), n + 1, "ln i! table must cover 0..=N");
+        let mut bg = vec![0u32; n_terms];
+        for t in terms {
+            let t = t as usize;
+            if t >= bg.len() {
+                bg.resize(t + 1, 0);
+            }
+            bg[t] += 1;
         }
+        EnrichmentIndex { n, bg, ln_fact }
     }
 
     /// Background gene count the index was built over.
@@ -143,19 +182,52 @@ impl EnrichmentIndex {
         genes: &[VertexId],
         max_p: f64,
     ) -> Vec<EnrichedTerm> {
-        let len = genes.iter().map(|&g| onto.terms_of(g).len()).sum();
-        let mut terms: Vec<TermId> = Vec::with_capacity(len);
-        for &g in genes {
-            terms.extend_from_slice(onto.terms_of(g));
-        }
-        terms.sort_unstable();
+        self.enrich_by(|g| onto.terms_of(g), genes, max_p)
+    }
+
+    /// [`EnrichmentIndex::enrich`] with the genes' terms read through
+    /// `terms_of`, which must give the annotation the index was built
+    /// from (for a flat annotation, a slice of its term array).
+    pub fn enrich_by<'t>(
+        &self,
+        terms_of: impl Fn(VertexId) -> &'t [TermId],
+        genes: &[VertexId],
+        max_p: f64,
+    ) -> Vec<EnrichedTerm> {
         // (term, genes carrying it) for every term at least two carry,
         // in ascending term order
-        let tested: Vec<(TermId, usize)> = terms
-            .chunk_by(|a, b| a == b)
-            .filter(|run| run.len() >= 2)
-            .map(|run| (run[0], run.len()))
-            .collect();
+        let tested = TERM_COUNTS.with(|scratch| {
+            let (counts, dirty) = &mut *scratch.borrow_mut();
+            if *dirty {
+                // a query that panicked part-way left counts behind
+                counts.fill(0);
+            }
+            if counts.len() < self.bg.len() {
+                counts.resize(self.bg.len(), 0);
+            }
+            *dirty = true;
+            let mut tested: Vec<(TermId, usize)> = Vec::new();
+            for &g in genes {
+                for &t in terms_of(g) {
+                    let c = &mut counts[t as usize];
+                    *c += 1;
+                    if *c == 2 {
+                        tested.push((t, 0));
+                    }
+                }
+            }
+            for (t, x) in tested.iter_mut() {
+                *x = counts[*t as usize] as usize;
+            }
+            for &g in genes {
+                for &t in terms_of(g) {
+                    counts[t as usize] = 0;
+                }
+            }
+            *dirty = false;
+            tested.sort_unstable_by_key(|&(t, _)| t);
+            tested
+        });
         let correction = tested.len().max(1) as f64;
         let ln_fact = |i: usize| self.ln_fact[i];
         let mut out: Vec<EnrichedTerm> = tested

@@ -41,4 +41,4 @@ pub use server::{
     install_sigint_handler, parse_script, responses_checksum, run_script, script_to_frames,
     serve_readonly_session, serve_session, serve_tcp, shutdown_flag, SessionConfig, SessionReport,
 };
-pub use snapshot::{ServeSnapshot, SnapshotRegistry};
+pub use snapshot::{ServeSnapshot, SnapshotContext, SnapshotRegistry};

@@ -587,8 +587,10 @@ pub fn read_frame_into<R: Read>(
 }
 
 /// Fill `buf` from `r`, tolerating interrupted and timed-out reads.
-/// Returns the bytes actually read (short only at EOF, or when
-/// `shutdown` fires before the first byte arrives).
+/// Returns the bytes actually read: short at EOF, or when `shutdown` is
+/// set at an interrupted or timed-out read, even part-way through `buf`
+/// (the caller then reports the torn frame as [`ProtocolError::Truncated`]
+/// and the session drains instead of waiting on a stalled client).
 fn read_full<R: Read>(
     r: &mut R,
     buf: &mut [u8],
@@ -600,13 +602,10 @@ fn read_full<R: Read>(
             Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) => match e.kind() {
-                std::io::ErrorKind::Interrupted => {
-                    if filled == 0 && shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                    if filled == 0 && shutdown.load(Ordering::Relaxed) {
+                std::io::ErrorKind::Interrupted
+                | std::io::ErrorKind::WouldBlock
+                | std::io::ErrorKind::TimedOut => {
+                    if shutdown.load(Ordering::Relaxed) {
                         break;
                     }
                 }
@@ -850,5 +849,61 @@ mod tests {
             read_frame_into(&mut cur, &mut payload, &shutdown),
             Err(ProtocolError::Truncated { need: 12, have: 5 })
         );
+    }
+
+    /// Yields `bytes` one read at a time, then only `TimedOut`, counting
+    /// every read.
+    struct StallAfter {
+        bytes: Vec<u8>,
+        reads: usize,
+    }
+
+    impl Read for StallAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            assert!(
+                self.reads < 100,
+                "read_full kept waiting on a stalled client"
+            );
+            if self.bytes.is_empty() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            let n = self.bytes.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes.drain(..n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn shutdown_ends_a_torn_read() {
+        let flag = AtomicBool::new(true);
+        let mut payload = Vec::new();
+        // two bytes of a header, then silence
+        let mut r = StallAfter {
+            bytes: vec![0x04, 0x00],
+            reads: 0,
+        };
+        assert_eq!(
+            read_frame_into(&mut r, &mut payload, &flag),
+            Err(ProtocolError::Truncated { need: 4, have: 2 })
+        );
+        assert!(r.reads <= 3, "{} reads", r.reads);
+        // a whole header, part of the body, then silence
+        let mut r = StallAfter {
+            bytes: vec![0x04, 0x00, 0x00, 0x00, 0x05],
+            reads: 0,
+        };
+        assert_eq!(
+            read_frame_into(&mut r, &mut payload, &flag),
+            Err(ProtocolError::Truncated { need: 4, have: 1 })
+        );
+        // silence before the first byte is a clean end
+        let mut r = StallAfter {
+            bytes: Vec::new(),
+            reads: 0,
+        };
+        assert_eq!(read_frame_into(&mut r, &mut payload, &flag), Ok(false));
+        assert_eq!(r.reads, 1);
     }
 }

@@ -204,6 +204,13 @@ impl StreamDriver {
         self.online.weights()
     }
 
+    /// Current correlation estimate of genes `u ≠ v` (0.0 while either
+    /// has no variance): for a network edge, its entry in
+    /// [`StreamDriver::retained_weights`].
+    pub fn rho(&self, u: VertexId, v: VertexId) -> f64 {
+        self.online.rho(u as usize, v as usize)
+    }
+
     /// Ingest one window of samples and run the full per-window pipeline.
     pub fn ingest_window(&mut self, batch: &ExpressionMatrix) -> WindowReport {
         let started = Instant::now();

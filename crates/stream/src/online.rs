@@ -22,19 +22,35 @@
 //!
 //! **One sweep per window.** [`OnlineCorrelation::ingest`] first
 //! advances the per-gene moments over the batch, sample by sample, and
-//! records each gene's deviations. It then makes a single pass over the
-//! pair triangle. Each co-moment takes the batch's terms in stream
-//! order and, while it is still in cache, is tested against the
-//! retention predicate (`ρ ≥ min_rho` and `p ≤ max_p`, the paper's
-//! thresholds). The pairs whose membership changed come out as an
-//! [`EdgeDelta`] in canonical order: edges that crossed the cut, and
-//! edges that fell back below it as the running estimates sharpened.
+//! records each gene's deviations: `d` gene-major (`d[g·k + s]`, a row
+//! reads its own k terms) and `d₂` sample-major (`d₂[s·genes + g]`, so
+//! one sample's deviations for a run of columns are contiguous). It then
+//! makes a single pass over the pair triangle, row by row. Each row is
+//! updated in chunks of `CHUNK_COLS` (256) columns: for every sample in
+//! stream order, one contiguous pass `C[j] += dᵢₛ·d₂ₛ[j]` over the
+//! chunk, which the compiler vectorises and which keeps the chunk's
+//! co-moments in L1 across the batch. While the chunk is still in cache,
+//! its pairs are tested against the retention predicate (`ρ ≥ min_rho`
+//! and `p ≤ max_p`, the paper's thresholds). The pairs whose membership
+//! changed come out as an [`EdgeDelta`] in canonical order: edges that
+//! crossed the cut, and edges that fell back below it as the running
+//! estimates sharpened.
+//!
+//! **Why the bits hold.** Each co-moment still takes exactly the terms
+//! `dᵢₛ·d₂ⱼₛ` it took before, added one at a time in stream order
+//! (Rust does not contract `a + b·c` into a fused multiply-add), so the
+//! chunking changes only which pairs are in flight together, never one
+//! pair's operations or their order. The co-moments, membership bits and
+//! deltas are the ones a pair-at-a-time loop gives, at every thread
+//! count.
 //!
 //! **Conservative cut.** Almost every pair lies far below the cut, so
 //! the sweep first applies a division-free test that can only reject:
-//! `C < lo·sdᵢ·sdⱼ`, with `sd = √M2`. A pair it does not reject, or
-//! whose membership bit is set, takes the exact predicate:
-//! `ρ = C/(sdᵢ·sdⱼ)`, then `min_rho` and the p-value. The retained set
+//! `C < lo·sdᵢ·sdⱼ`, with `sd = √M2`. It runs on groups of `GROUP` (8)
+//! columns into a bit mask, `!(C < loᵢ·sdⱼ)` per lane with
+//! `loᵢ = lo·sdᵢ`, and only a group with a survivor is scanned. A pair
+//! it does not reject, or whose membership bit is set, takes the exact
+//! predicate: `ρ = C/(sdᵢ·sdⱼ)`, then `min_rho` and the p-value. The retained set
 //! is therefore the one the exact predicate gives on every pair. `lo`
 //! sits below the effective cut `t` by `2⁻⁴⁰·(|t| + 1)`. With `sd` in
 //! `[1e-77, 1e77]` and `|t| ≤ 2`, `sdᵢ·sdⱼ` is a normal number and
@@ -58,12 +74,14 @@
 //! **Parallelism.** The triangle is cut into row blocks of about 2¹⁶
 //! pairs, a split that depends on the gene count alone. From
 //! `PARALLEL_PAIR_THRESHOLD` pairs up the blocks run on rayon. Each
-//! block owns its slice of the triangle and accumulates in stream
-//! order, so the result is bit-identical at every thread count.
+//! block owns its slice of the triangle, and its column chunks and
+//! groups depend on the row alone, so the result is bit-identical at
+//! every thread count.
 //!
 //! **Export.** [`OnlineCorrelation::weights`] and
-//! [`OnlineCorrelation::graph`] walk the set bits of the membership
-//! bitset: `O(pairs/64 + genes + edges)`, not `O(pairs)`.
+//! [`OnlineCorrelation::graph`] scan the membership bitset's words once
+//! and map each set bit to its pair with a forward-only row cursor:
+//! `O(pairs/64 + genes + edges)`, not `O(pairs)`.
 //!
 //! **Finite inputs.** `ingest` expects finite samples; the replay
 //! reader rejects any other. The accumulators then stay finite while
@@ -82,6 +100,11 @@ use std::ops::{Range, RangeInclusive};
 const PARALLEL_PAIR_THRESHOLD: usize = 1 << 15;
 /// Pairs per row block of the sweep, about.
 const BLOCK_PAIRS: usize = 1 << 16;
+/// Columns of a row the sweep updates together: 2 KB of co-moments, which
+/// stay in L1 while every sample of the batch passes over them.
+const CHUNK_COLS: usize = 256;
+/// Lanes of one group of the rejection test.
+const GROUP: usize = 8;
 /// Standard deviations for which the division-free rejection test is
 /// proven exact (see the module doc).
 const SD_SAFE: RangeInclusive<f64> = 1e-77..=1e77;
@@ -246,30 +269,41 @@ impl OnlineCorrelation {
     /// The current thresholded network as a plain graph.
     pub fn graph(&self) -> Graph {
         let mut g = Graph::new(self.genes);
-        for (i, j) in self.retained() {
+        self.for_each_retained(|i, j| {
             g.add_edge(i as VertexId, j as VertexId);
-        }
+        });
         g
     }
 
     /// Retained edges with their current ρ, canonical order.
     pub fn weights(&self) -> Vec<((VertexId, VertexId), f64)> {
         let mut out = Vec::with_capacity(self.edges);
-        out.extend(
-            self.retained()
-                .map(|(i, j)| ((i as VertexId, j as VertexId), self.rho(i, j))),
-        );
+        self.for_each_retained(|i, j| {
+            out.push(((i as VertexId, j as VertexId), self.rho(i, j)));
+        });
         out
     }
 
-    /// Retained pairs `(i, j)` in canonical order: each row's set bits.
-    fn retained(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    /// Call `f(i, j)` for every retained pair, in canonical order: one
+    /// scan over the bitset's words, and a row cursor that only moves
+    /// forward.
+    fn for_each_retained(&self, mut f: impl FnMut(usize, usize)) {
         let genes = self.genes;
-        (0..genes).flat_map(move |i| {
-            let start = row_start(genes, i);
-            set_bits(&self.present, start..start + (genes - i - 1))
-                .map(move |idx| (i, i + 1 + (idx - start)))
-        })
+        // row i's pairs have flat indices start..end
+        let (mut i, mut start, mut end) = (0usize, 0usize, genes.saturating_sub(1));
+        for (w, &word) in self.present.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while idx >= end {
+                    i += 1;
+                    start = end;
+                    end += genes - i - 1;
+                }
+                f(i, i + 1 + (idx - start));
+            }
+        }
     }
 
     /// The accumulator arrays the `.csbn` checkpoint serialises:
@@ -361,12 +395,11 @@ impl OnlineCorrelation {
         let pairs = self.comoment.len();
 
         // per-gene Welford moments, sample-sequential; record the
-        // pre-/post-update deviations gene-major so the sweep streams
-        // them contiguously (an empty batch keeps one unread zero per
-        // gene, so the sweep still visits and re-tests every pair)
-        let stride = k.max(1);
-        let mut d = vec![0.0f64; genes * stride];
-        let mut d2 = vec![0.0f64; genes * stride];
+        // pre-update deviations gene-major (a row reads its own k terms)
+        // and the post-update ones sample-major (a row chunk reads one
+        // contiguous run per sample)
+        let mut d = vec![0.0f64; genes * k];
+        let mut d2 = vec![0.0f64; genes * k];
         for s in 0..k {
             self.samples += 1;
             let n = self.samples as f64;
@@ -376,8 +409,8 @@ impl OnlineCorrelation {
                 self.mean[g] += dev / n;
                 let dev2 = x - self.mean[g];
                 self.m2[g] += dev * dev2;
-                d[g * stride + s] = dev;
-                d2[g * stride + s] = dev2;
+                d[g * k + s] = dev;
+                d2[s * genes + g] = dev2;
             }
         }
         // charged at the analytic sites (outside the parallel region),
@@ -396,7 +429,6 @@ impl OnlineCorrelation {
         let sweep = Sweep {
             genes,
             k,
-            stride,
             d: &d,
             d2: &d2,
             safe_sd: sd
@@ -485,12 +517,10 @@ struct Sweep<'a> {
     genes: usize,
     /// Samples in the batch.
     k: usize,
-    /// Gene stride of `d` and `d2`: `k`, or 1 for an empty batch.
-    stride: usize,
-    /// Deviations from the pre-update means, gene-major
-    /// (`d[g·stride + s]`).
+    /// Deviations from the pre-update means, gene-major (`d[g·k + s]`).
     d: &'a [f64],
-    /// Deviations from the post-update means, gene-major.
+    /// Deviations from the post-update means, sample-major
+    /// (`d2[s·genes + g]`).
     d2: &'a [f64],
     /// `√M2` per gene, after the batch.
     sd: Vec<f64>,
@@ -511,8 +541,7 @@ impl Sweep<'_> {
     /// `comoment` and whose first pair has flat index `first`. Returns
     /// the membership changes in canonical order.
     fn block(&self, rows: Range<usize>, first: usize, comoment: &mut [f64]) -> Vec<Change> {
-        let (genes, k, stride) = (self.genes, self.k, self.stride);
-        let (d, d2, safe_sd) = (self.d, self.d2, &self.safe_sd[..]);
+        let (genes, k) = (self.genes, self.k);
         let mut changes = Vec::new();
         // columns of the current row that take the exact predicate
         let mut exact: Vec<usize> = Vec::new();
@@ -526,22 +555,20 @@ impl Sweep<'_> {
             exact.clear();
             exact.extend(set_bits(self.present, cols.clone()).map(|idx| idx - start));
             let retained = exact.len();
-            let di = &d[i * stride..i * stride + k];
-            let lo_i = self.lo * safe_sd[i];
-            let later = d2[(i + 1) * stride..]
-                .chunks_exact(stride)
-                .zip(&safe_sd[i + 1..]);
-            for (col, (c, (dj, &sd_j))) in row.iter_mut().zip(later).enumerate() {
-                let mut v = *c;
-                for (a, b) in di.iter().zip(dj) {
-                    v += a * b;
+            let di = &self.d[i * k..(i + 1) * k];
+            let lo_i = self.lo * self.safe_sd[i];
+            for (chunk, c) in row.chunks_mut(CHUNK_COLS).enumerate() {
+                let c0 = chunk * CHUNK_COLS;
+                let j0 = i + 1 + c0;
+                let j1 = j0 + c.len();
+                // each co-moment takes the batch's terms in stream order
+                for (s, &a) in di.iter().enumerate() {
+                    let b = &self.d2[s * genes + j0..s * genes + j1];
+                    for (v, &b) in c.iter_mut().zip(b) {
+                        *v += a * b;
+                    }
                 }
-                *c = v;
-                // false for a NaN on either side, as the exact path needs
-                let rejected = v < lo_i * sd_j;
-                if !rejected {
-                    exact.push(col);
-                }
+                survivors(c, &self.safe_sd[j0..j1], lo_i, c0, &mut exact);
             }
             if retained > 0 && exact.len() > retained {
                 exact.sort_unstable();
@@ -566,6 +593,37 @@ impl Sweep<'_> {
         let rho = if denom > 0.0 { c / denom } else { 0.0 };
         rho >= self.params.min_rho && pearson_p_value(rho, self.n) <= self.params.max_p
     }
+}
+
+/// Push `offset + col` for every column of `c` that the rejection test
+/// `c < lo_i·sdⱼ` does not reject, ascending. The test runs on groups of
+/// `GROUP` lanes into a bit mask of rejections (a NaN on either side
+/// rejects nothing, as the exact path needs), and only a group with a
+/// survivor is scanned.
+fn survivors(c: &[f64], sd: &[f64], lo_i: f64, offset: usize, out: &mut Vec<usize>) {
+    let rejected = |cg: &[f64], sg: &[f64]| {
+        let mut mask = 0u32;
+        for (l, (&v, &sd_j)) in cg.iter().zip(sg).enumerate() {
+            mask |= u32::from(v < lo_i * sd_j) << l;
+        }
+        mask
+    };
+    let mut push = |base: usize, mut kept: u32| {
+        while kept != 0 {
+            out.push(offset + base + kept.trailing_zeros() as usize);
+            kept &= kept - 1;
+        }
+    };
+    let full = c.len() - c.len() % GROUP;
+    let groups = c[..full].chunks_exact(GROUP).zip(sd.chunks_exact(GROUP));
+    for (g, (cg, sg)) in groups.enumerate() {
+        let kept = !rejected(cg, sg) & ((1 << GROUP) - 1);
+        if kept != 0 {
+            push(g * GROUP, kept);
+        }
+    }
+    let tail = c.len() - full;
+    push(full, !rejected(&c[full..], &sd[full..]) & ((1 << tail) - 1));
 }
 
 #[cfg(test)]
@@ -602,14 +660,19 @@ mod tests {
             for idx in 0..all.len() {
                 oc.present[idx / 64] |= 1u64 << (idx % 64);
             }
-            assert_eq!(oc.retained().collect::<Vec<_>>(), all);
+            let walk = |oc: &OnlineCorrelation| {
+                let mut pairs = Vec::new();
+                oc.for_each_retained(|i, j| pairs.push((i, j)));
+                pairs
+            };
+            assert_eq!(walk(&oc), all);
             // every third bit: the walk yields exactly those pairs
             oc.present.fill(0);
             let third: Vec<(usize, usize)> = all.iter().copied().step_by(3).collect();
             for idx in (0..all.len()).step_by(3) {
                 oc.present[idx / 64] |= 1u64 << (idx % 64);
             }
-            assert_eq!(oc.retained().collect::<Vec<_>>(), third);
+            assert_eq!(walk(&oc), third);
         }
     }
 
