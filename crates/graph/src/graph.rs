@@ -40,11 +40,45 @@ impl Graph {
     /// Build a graph from an edge list. Duplicate edges and self-loops are
     /// ignored. Vertex count is `n`; any edge endpoint `>= n` panics.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let mut g = Graph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
+        Graph::build(n, || edges.iter().copied())
+    }
+
+    /// The bulk builder behind [`Graph::from_edges`] and
+    /// [`Graph::permuted`]: count every vertex's degree, reserve each list
+    /// exactly, push both directions of every edge, then sort and dedup
+    /// each list. `edges` is called twice and must yield the same edges
+    /// both times. Self-loops are skipped, a repeated edge (in either
+    /// direction) counts once, and the first endpoint `>= n` panics with
+    /// the message [`Graph::add_edge`] gives.
+    fn build<I: Iterator<Item = Edge>>(n: usize, edges: impl Fn() -> I) -> Self {
+        let mut degree = vec![0u32; n];
+        for (u, v) in edges() {
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u}, {v}) out of range for n={n}"
+            );
+            if u != v {
+                degree[u as usize] += 1;
+                degree[v as usize] += 1;
+            }
         }
-        g
+        let mut adj: Vec<Vec<VertexId>> = degree
+            .iter()
+            .map(|&d| Vec::with_capacity(d as usize))
+            .collect();
+        for (u, v) in edges() {
+            if u != v {
+                adj[u as usize].push(v);
+                adj[v as usize].push(u);
+            }
+        }
+        let mut ends = 0;
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
+            ends += list.len();
+        }
+        Graph { adj, m: ends / 2 }
     }
 
     /// Number of vertices.
@@ -192,11 +226,10 @@ impl Graph {
     /// the same structure with vertex `old` renamed to `perm[old]`.
     pub fn permuted(&self, perm: &[VertexId]) -> Graph {
         assert_eq!(perm.len(), self.n(), "permutation length mismatch");
-        let mut g = Graph::new(self.n());
-        for (u, v) in self.edges() {
-            g.add_edge(perm[u as usize], perm[v as usize]);
-        }
-        g
+        Graph::build(self.n(), || {
+            self.edges()
+                .map(|(u, v)| (perm[u as usize], perm[v as usize]))
+        })
     }
 
     /// Edge density `2m / (n (n-1))`; 0 for graphs with fewer than 2 vertices.
@@ -556,6 +589,66 @@ mod tests {
         assert!(p.has_edge(3, 2));
         assert!(p.has_edge(2, 1));
         assert!(p.has_edge(1, 0));
+    }
+
+    /// Per-edge `add_edge` inserts, the builder's oracle.
+    fn inserted(n: usize, edges: impl IntoIterator<Item = Edge>) -> Graph {
+        let mut g = Graph::new(n);
+        for (u, v) in edges {
+            g.add_edge(u, v);
+        }
+        g
+    }
+
+    #[test]
+    fn bulk_builder_matches_per_edge_inserts() {
+        // self-loops, repeats in both directions, isolated vertices
+        let edges = [
+            (3, 1),
+            (1, 3),
+            (0, 4),
+            (4, 4),
+            (1, 0),
+            (3, 1),
+            (4, 1),
+            (0, 1),
+        ];
+        let g = Graph::from_edges(6, &edges);
+        assert!(g.same_edges(&inserted(6, edges)));
+        assert_eq!(g.m(), 4);
+        assert_eq!(Graph::from_edges(3, &[]).m(), 0);
+        // a relabelling that is not a bijection folds edges together
+        // and turns some into self-loops, as per-edge inserts would
+        let dense = inserted(5, (0..5).flat_map(|u| (u + 1..5).map(move |v| (u, v))));
+        for perm in [[4, 3, 2, 1, 0], [0, 0, 1, 1, 2], [2, 2, 2, 2, 2]] {
+            let p = dense.permuted(&perm);
+            let want = inserted(
+                5,
+                dense
+                    .edges()
+                    .map(|(u, v)| (perm[u as usize], perm[v as usize])),
+            );
+            assert!(p.same_edges(&want), "{perm:?}");
+            assert_eq!(p.m(), want.m(), "{perm:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (1, 5) out of range for n=5")]
+    fn from_edges_out_of_range_panics_with_message() {
+        let _ = Graph::from_edges(5, &[(0, 1), (1, 5), (7, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for n=4")]
+    fn permuted_out_of_range_label_panics_with_message() {
+        let _ = path4().permuted(&[0, 1, 2, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation length mismatch")]
+    fn permuted_length_mismatch_panics() {
+        let _ = path4().permuted(&[0, 1, 2]);
     }
 
     #[test]

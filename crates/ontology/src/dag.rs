@@ -117,8 +117,11 @@ impl GoDag {
     /// break toward smaller breadth, then smaller id.
     ///
     /// Returns `(dcp, depth(dcp), breadth)`. Always succeeds: the root is
-    /// a common ancestor of everything. Builds both ancestor lists; a
-    /// scorer that asks many pairs builds every list once instead.
+    /// a common ancestor of everything. This is the one-shot form: it
+    /// traverses both terms' ancestors and merges the two lists. A scorer
+    /// that asks many pairs answers from ancestor bit rows built once
+    /// instead ([`crate::EnrichmentScorer::deepest_common_parent`]), to
+    /// the same total order.
     pub fn deepest_common_parent(&self, t1: TermId, t2: TermId) -> (TermId, u32, u32) {
         let a1: Vec<(TermId, u32)> = self.ancestor_distances(t1).into_iter().collect();
         let a2: Vec<(TermId, u32)> = self.ancestor_distances(t2).into_iter().collect();
@@ -129,11 +132,7 @@ impl GoDag {
     /// term id, distances minimal): one merge walk over the two lists.
     /// The tie-break is a total order, so the result does not depend on
     /// the order the common ancestors are met in.
-    pub(crate) fn common_parent(
-        &self,
-        a1: &[(TermId, u32)],
-        a2: &[(TermId, u32)],
-    ) -> (TermId, u32, u32) {
+    fn common_parent(&self, a1: &[(TermId, u32)], a2: &[(TermId, u32)]) -> (TermId, u32, u32) {
         // the minimum of (shallowness, breadth, id) over common ancestors;
         // the walk advances without branching on the comparison
         let mut best: Option<(Reverse<u32>, u32, TermId)> = None;
@@ -207,6 +206,16 @@ impl AncestorLists {
     #[inline]
     pub(crate) fn of(&self, t: TermId) -> &[(TermId, u32)] {
         &self.pairs[self.start[t as usize]..self.start[t as usize + 1]]
+    }
+
+    /// The minimum up-edge distance from `t` to `a`, which must be one of
+    /// its ancestors: a binary search of `t`'s list.
+    #[inline]
+    pub(crate) fn distance(&self, t: TermId, a: TermId) -> u32 {
+        let list = self.of(t);
+        let (x, d) = list[list.partition_point(|&(x, _)| x < a)];
+        debug_assert_eq!(x, a, "{a} is not an ancestor of {t}");
+        d
     }
 }
 

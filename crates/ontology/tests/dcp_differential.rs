@@ -1,9 +1,14 @@
-//! Differential test: the deepest common parent merged from sorted
-//! ancestor lists (`GoDag::deepest_common_parent` and the scorer's cached
-//! lists) against the reference scan over two `ancestor_distances` maps,
-//! on every term pair of several DAGs; and `edge_score` and
-//! `annotate_cluster` against a brute-force reference over random
-//! annotation sets.
+//! Differential test: the deepest common parent from the scorer's
+//! ancestor bit rows (`EnrichmentScorer::deepest_common_parent`) and the
+//! one-shot list merge (`GoDag::deepest_common_parent`) against the
+//! reference scan over two `ancestor_distances` maps, on every term pair
+//! of several DAGs; and `edge_score` and `annotate_cluster` against a
+//! brute-force reference over random annotation sets.
+//!
+//! The bit rows rank terms by `(depth, id)`, so the DAGs include ones
+//! whose ids do not follow depth (a parent numbered after its child),
+//! one wide enough that tied common ancestors sit in different 64-bit
+//! words, and the root alone.
 
 use casbn_graph::VertexId;
 use casbn_ontology::{AnnotatedOntology, EnrichmentScorer, GoDag, TermId};
@@ -105,6 +110,135 @@ fn irregular_dag() -> GoDag {
     .expect("valid DAG")
 }
 
+/// A DAG from its parent lists and depths, through the JSON form (the
+/// fields are private; `level_start` is not read by any DCP path).
+fn dag_from_parts(parents: &[Vec<TermId>], depth: &[u32]) -> GoDag {
+    let json = format!(r#"{{"parents": {parents:?}, "depth": {depth:?}, "level_start": [0]}}"#);
+    serde_json::from_str(&json).expect("valid DAG")
+}
+
+/// `dag` with the ids of every term but the root shuffled.
+fn shuffled(dag: &GoDag, seed: u64) -> GoDag {
+    let n = dag.n_terms();
+    let mut new_id: Vec<TermId> = (1..n as TermId).collect();
+    new_id.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+    new_id.insert(0, 0);
+    let mut parents = vec![Vec::new(); n];
+    let mut depth = vec![0; n];
+    for old in 0..n as TermId {
+        let t = new_id[old as usize] as usize;
+        parents[t] = dag
+            .parents(old)
+            .iter()
+            .map(|&p| new_id[p as usize])
+            .collect();
+        depth[t] = dag.depth(old);
+    }
+    dag_from_parts(&parents, &depth)
+}
+
+/// `n` terms, each with 1–3 parents drawn from the terms before it
+/// (skip-level links, so one ancestor can sit at several distances and
+/// equal-depth ancestors at different distances), depth the shortest
+/// distance to the root, then ids shuffled.
+fn random_skip_level_dag(n: usize, seed: u64) -> GoDag {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut parents: Vec<Vec<TermId>> = vec![Vec::new()];
+    let mut depth = vec![0u32];
+    for t in 1..n as TermId {
+        let mut ps: Vec<TermId> = (0..rng.gen_range(1..=3))
+            .map(|_| rng.gen_range(0..t))
+            .collect();
+        ps.sort_unstable();
+        ps.dedup();
+        depth.push(1 + ps.iter().map(|&p| depth[p as usize]).min().unwrap());
+        parents.push(ps);
+    }
+    shuffled(&dag_from_parts(&parents, &depth), seed)
+}
+
+/// Whether some parent is numbered after its child, and some term is
+/// numbered after a deeper one: id order is not depth order.
+fn ids_do_not_follow_depth(dag: &GoDag) -> bool {
+    let n = dag.n_terms() as TermId;
+    let late_parent = (0..n).any(|t| dag.parents(t).iter().any(|&p| p > t));
+    let deeper_first = (1..n).any(|t| dag.depth(t - 1) > dag.depth(t));
+    late_parent && deeper_first
+}
+
+#[test]
+fn shuffled_serving_dag_every_pair() {
+    let dag = shuffled(&serving_dag(), 0x5eed);
+    assert!(ids_do_not_follow_depth(&dag));
+    check_every_pair(&dag);
+}
+
+#[test]
+fn root_only_dag_every_pair() {
+    let dag: GoDag = serde_json::from_str(r#"{"parents": [[]], "depth": [0], "level_start": [0]}"#)
+        .expect("valid DAG");
+    check_every_pair(&dag);
+    let onto = AnnotatedOntology {
+        dag,
+        annotations: vec![vec![0], vec![0], vec![]],
+    };
+    let scorer = EnrichmentScorer::new(&onto);
+    assert_eq!(scorer.edge_score(0, 1), Some((0, 0)));
+    assert_eq!(scorer.edge_score(0, 2), None);
+    let ann = scorer.annotate_cluster(&[(0, 1), (1, 2), (1, 0)]);
+    assert_eq!(ann.aees, 0.0);
+    assert_eq!(ann.dominant_term, Some(0));
+    assert_eq!((ann.max_depth, ann.scored_edges), (0, 2));
+}
+
+/// The number of term pairs whose common ancestors at the deepest
+/// common depth lie in more than one 64-bit word of the `(depth, id)`
+/// ranking and do not all share one breadth: the pairs whose answer
+/// needs ties resolved across words.
+fn pairs_with_ties_across_words(dag: &GoDag) -> usize {
+    let mut by_rank: Vec<TermId> = (0..dag.n_terms() as TermId).collect();
+    by_rank.sort_by_key(|&t| (dag.depth(t), t));
+    let mut rank = vec![0; by_rank.len()];
+    for (r, &t) in by_rank.iter().enumerate() {
+        rank[t as usize] = r;
+    }
+    let maps = ancestor_maps(dag);
+    let mut count = 0;
+    for a1 in &maps {
+        for a2 in &maps {
+            let common: Vec<(TermId, u32)> = a1
+                .iter()
+                .filter_map(|(&t, &d1)| a2.get(&t).map(|&d2| (t, d1 + d2)))
+                .collect();
+            let deepest = common.iter().map(|&(t, _)| dag.depth(t)).max().unwrap();
+            let tied: Vec<(TermId, u32)> = common
+                .into_iter()
+                .filter(|&(t, _)| dag.depth(t) == deepest)
+                .collect();
+            let words = tied.iter().map(|&(t, _)| rank[t as usize] / 64);
+            let breadths = tied.iter().map(|&(_, b)| b);
+            if words.clone().min() != words.max() && breadths.clone().min() != breadths.max() {
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
+#[test]
+fn wide_skip_level_dag_every_pair() {
+    for seed in [3, 4] {
+        let dag = random_skip_level_dag(200, seed);
+        assert!(dag.n_terms() > 128, "rows of at least three words");
+        assert!(ids_do_not_follow_depth(&dag));
+        assert!(
+            pairs_with_ties_across_words(&dag) > 0,
+            "seed {seed}: no tie spans two words"
+        );
+        check_every_pair(&dag);
+    }
+}
+
 #[test]
 fn irregular_dag_every_pair() {
     let dag = irregular_dag();
@@ -139,6 +273,8 @@ fn edge_score_and_clusters_match_reference_over_random_annotations() {
     for (seed, dag) in [
         (7, serving_dag()),
         (10, irregular_dag()),
+        (11, shuffled(&serving_dag(), 0x5eed)),
+        (12, random_skip_level_dag(200, 3)),
         (8, GoDag::generate(6, 3, 1.0, 4)),
         (9, GoDag::generate(1, 5, 0.5, 3)),
     ] {
