@@ -22,7 +22,7 @@ use casbn_serve::{
     install_sigint_handler, parse_script, responses_checksum, run_script, serve_session, serve_tcp,
     shutdown_flag, ServeEngine,
 };
-use casbn_store::io::{append_durable, save_atomic, write_atomic, RealFs, RetryPolicy};
+use casbn_store::io::{append_durable, save_atomic, write_atomic, RealFs};
 use casbn_store::{is_store_bytes, SectionKind, Store, StoreWriter};
 use casbn_stream::{read_replay, synthesize_replay, write_replay, StreamConfig, StreamDriver};
 
@@ -674,8 +674,7 @@ fn ranks(args: &Args) -> Result<usize, String> {
 /// CLI artifact write funnels through here (or through the store's
 /// [`save_atomic`]/[`append_durable`] for `.csbn` containers).
 fn write_artifact(path: &str, bytes: &[u8]) -> Result<(), String> {
-    write_atomic(&RealFs, path, bytes, RetryPolicy::default())
-        .map_err(|e| format!("write {path}: {e}"))
+    write_atomic(&RealFs, path, bytes).map_err(|e| format!("write {path}: {e}"))
 }
 
 /// Does `path` already hold a `.csbn` container? Peeks at the magic
@@ -801,13 +800,12 @@ fn source(args: &Args) -> Result<Source<'_>, String> {
 /// truncated away first). Anything else is atomically replaced with a
 /// fresh base-layout container. Returns whether it appended.
 fn write_checkpoint(path: &str, w: &StoreWriter) -> Result<bool, String> {
-    let policy = RetryPolicy::default();
     if !is_csbn_file(path) {
-        save_atomic(&RealFs, path, w, policy).map_err(|e| format!("write {path}: {e}"))?;
+        save_atomic(&RealFs, path, w).map_err(|e| format!("write {path}: {e}"))?;
         return Ok(false);
     }
-    let out = append_durable(&RealFs, path, w, policy)
-        .map_err(|e| format!("append checkpoint {path}: {e}"))?;
+    let out =
+        append_durable(&RealFs, path, w).map_err(|e| format!("append checkpoint {path}: {e}"))?;
     if out.recovered_bytes > 0 {
         eprintln!(
             "warning: {path} had a torn tail; dropped {} byte(s) before appending",
@@ -1380,12 +1378,8 @@ fn run_stream(args: &Args) -> Result<Job<'_>, String> {
                 driver.windows().len()
             );
         }
-        let mut lo = driver.samples_ingested();
         let mut ran = 0usize;
-        while lo < matrix.samples() && ran < max_windows {
-            let hi = (lo + batch).min(matrix.samples());
-            driver.ingest_window(&matrix.columns(lo, hi));
-            lo = hi;
+        while ran < max_windows && driver.ingest_next(&matrix).is_some() {
             ran += 1;
         }
         if let Some(path) = args.get("checkpoint") {

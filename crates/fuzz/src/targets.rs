@@ -28,7 +28,7 @@ use casbn_graph::store as graph_store;
 use casbn_mcode::store as mcode_store;
 use casbn_mcode::Cluster;
 use casbn_serve::protocol as serve_protocol;
-use casbn_store::io::{append_durable, MemFs, RetryPolicy};
+use casbn_store::io::{append_durable, MemFs};
 use casbn_store::{is_store_bytes, SectionKind, Store, StoreError, StoreWriter, MAGIC};
 use casbn_stream::{
     read_replay, synthesize_replay, write_replay, StreamConfig, StreamDriver,
@@ -301,7 +301,7 @@ impl Target for ReplayTarget {
 fn durable_append(base: &[u8], a: &StoreWriter) -> Result<Vec<u8>, StoreError> {
     let fs = MemFs::new();
     fs.install("f.csbn", base);
-    append_durable(&fs, "f.csbn", a, RetryPolicy::default())?;
+    append_durable(&fs, "f.csbn", a)?;
     Ok(fs.live("f.csbn").expect("appended file exists"))
 }
 
@@ -749,13 +749,13 @@ impl Target for CrashTarget {
         for _ in 0..rng.range(1, 3) {
             CsbnTarget::valid_section(&mut w, rng);
         }
-        save_atomic(&fs, "f.csbn", &w, RetryPolicy::default()).expect("memfs save");
+        save_atomic(&fs, "f.csbn", &w).expect("memfs save");
         for _ in 0..rng.below(3) {
             let mut a = StoreWriter::new();
             if rng.chance(2, 3) {
                 CsbnTarget::valid_section(&mut a, rng);
             }
-            append_durable(&fs, "f.csbn", &a, RetryPolicy::default()).expect("memfs append");
+            append_durable(&fs, "f.csbn", &a).expect("memfs append");
         }
         let mut bytes = fs.live("f.csbn").expect("container written");
         match rng.below(4) {
@@ -888,12 +888,8 @@ impl CheckpointTarget {
         let reference = StreamDriver::run(&matrix, cfg).checksum;
         let mut pristine = Vec::new();
         let mut driver = StreamDriver::new(matrix.genes(), cfg);
-        let mut lo = 0;
-        while lo < matrix.samples() {
-            let hi = (lo + 2).min(matrix.samples());
-            driver.ingest_window(&matrix.columns(lo, hi));
-            lo = hi;
-            if lo < matrix.samples() {
+        while driver.ingest_next(&matrix).is_some() {
+            if driver.samples_ingested() < matrix.samples() {
                 pristine.push(Self::canonicalize(
                     &driver.checkpoint_bytes().expect("checkpoint serialises"),
                 ));
@@ -1109,16 +1105,10 @@ impl Target for CheckpointTarget {
                 self.matrix.samples()
             ));
         }
-        let batch = driver.config().batch;
-        if batch == 0 {
+        if driver.config().batch == 0 {
             return Err("resume accepted a zero batch size".into());
         }
-        let mut lo = driver.samples_ingested();
-        while lo < self.matrix.samples() {
-            let hi = (lo + batch).min(self.matrix.samples());
-            driver.ingest_window(&self.matrix.columns(lo, hi));
-            lo = hi;
-        }
+        while driver.ingest_next(&self.matrix).is_some() {}
         let got = driver.checksum();
         if got != self.reference {
             return Err(format!(

@@ -1,7 +1,7 @@
 //! The serving engine: one writer, many snapshots.
 //!
 //! A [`ServeEngine`] owns the mutable side of the daemon — for a
-//! streaming source, the [`StreamDriver`] and its replay cursor — and a
+//! streaming source, the [`StreamDriver`] and the replay it reads — and a
 //! [`SnapshotRegistry`] readers query through. Each ingested window
 //! advances the driver, freezes a new [`ServeSnapshot`] from the
 //! driver's published state (network, chordal edge count, clusters,
@@ -34,10 +34,11 @@ pub struct ServeEngine {
     sink: Option<CheckpointSink>,
 }
 
+/// A streaming source: the driver and the whole replay. The driver's
+/// ingested-sample count is the replay position.
 struct StreamState {
     driver: StreamDriver,
     replay: ExpressionMatrix,
-    cursor: usize,
 }
 
 impl ServeEngine {
@@ -66,8 +67,8 @@ impl ServeEngine {
         ServeEngine::from_driver(driver, replay)
     }
 
-    /// Serve from an existing driver (a checkpoint resume): the replay
-    /// cursor skips the samples the driver already ingested, and the
+    /// Serve from an existing driver (a checkpoint resume): ingest
+    /// continues after the samples the driver already ingested, and the
     /// current driver state publishes as the initial snapshot.
     pub fn from_driver(driver: StreamDriver, replay: ExpressionMatrix) -> ServeEngine {
         assert_eq!(
@@ -75,17 +76,12 @@ impl ServeEngine {
             replay.genes(),
             "replay gene count must match the driver"
         );
-        let cursor = driver.samples_ingested();
         let ctx = SnapshotContext::new(driver.genes());
         let snap = ServeSnapshot::from_driver(&driver, &ctx);
         ServeEngine {
             registry: SnapshotRegistry::new(snap),
             ctx,
-            stream: Some(StreamState {
-                driver,
-                replay,
-                cursor,
-            }),
+            stream: Some(StreamState { driver, replay }),
             sink: None,
         }
     }
@@ -111,15 +107,15 @@ impl ServeEngine {
         self.stream.is_some()
     }
 
-    /// Full windows still available in the replay.
+    /// Windows still available in the replay, a trailing partial
+    /// window included.
     pub fn remaining_windows(&self) -> usize {
-        match &self.stream {
-            None => 0,
-            Some(s) => {
-                let left = s.replay.samples().saturating_sub(s.cursor);
-                left.div_ceil(s.driver.config().batch)
-            }
-        }
+        let Some(s) = &self.stream else { return 0 };
+        let left = s
+            .replay
+            .samples()
+            .saturating_sub(s.driver.samples_ingested());
+        left.div_ceil(s.driver.config().batch)
     }
 
     /// Streaming checksum of the driver so far (FNV over the integer
@@ -138,17 +134,11 @@ impl ServeEngine {
             return Err("static artifact source cannot ingest".into());
         }
         let mut run = 0usize;
-        for _ in 0..n {
+        while run < n {
             let s = self.stream.as_mut().unwrap();
-            let batch = s.driver.config().batch;
-            let samples = s.replay.samples();
-            if s.cursor >= samples {
+            if s.driver.ingest_next(&s.replay).is_none() {
                 break;
             }
-            let hi = (s.cursor + batch).min(samples);
-            let window = s.replay.columns(s.cursor, hi);
-            s.driver.ingest_window(&window);
-            s.cursor = hi;
             casbn_obs::counter_inc("serve.ingest_windows");
             let snap = ServeSnapshot::from_driver(&s.driver, &self.ctx);
             self.registry.publish(snap);
@@ -224,8 +214,8 @@ mod tests {
         eng.ingest_windows(3).unwrap();
         // an independent single-threaded driver over the same windows
         let mut oracle = StreamDriver::new(replay.genes(), StreamConfig::default());
-        for w in 0..3 {
-            oracle.ingest_window(&replay.columns(w * 2, (w + 1) * 2));
+        for _ in 0..3 {
+            oracle.ingest_next(&replay);
         }
         let snap = eng.snapshot();
         for g in oracle.network().vertices() {

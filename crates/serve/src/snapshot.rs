@@ -149,9 +149,8 @@ enum Rho<'a> {
     /// `((u, v), rho)` pairs; pairs absent from the network are ignored,
     /// and an edge without one reads 0.0.
     Weights(&'a [((VertexId, VertexId), f64)]),
-    /// The driver's estimate for each network edge: its network is its
-    /// retained set, so this is the driver's weight list without the
-    /// membership-bitset walk that builds it.
+    /// The driver's estimate for each network edge
+    /// ([`StreamDriver::rho`]).
     Driver(&'a StreamDriver),
 }
 

@@ -9,7 +9,7 @@
 use casbn_expr::DatasetPreset;
 use casbn_serve::protocol::{split_frame, Request, Response};
 use casbn_serve::{serve_session, ServeEngine};
-use casbn_store::io::{write_atomic, MemFs, RetryPolicy};
+use casbn_store::io::{write_atomic, MemFs};
 use casbn_store::Store;
 use casbn_stream::{synthesize_replay, StreamConfig, StreamDriver};
 use std::io::Read;
@@ -45,7 +45,7 @@ fn engine_with_memfs_sink(fs: Arc<MemFs>) -> ServeEngine {
     let mut engine = ServeEngine::from_replay(replay, StreamConfig::default());
     engine.set_checkpoint_sink(Box::new(move |w| {
         let bytes = w.try_to_bytes().map_err(|e| e.to_string())?;
-        write_atomic(fs.as_ref(), CKPT, &bytes, RetryPolicy::new(2)).map_err(|e| e.to_string())
+        write_atomic(fs.as_ref(), CKPT, &bytes).map_err(|e| e.to_string())
     }));
     engine
 }

@@ -365,7 +365,11 @@ fn every_window_of_a_replay_answers_like_the_graph_snapshot() {
             driver.network().clone(),
             driver.chordal(),
             driver.clusters().to_vec(),
-            &driver.retained_weights(),
+            &driver
+                .network()
+                .edges()
+                .map(|(u, v)| ((u, v), driver.rho(u, v)))
+                .collect::<Vec<_>>(),
         );
         checked += assert_same_answers(&snap, &oracle, &format!("window {windows}"));
         clustered += usize::from(!oracle.clusters.is_empty());

@@ -66,14 +66,12 @@ fn held_snapshots_match_per_window_oracle_across_rotations() {
     assert_eq!(engine.registry().rotations(), total as u64);
 
     // the oracle: a fresh single-threaded driver replayed to each window
-    let batch = StreamConfig::default().batch;
     for (epoch, snap) in held.iter().enumerate() {
         assert_eq!(snap.epoch(), epoch as u64);
         assert!(snap.verify_token(), "epoch {epoch} failed its token");
         let mut oracle = StreamDriver::new(replay.genes(), StreamConfig::default());
-        for w in 0..epoch {
-            let lo = w * batch;
-            oracle.ingest_window(&replay.columns(lo, (lo + batch).min(replay.samples())));
+        for _ in 0..epoch {
+            oracle.ingest_next(&replay);
         }
         let dag = casbn_serve::snapshot::serving_dag();
         let oracle_snap = ServeSnapshot::build(
@@ -82,7 +80,11 @@ fn held_snapshots_match_per_window_oracle_across_rotations() {
             oracle.network().clone(),
             oracle.chordal().clone(),
             oracle.clusters().to_vec(),
-            &oracle.retained_weights(),
+            &oracle
+                .network()
+                .edges()
+                .map(|(u, v)| ((u, v), oracle.rho(u, v)))
+                .collect::<Vec<_>>(),
             &dag,
         );
         assert_eq!(

@@ -43,10 +43,10 @@
 //! "crash here" cut at any syscall index — which is what the
 //! crash-point matrix tests iterate over.
 //!
-//! Transient errors are absorbed by a bounded, deterministic
-//! [`RetryPolicy`]: a fixed attempt budget, no wall-clock backoff, and
-//! every retry charged to the `io.retries` telemetry counter
-//! (successful fsyncs to `io.fsyncs`).
+//! Transient errors are absorbed by a bounded, deterministic retry: a
+//! fixed budget of `MAX_RETRIES` (4) retries per operation, no
+//! wall-clock backoff, and every retry charged to the `io.retries`
+//! telemetry counter (successful fsyncs to `io.fsyncs`).
 
 use crate::error::StoreError;
 use crate::reader::Store;
@@ -90,9 +90,9 @@ pub trait Vfs {
     fn exists(&self, path: &str) -> bool;
 }
 
-/// Whether an I/O error is in the transient class the
-/// [`RetryPolicy`] absorbs (`EINTR`/`EAGAIN`), as opposed to a real
-/// failure like `ENOSPC`.
+/// Whether an I/O error is in the transient class the bounded retry
+/// absorbs (`EINTR`/`EAGAIN`), as opposed to a real failure like
+/// `ENOSPC`.
 pub fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -100,60 +100,40 @@ pub fn is_transient(e: &io::Error) -> bool {
     )
 }
 
-/// Bounded, deterministic retry budget for transient I/O errors.
-///
-/// There is deliberately no wall-clock backoff: retries are charged to
-/// the `io.retries` counter and bounded by `max_retries` *attempts per
-/// operation*, so behavior (and telemetry) is bit-identical across
-/// machines and runs.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Transient-error retries allowed per operation before the error
-    /// is surfaced.
-    pub max_retries: u32,
-}
+/// Transient-error retries allowed per operation before the error is
+/// surfaced. There is deliberately no wall-clock backoff: each retry is
+/// charged to the `io.retries` counter, so behavior (and telemetry) is
+/// bit-identical across machines and runs.
+const MAX_RETRIES: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_retries: 4 }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with an explicit per-operation retry budget.
-    pub fn new(max_retries: u32) -> RetryPolicy {
-        RetryPolicy { max_retries }
-    }
-
-    /// Run `op`, absorbing up to `max_retries` transient errors.
-    fn run<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-        let mut attempts = 0u32;
-        loop {
-            match op() {
-                Ok(x) => return Ok(x),
-                Err(e) if is_transient(&e) && attempts < self.max_retries => {
-                    attempts += 1;
-                    casbn_obs::counter_inc("io.retries");
-                }
-                Err(e) => return Err(e),
+/// Run `op`, absorbing up to [`MAX_RETRIES`] transient errors.
+fn retry<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    let mut attempts = 0u32;
+    loop {
+        match op() {
+            Ok(x) => return Ok(x),
+            Err(e) if is_transient(&e) && attempts < MAX_RETRIES => {
+                attempts += 1;
+                casbn_obs::counter_inc("io.retries");
             }
+            Err(e) => return Err(e),
         }
     }
 }
 
-/// Fsync through the policy's retry budget, charging `io.fsyncs`.
-fn sync_counted(policy: &RetryPolicy, f: &mut dyn VfsFile) -> io::Result<()> {
-    policy.run(|| f.sync())?;
+/// Fsync within the retry budget, charging `io.fsyncs`.
+fn sync_counted(f: &mut dyn VfsFile) -> io::Result<()> {
+    retry(|| f.sync())?;
     casbn_obs::counter_inc("io.fsyncs");
     Ok(())
 }
 
 /// Write all of `buf`, looping over short writes and retrying
-/// transients within the policy budget.
-fn write_all(policy: &RetryPolicy, f: &mut dyn VfsFile, buf: &[u8]) -> io::Result<()> {
+/// transients within the budget.
+fn write_all(f: &mut dyn VfsFile, buf: &[u8]) -> io::Result<()> {
     let mut at = 0;
     while at < buf.len() {
-        let n = policy.run(|| f.write(&buf[at..]))?;
+        let n = retry(|| f.write(&buf[at..]))?;
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
@@ -180,26 +160,20 @@ pub struct ArtifactFile<'a> {
     path: String,
     tmp: String,
     file: Option<Box<dyn VfsFile + 'a>>,
-    policy: RetryPolicy,
     committed: bool,
 }
 
 impl<'a> ArtifactFile<'a> {
     /// Start an atomic write of `path` (the bytes land in `path.tmp`
     /// until commit).
-    pub fn create(
-        fs: &'a dyn Vfs,
-        path: &str,
-        policy: RetryPolicy,
-    ) -> Result<ArtifactFile<'a>, StoreError> {
+    pub fn create(fs: &'a dyn Vfs, path: &str) -> Result<ArtifactFile<'a>, StoreError> {
         let tmp = format!("{path}.tmp");
-        let file = policy.run(|| fs.create(&tmp))?;
+        let file = retry(|| fs.create(&tmp))?;
         Ok(ArtifactFile {
             fs,
             path: path.to_string(),
             tmp,
             file: Some(file),
-            policy,
             committed: false,
         })
     }
@@ -207,7 +181,7 @@ impl<'a> ArtifactFile<'a> {
     /// Append `buf` to the pending artifact.
     pub fn write_all(&mut self, buf: &[u8]) -> Result<(), StoreError> {
         let f = self.file.as_mut().expect("file open until drop");
-        write_all(&self.policy, f.as_mut(), buf)?;
+        write_all(f.as_mut(), buf)?;
         Ok(())
     }
 
@@ -217,11 +191,11 @@ impl<'a> ArtifactFile<'a> {
     pub fn commit(mut self) -> Result<(), StoreError> {
         {
             let f = self.file.as_mut().expect("file open until drop");
-            sync_counted(&self.policy, f.as_mut())?;
+            sync_counted(f.as_mut())?;
         }
         self.file = None;
-        self.policy.run(|| self.fs.rename(&self.tmp, &self.path))?;
-        self.policy.run(|| self.fs.sync_parent(&self.path))?;
+        retry(|| self.fs.rename(&self.tmp, &self.path))?;
+        retry(|| self.fs.sync_parent(&self.path))?;
         casbn_obs::counter_inc("io.fsyncs");
         self.committed = true;
         Ok(())
@@ -238,13 +212,8 @@ impl Drop for ArtifactFile<'_> {
 }
 
 /// Atomically replace `path` with `bytes` (see [`ArtifactFile`]).
-pub fn write_atomic(
-    fs: &dyn Vfs,
-    path: &str,
-    bytes: &[u8],
-    policy: RetryPolicy,
-) -> Result<(), StoreError> {
-    let mut f = ArtifactFile::create(fs, path, policy)?;
+pub fn write_atomic(fs: &dyn Vfs, path: &str, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut f = ArtifactFile::create(fs, path)?;
     f.write_all(bytes)?;
     f.commit()
 }
@@ -253,13 +222,8 @@ pub fn write_atomic(
 /// the header + table buffer and then each section payload straight
 /// into the tmp file — the container is never materialized as one
 /// contiguous allocation.
-pub fn save_atomic(
-    fs: &dyn Vfs,
-    path: &str,
-    w: &StoreWriter,
-    policy: RetryPolicy,
-) -> Result<(), StoreError> {
-    let mut f = ArtifactFile::create(fs, path, policy)?;
+pub fn save_atomic(fs: &dyn Vfs, path: &str, w: &StoreWriter) -> Result<(), StoreError> {
+    let mut f = ArtifactFile::create(fs, path)?;
     f.write_all(&w.header_and_table()?)?;
     for payload in w.payloads() {
         f.write_all(payload)?;
@@ -297,9 +261,8 @@ pub fn append_durable(
     fs: &dyn Vfs,
     path: &str,
     w: &StoreWriter,
-    policy: RetryPolicy,
 ) -> Result<AppendOutcome, StoreError> {
-    let mut base = policy.run(|| fs.read(path))?;
+    let mut base = retry(|| fs.read(path))?;
     let mut recovered_bytes = 0u64;
     if Store::open_lazy(&base).is_err() {
         // torn tail from an earlier crash: resolve to the newest valid
@@ -308,26 +271,25 @@ pub fn append_durable(
         let keep = Store::recover_prefix_len(&base)?;
         recovered_bytes = (base.len() - keep) as u64;
         casbn_obs::counter_inc("io.recovered_generation");
-        policy.run(|| fs.truncate(path, keep as u64))?;
+        retry(|| fs.truncate(path, keep as u64))?;
         base.truncate(keep);
     }
     let tail = w.append_tail(&base)?;
-    let mut f = policy.run(|| fs.open_append(path))?;
+    let mut f = retry(|| fs.open_append(path))?;
     // stage the new generation: payloads, padding, superseding table …
     for payload in w.payloads() {
-        write_all(&policy, f.as_mut(), payload)?;
+        write_all(f.as_mut(), payload)?;
         write_all(
-            &policy,
             f.as_mut(),
             &PAD[..crate::align8(payload.len()) - payload.len()],
         )?;
     }
-    write_all(&policy, f.as_mut(), &tail.table)?;
+    write_all(f.as_mut(), &tail.table)?;
     // … make it durable *before* the footer names it …
-    sync_counted(&policy, f.as_mut())?;
+    sync_counted(f.as_mut())?;
     // … then commit with the footer
-    write_all(&policy, f.as_mut(), &tail.footer)?;
-    sync_counted(&policy, f.as_mut())?;
+    write_all(f.as_mut(), &tail.footer)?;
+    sync_counted(f.as_mut())?;
     Ok(AppendOutcome {
         generation: tail.generation,
         recovered_bytes,
@@ -707,7 +669,7 @@ pub struct FaultConfig {
     /// Percent of writes accepted only partially (short writes).
     pub short_write_pct: u8,
     /// Percent of mutating ops failing `EINTR`/`EAGAIN` (side-effect
-    /// free; the retry policy's food).
+    /// free; the bounded retry's food).
     pub transient_pct: u8,
     /// From this 1-based write index on, every write fails `ENOSPC`.
     pub enospc_from_write: Option<u64>,
@@ -977,7 +939,7 @@ mod tests {
         let probe = FaultFs::new(FaultConfig::default());
         probe.fs().install("art.bin", &old);
         probe.fs().sync_parent("art.bin").unwrap();
-        write_atomic(&probe, "art.bin", &new, RetryPolicy::default()).unwrap();
+        write_atomic(&probe, "art.bin", &new).unwrap();
         let total = probe.ops_issued();
         assert!(total >= 4, "create+write+sync+rename+dirsync expected");
         assert_eq!(probe.fs().live("art.bin").unwrap(), new);
@@ -991,7 +953,7 @@ mod tests {
                 });
                 fs.fs().install("art.bin", &old);
                 fs.fs().sync_parent("art.bin").unwrap();
-                let r = write_atomic(&fs, "art.bin", &new, RetryPolicy::default());
+                let r = write_atomic(&fs, "art.bin", &new);
                 assert!(r.is_err(), "cut at {k} did not surface");
                 let img = fs.fs().crash_image(flush);
                 let got = img.get("art.bin").expect("artifact vanished");
@@ -1005,23 +967,26 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_absorbs_transients_and_bounds_them() {
+    fn retry_absorbs_transients_and_bounds_them() {
         let fs = FaultFs::new(FaultConfig {
             seed: 11,
             transient_pct: 30,
             short_write_pct: 30,
             ..FaultConfig::default()
         });
-        write_atomic(&fs, "x.bin", &vec![3u8; 4096], RetryPolicy::default()).unwrap();
+        write_atomic(&fs, "x.bin", &vec![3u8; 4096]).unwrap();
         assert_eq!(fs.fs().live("x.bin").unwrap(), vec![3u8; 4096]);
-        // a zero-retry policy surfaces the first transient
+        // when every op fails transiently, the first one (creating the
+        // tmp file) is tried once and retried exactly MAX_RETRIES times
         let fs = FaultFs::new(FaultConfig {
             seed: 11,
-            transient_pct: 90,
+            transient_pct: 100,
             ..FaultConfig::default()
         });
-        let err = write_atomic(&fs, "x.bin", b"data", RetryPolicy::new(0));
+        let err = write_atomic(&fs, "x.bin", b"data");
         assert!(matches!(err, Err(StoreError::Io(_))));
+        assert_eq!(fs.ops_issued(), u64::from(MAX_RETRIES) + 1);
+        assert!(!fs.fs().exists("x.bin"));
     }
 
     #[test]
@@ -1033,7 +998,7 @@ mod tests {
         });
         fs.fs().install("a.bin", b"old");
         fs.fs().sync_parent("a.bin").unwrap();
-        let err = write_atomic(&fs, "a.bin", &[1u8; 64], RetryPolicy::default());
+        let err = write_atomic(&fs, "a.bin", &[1u8; 64]);
         match err {
             Err(StoreError::Io(e)) => assert!(e.to_string().contains("ENOSPC")),
             other => panic!("expected ENOSPC, got {other:?}"),
@@ -1050,7 +1015,7 @@ mod tests {
         w.add(SectionKind::Graph, 0, vec![1, 2, 3]);
         w.add(SectionKind::Matrix, 2, vec![9; 16]);
         let fs = MemFs::new();
-        save_atomic(&fs, "c.csbn", &w, RetryPolicy::default()).unwrap();
+        save_atomic(&fs, "c.csbn", &w).unwrap();
         assert_eq!(fs.live("c.csbn").unwrap(), w.to_bytes());
         let bytes = fs.live("c.csbn").unwrap();
         Store::parse(&bytes).unwrap();
@@ -1061,12 +1026,12 @@ mod tests {
         let mut w = StoreWriter::with_creator("gen0");
         w.add(SectionKind::Graph, 0, vec![1; 24]);
         let fs = MemFs::new();
-        save_atomic(&fs, "c.csbn", &w, RetryPolicy::default()).unwrap();
+        save_atomic(&fs, "c.csbn", &w).unwrap();
         let gen0 = fs.live("c.csbn").unwrap();
 
         let mut a = StoreWriter::new();
         a.add(SectionKind::Graph, 0, vec![2; 24]);
-        let out = append_durable(&fs, "c.csbn", &a, RetryPolicy::default()).unwrap();
+        let out = append_durable(&fs, "c.csbn", &a).unwrap();
         assert_eq!(out.generation, 1);
         assert_eq!(out.recovered_bytes, 0);
         let gen1 = fs.live("c.csbn").unwrap();
@@ -1085,7 +1050,7 @@ mod tests {
         let mut w = StoreWriter::with_creator("gen0");
         w.add(SectionKind::Graph, 0, vec![1; 24]);
         let fs = MemFs::new();
-        save_atomic(&fs, "c.csbn", &w, RetryPolicy::default()).unwrap();
+        save_atomic(&fs, "c.csbn", &w).unwrap();
         let clean_len = fs.live("c.csbn").unwrap().len();
         // simulate a crash that left 13 garbage bytes appended
         {
@@ -1095,7 +1060,7 @@ mod tests {
         }
         let mut a = StoreWriter::new();
         a.add(SectionKind::Matrix, 0, vec![3; 8]);
-        let out = append_durable(&fs, "c.csbn", &a, RetryPolicy::default()).unwrap();
+        let out = append_durable(&fs, "c.csbn", &a).unwrap();
         assert_eq!(out.recovered_bytes, 13);
         assert_eq!(out.generation, 1);
         let bytes = fs.live("c.csbn").unwrap();
@@ -1112,10 +1077,10 @@ mod tests {
         let path = path.to_str().unwrap();
         let mut w = StoreWriter::with_creator("real");
         w.add(SectionKind::Graph, 0, vec![5; 40]);
-        save_atomic(&RealFs, path, &w, RetryPolicy::default()).unwrap();
+        save_atomic(&RealFs, path, &w).unwrap();
         let mut a = StoreWriter::new();
         a.add(SectionKind::Graph, 0, vec![6; 40]);
-        let out = append_durable(&RealFs, path, &a, RetryPolicy::default()).unwrap();
+        let out = append_durable(&RealFs, path, &a).unwrap();
         assert_eq!(out.generation, 1);
         let bytes = std::fs::read(path).unwrap();
         let s = Store::parse(&bytes).unwrap();

@@ -63,7 +63,7 @@ pub use codec::{Dec, Enc};
 pub use error::StoreError;
 pub use io::{
     append_durable, save_atomic, write_atomic, ArtifactFile, CrashFlush, FaultConfig, FaultFs,
-    MemFs, RealFs, RetryPolicy, Vfs, VfsFile,
+    MemFs, RealFs, Vfs, VfsFile,
 };
 pub use reader::{SectionEntry, Store};
 pub use writer::StoreWriter;

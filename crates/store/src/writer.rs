@@ -200,12 +200,7 @@ impl StoreWriter {
     /// `path` (see [`crate::io::save_atomic`]) — a crash mid-save
     /// leaves the previous artifact intact.
     pub fn save(&self, path: &str) -> Result<(), StoreError> {
-        crate::io::save_atomic(
-            &crate::io::RealFs,
-            path,
-            self,
-            crate::io::RetryPolicy::default(),
-        )
+        crate::io::save_atomic(&crate::io::RealFs, path, self)
     }
 }
 
@@ -266,7 +261,7 @@ impl Default for StoreWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{append_durable, MemFs, RetryPolicy};
+    use crate::io::{append_durable, MemFs};
     use crate::reader::Store;
 
     /// `base` grown by `a`'s sections the production way: a durable
@@ -274,7 +269,7 @@ mod tests {
     fn append(a: &StoreWriter, base: &[u8]) -> Result<Vec<u8>, StoreError> {
         let fs = MemFs::new();
         fs.install("t.csbn", base);
-        append_durable(&fs, "t.csbn", a, RetryPolicy::default())?;
+        append_durable(&fs, "t.csbn", a)?;
         Ok(fs.live("t.csbn").expect("appended file exists"))
     }
 

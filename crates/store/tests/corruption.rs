@@ -126,14 +126,14 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 0..96),
         tag in 0u32..4,
     ) {
-        use casbn_store::io::{append_durable, save_atomic, MemFs, RetryPolicy};
+        use casbn_store::io::{append_durable, save_atomic, MemFs};
         let fs = MemFs::new();
         let base = sample();
         fs.install("t.csbn", &base);
         let mut a = StoreWriter::new();
         a.add(SectionKind::Matrix, tag, payload);
         a.add(SectionKind::Graph, 0, vec![0xAB; 16]); // supersedes
-        append_durable(&fs, "t.csbn", &a, RetryPolicy::default()).unwrap();
+        append_durable(&fs, "t.csbn", &a).unwrap();
         let grown = fs.live("t.csbn").unwrap();
         prop_assert_eq!(&grown[..base.len()], &base[..]);
 
@@ -159,14 +159,14 @@ proptest! {
         let fs2 = MemFs::new();
         let mut w2 = StoreWriter::with_creator("torn-2");
         w2.add(SectionKind::Graph, 0, vec![1; 24]);
-        save_atomic(&fs2, "u.csbn", &w2, RetryPolicy::default()).unwrap();
+        save_atomic(&fs2, "u.csbn", &w2).unwrap();
         let mut b2 = StoreWriter::new();
         b2.add(SectionKind::Clusters, 0, vec![2; 9]);
-        append_durable(&fs2, "u.csbn", &b2, RetryPolicy::default()).unwrap();
+        append_durable(&fs2, "u.csbn", &b2).unwrap();
         let gen1 = fs2.live("u.csbn").unwrap();
         let mut c2 = StoreWriter::new();
         c2.add(SectionKind::Clusters, 0, vec![3; 17]);
-        append_durable(&fs2, "u.csbn", &c2, RetryPolicy::default()).unwrap();
+        append_durable(&fs2, "u.csbn", &c2).unwrap();
         let gen2 = fs2.live("u.csbn").unwrap();
         for cut in (gen1.len()..gen2.len()).step_by(7) {
             let len = Store::recover_prefix_len(&gen2[..cut]).unwrap();

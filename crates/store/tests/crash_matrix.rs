@@ -5,7 +5,7 @@
 //! bit-exact prior-or-new generation. Never a parse error, never a
 //! panic.
 
-use casbn_store::io::{append_durable, save_atomic, CrashFlush, FaultConfig, FaultFs, RetryPolicy};
+use casbn_store::io::{append_durable, save_atomic, CrashFlush, FaultConfig, FaultFs};
 use casbn_store::{SectionKind, Store, StoreError, StoreWriter};
 
 const PATH: &str = "ck.csbn";
@@ -27,9 +27,9 @@ fn rounds() -> Vec<StoreWriter> {
 
 fn run_workload(fs: &FaultFs) -> Result<(), StoreError> {
     let ws = rounds();
-    save_atomic(fs, PATH, &ws[0], RetryPolicy::default())?;
-    append_durable(fs, PATH, &ws[1], RetryPolicy::default())?;
-    append_durable(fs, PATH, &ws[2], RetryPolicy::default())?;
+    save_atomic(fs, PATH, &ws[0])?;
+    append_durable(fs, PATH, &ws[1])?;
+    append_durable(fs, PATH, &ws[2])?;
     Ok(())
 }
 
@@ -38,12 +38,12 @@ fn every_crash_cut_resolves_to_a_bit_exact_generation() {
     // fault-free probe: generation snapshots + syscall count
     let probe = FaultFs::new(FaultConfig::default());
     let ws = rounds();
-    save_atomic(&probe, PATH, &ws[0], RetryPolicy::default()).unwrap();
+    save_atomic(&probe, PATH, &ws[0]).unwrap();
     let ops_gen0 = probe.ops_issued();
     let s0 = probe.fs().live(PATH).unwrap();
-    append_durable(&probe, PATH, &ws[1], RetryPolicy::default()).unwrap();
+    append_durable(&probe, PATH, &ws[1]).unwrap();
     let s1 = probe.fs().live(PATH).unwrap();
-    append_durable(&probe, PATH, &ws[2], RetryPolicy::default()).unwrap();
+    append_durable(&probe, PATH, &ws[2]).unwrap();
     let s2 = probe.fs().live(PATH).unwrap();
     let total = probe.ops_issued();
     assert!(total > ops_gen0, "appends must issue syscalls");
@@ -98,9 +98,9 @@ fn appending_after_a_crash_repairs_the_torn_file_in_place() {
     // produce a clean next generation
     let probe = FaultFs::new(FaultConfig::default());
     let ws = rounds();
-    save_atomic(&probe, PATH, &ws[0], RetryPolicy::default()).unwrap();
+    save_atomic(&probe, PATH, &ws[0]).unwrap();
     let ops_gen0 = probe.ops_issued();
-    append_durable(&probe, PATH, &ws[1], RetryPolicy::default()).unwrap();
+    append_durable(&probe, PATH, &ws[1]).unwrap();
     let total = probe.ops_issued();
 
     for k in ops_gen0 + 1..=total {
@@ -109,15 +109,15 @@ fn appending_after_a_crash_repairs_the_torn_file_in_place() {
             crash_at_op: Some(k),
             ..FaultConfig::default()
         });
-        save_atomic(&fs, PATH, &ws[0], RetryPolicy::default()).unwrap();
-        assert!(append_durable(&fs, PATH, &ws[1], RetryPolicy::default()).is_err());
+        save_atomic(&fs, PATH, &ws[0]).unwrap();
+        assert!(append_durable(&fs, PATH, &ws[1]).is_err());
         // "reboot": reseed a fresh fault-free fs with the torn image
         let img = fs.fs().crash_image(CrashFlush::Torn);
         let after = FaultFs::new(FaultConfig::default());
         after
             .fs()
             .install(PATH, img.get(PATH).expect("file present"));
-        let out = append_durable(&after, PATH, &ws[2], RetryPolicy::default()).unwrap();
+        let out = append_durable(&after, PATH, &ws[2]).unwrap();
         let bytes = after.fs().live(PATH).unwrap();
         let s = Store::parse(&bytes).unwrap();
         assert_eq!(s.generation(), out.generation);

@@ -115,19 +115,15 @@ fn percentile_nanos(sorted: &[u64], p: u32) -> u64 {
 /// Every [`StreamDriver::ingest_window`]:
 ///
 /// 1. feeds the window's samples to the [`OnlineCorrelation`]
-///    accumulator, producing an edge delta;
-/// 2. applies the delta to the live network, a plain [`Graph`]
-///    ([`Graph::apply`]);
-/// 3. maintains the chordal subgraph with [`IncrementalChordal`]
+///    accumulator, which applies the edge delta they cause to the live
+///    network it owns, a plain [`Graph`];
+/// 2. maintains the chordal subgraph with [`IncrementalChordal`]
 ///    (admissibility-tested inserts, deletion-triggered regional
 ///    rebuilds), charged to the LogP clock;
-/// 4. re-clusters the chordal subgraph with MCODE and scores cluster
+/// 3. re-clusters the chordal subgraph with MCODE and scores cluster
 ///    stability against the previous window.
 pub struct StreamDriver {
     online: OnlineCorrelation,
-    /// The live network: the retained edges of `online`, kept as a
-    /// graph for the chordal maintainer and the serving snapshot.
-    net: Graph,
     chordal: IncrementalChordal,
     cfg: StreamConfig,
     /// Clustered-vertex set of the previous window, sorted ascending
@@ -150,7 +146,6 @@ impl StreamDriver {
     pub fn new(genes: usize, cfg: StreamConfig) -> Self {
         StreamDriver {
             online: OnlineCorrelation::new(genes, cfg.network),
-            net: Graph::new(genes),
             chordal: IncrementalChordal::with_config(
                 genes,
                 casbn_chordal::ChordalConfig::default(),
@@ -173,9 +168,9 @@ impl StreamDriver {
         &self.cfg
     }
 
-    /// The live network.
+    /// The live network, owned by the correlation accumulator.
     pub fn network(&self) -> &Graph {
-        &self.net
+        self.online.network()
     }
 
     /// The maintained chordal subgraph.
@@ -196,17 +191,10 @@ impl StreamDriver {
         &self.clusters
     }
 
-    /// Retained correlation edges with their rho values, in canonical
-    /// ascending edge order. The other half of the snapshot-publication
-    /// hook: a freshly materialised rho table for the serving tier's
-    /// resident rho index.
-    pub fn retained_weights(&self) -> Vec<((VertexId, VertexId), f64)> {
-        self.online.weights()
-    }
-
     /// Current correlation estimate of genes `u ≠ v` (0.0 while either
-    /// has no variance): for a network edge, its entry in
-    /// [`StreamDriver::retained_weights`].
+    /// has no variance). The other half of the snapshot-publication
+    /// hook: the serving tier reads it for every network edge to build
+    /// its rho table.
     pub fn rho(&self, u: VertexId, v: VertexId) -> f64 {
         self.online.rho(u as usize, v as usize)
     }
@@ -216,8 +204,7 @@ impl StreamDriver {
         let started = Instant::now();
         let mut span = casbn_obs::Span::enter("stream.window");
         let delta = self.online.ingest(batch);
-        self.net.apply(&delta);
-        self.chordal.apply(&delta, &self.net);
+        self.chordal.apply(&delta, self.online.network());
 
         mcode_cluster_into(
             self.chordal.subgraph(),
@@ -249,7 +236,7 @@ impl StreamDriver {
             samples_seen: self.online.samples(),
             inserts: delta.inserts.len(),
             removes: delta.removes.len(),
-            network_edges: self.net.m(),
+            network_edges: self.online.network().m(),
             chordal_edges: self.chordal.retained_edges(),
             clusters: clusters.len(),
             stability,
@@ -268,6 +255,24 @@ impl StreamDriver {
         report
     }
 
+    /// Ingest the next window of `replay`, the whole stream from its
+    /// first sample on: the `batch` samples after the ones ingested so
+    /// far, fewer at the stream's end. `None` once the replay is
+    /// exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured batch is 0 and samples remain.
+    pub fn ingest_next(&mut self, replay: &ExpressionMatrix) -> Option<WindowReport> {
+        let lo = self.samples_ingested();
+        if lo >= replay.samples() {
+            return None;
+        }
+        assert!(self.cfg.batch > 0, "window batch size must be positive");
+        let hi = (lo + self.cfg.batch).min(replay.samples());
+        Some(self.ingest_window(&replay.columns(lo, hi)))
+    }
+
     /// Genes in the stream.
     pub fn genes(&self) -> usize {
         self.online.genes()
@@ -281,8 +286,8 @@ impl StreamDriver {
 
     /// Serialise the driver's complete resumable state into a `.csbn`
     /// checkpoint container: the online-correlation accumulators
-    /// (bit-exact `f64`s, and the membership bitset the network is
-    /// rebuilt from), the incremental-chordal subgraph and clock, and
+    /// (bit-exact `f64`s) and the network as one membership bit per
+    /// pair, the incremental-chordal subgraph and clock, and
     /// the driver's window history and configuration. A driver restored
     /// with [`StreamDriver::resume_from`] and fed the rest of the
     /// stream reproduces the uninterrupted run's windows and final
@@ -311,11 +316,11 @@ impl StreamDriver {
         e.f64s(mean);
         e.f64s(m2);
         e.f64s(comoment);
-        e.u64s(present);
+        e.u64s(&present);
         w.add(SectionKind::OnlineCorrelation, 0, e.into_payload());
 
-        // the maintained chordal subgraph (the network is the bitset's
-        // retained edges, so it is not stored a second time)
+        // the maintained chordal subgraph (the network is stored once,
+        // as the accumulator's membership words)
         graph_store::add_graph(&mut w, CHECKPOINT_CHORDAL_TAG, self.chordal.subgraph());
 
         // incremental-chordal scalars (config, cost model, clock, ops)
@@ -368,8 +373,8 @@ impl StreamDriver {
     }
 
     /// Restore a driver from a checkpoint container written by
-    /// [`StreamDriver::checkpoint_bytes`]. The live network is rebuilt
-    /// from the accumulator's membership bitset; a
+    /// [`StreamDriver::checkpoint_bytes`]. The live network is decoded
+    /// from the accumulator's membership words; a
     /// [`SectionKind::DeltaGraph`] section, which checkpoints written
     /// before the network was stored once still carry, is ignored. All
     /// cross-section consistency (matching vertex/gene counts, the
@@ -404,8 +409,8 @@ impl StreamDriver {
         )
         .map_err(|e| StoreError::Malformed(e.into()))?;
 
-        // network (the bitset's retained edges) + chordal subgraph
-        let net = online.graph();
+        // network (decoded from the membership words) + chordal subgraph
+        let net = online.network();
         let h = graph_store::load_csr(store, CHECKPOINT_CHORDAL_TAG)?.to_graph();
         if h.n() != genes {
             return Err(malformed("checkpoint vertex counts disagree"));
@@ -504,7 +509,6 @@ impl StreamDriver {
         };
         Ok(StreamDriver {
             online,
-            net,
             chordal,
             cfg,
             prev_clustered,
@@ -557,15 +561,8 @@ impl StreamDriver {
     /// Replay `matrix` (genes × samples, stream order) in `cfg.batch`-
     /// sized windows and summarise. The trailing window may be smaller.
     pub fn run(matrix: &ExpressionMatrix, cfg: StreamConfig) -> StreamSummary {
-        assert!(cfg.batch > 0, "window batch size must be positive");
         let mut driver = StreamDriver::new(matrix.genes(), cfg);
-        let samples = matrix.samples();
-        let mut lo = 0usize;
-        while lo < samples {
-            let hi = (lo + cfg.batch).min(samples);
-            driver.ingest_window(&matrix.columns(lo, hi));
-            lo = hi;
-        }
+        while driver.ingest_next(matrix).is_some() {}
         driver.finish()
     }
 }
@@ -686,12 +683,7 @@ mod tests {
         let m = small_replay();
         let cfg = StreamConfig::default();
         let mut driver = StreamDriver::new(m.genes(), cfg);
-        let mut lo = 0;
-        while lo < m.samples() {
-            let hi = (lo + cfg.batch).min(m.samples());
-            driver.ingest_window(&m.columns(lo, hi));
-            lo = hi;
-        }
+        while driver.ingest_next(&m).is_some() {}
         // network converges to the batch network; chordal stays chordal
         let batch = casbn_expr::CorrelationNetwork::from_expression_seq(&m, cfg.network);
         assert!(driver.network().same_edges(&batch.graph));

@@ -11,10 +11,9 @@
 //! * [`OnlineCorrelation`] — per-gene Welford moments plus pairwise
 //!   co-moment accumulators; ingests sample batches and emits
 //!   [`casbn_graph::EdgeDelta`]s (edges crossing or falling below the ρ
-//!   cut). Accumulator state is bit-identical under any batching of the
-//!   same sample stream.
-//! * [`casbn_graph::Graph::apply`] — applies each delta to the live
-//!   network, a plain [`casbn_graph::Graph`].
+//!   cut), which it applies ([`casbn_graph::Graph::apply`]) to the live
+//!   network it owns, a plain [`casbn_graph::Graph`]. Accumulator state
+//!   is bit-identical under any batching of the same sample stream.
 //! * [`casbn_core::IncrementalChordal`] — maintains a chordal subgraph
 //!   under deltas (exact local admissibility test for inserts, regional
 //!   DSW rebuilds for deletes), charged to the `casbn_distsim` LogP
@@ -25,8 +24,9 @@
 //! * [`replay`] — the sample-major on-disk stream format and the
 //!   deterministic preset-based replay synthesizer.
 //!
-//! The driver's complete state — accumulators (whose membership bitset
-//! is the network, stored once), chordal subgraph, window history —
+//! The driver's complete state — accumulators and the network they own
+//! (stored once, as one membership bit per pair), chordal subgraph,
+//! window history —
 //! checkpoints into a `.csbn` container
 //! ([`StreamDriver::checkpoint_bytes`]) and resumes bit-identically
 //! ([`StreamDriver::resume_from`]): a resumed run reproduces the

@@ -34,22 +34,23 @@
 //! and `p ≤ max_p`, the paper's thresholds). The pairs whose membership
 //! changed come out as an [`EdgeDelta`] in canonical order: edges that
 //! crossed the cut, and edges that fell back below it as the running
-//! estimates sharpened.
+//! estimates sharpened. The accumulator applies the delta to the live
+//! network it owns ([`OnlineCorrelation::network`], a plain [`Graph`]),
+//! removes first, then inserts.
 //!
 //! **Why the bits hold.** Each co-moment still takes exactly the terms
 //! `dᵢₛ·d₂ⱼₛ` it took before, added one at a time in stream order
 //! (Rust does not contract `a + b·c` into a fused multiply-add), so the
 //! chunking changes only which pairs are in flight together, never one
-//! pair's operations or their order. The co-moments, membership bits and
-//! deltas are the ones a pair-at-a-time loop gives, at every thread
-//! count.
+//! pair's operations or their order. The co-moments, network and deltas
+//! are the ones a pair-at-a-time loop gives, at every thread count.
 //!
 //! **Conservative cut.** Almost every pair lies far below the cut, so
 //! the sweep first applies a division-free test that can only reject:
 //! `C < lo·sdᵢ·sdⱼ`, with `sd = √M2`. It runs on groups of `GROUP` (8)
 //! columns into a bit mask, `!(C < loᵢ·sdⱼ)` per lane with
 //! `loᵢ = lo·sdᵢ`, and only a group with a survivor is scanned. A pair
-//! it does not reject, or whose membership bit is set, takes the exact
+//! it does not reject, or that the network holds, takes the exact
 //! predicate: `ρ = C/(sdᵢ·sdⱼ)`, then `min_rho` and the p-value. The retained set
 //! is therefore the one the exact predicate gives on every pair. `lo`
 //! sits below the effective cut `t` by `2⁻⁴⁰·(|t| + 1)`. With `sd` in
@@ -78,10 +79,13 @@
 //! groups depend on the row alone, so the result is bit-identical at
 //! every thread count.
 //!
-//! **Export.** [`OnlineCorrelation::weights`] and
-//! [`OnlineCorrelation::graph`] scan the membership bitset's words once
-//! and map each set bit to its pair with a forward-only row cursor:
-//! `O(pairs/64 + genes + edges)`, not `O(pairs)`.
+//! **The network.** The sweep reads row `i`'s retained pairs from the
+//! network's sorted neighbour list above `i`, with a cursor that only
+//! moves forward. [`OnlineCorrelation::weights`] walks the network's
+//! edges: `O(genes + edges)`, not `O(pairs)`. A checkpoint stores the
+//! network as membership words, one bit per pair of the row-major upper
+//! triangle; they are encoded from the graph when a checkpoint is
+//! written and decoded back into it on resume.
 //!
 //! **Finite inputs.** `ingest` expects finite samples; the replay
 //! reader rejects any other. The accumulators then stay finite while
@@ -128,10 +132,8 @@ pub struct OnlineCorrelation {
     m2: Vec<f64>,
     /// Upper-triangle pairwise co-moments, row-major flat.
     comoment: Vec<f64>,
-    /// Current thresholded edge membership, one bit per pair.
-    present: Vec<u64>,
-    /// Live edge count.
-    edges: usize,
+    /// The live network: the pairs that satisfy the retention predicate.
+    net: Graph,
     /// Abstract ops charged (moment updates + co-moment updates + pair
     /// scans), the unit the streaming perf workloads feed to the LogP
     /// cost model.
@@ -151,34 +153,6 @@ fn pair_index(genes: usize, i: usize, j: usize) -> usize {
     row_start(genes, i) + (j - i - 1)
 }
 
-/// Bit `idx` of a bitset.
-#[inline]
-fn bit(bits: &[u64], idx: usize) -> bool {
-    bits[idx / 64] >> (idx % 64) & 1 == 1
-}
-
-/// Flat indices of the set bits of `bits` within `range`, ascending.
-fn set_bits(bits: &[u64], range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
-    let Range { start, end } = range;
-    (start / 64..end.div_ceil(64)).flat_map(move |w| {
-        let mut word = bits[w];
-        if w == start / 64 {
-            word &= !0u64 << (start % 64);
-        }
-        if end < w * 64 + 64 {
-            // w·64 < end here, so the shift is below 64
-            word &= (1u64 << (end % 64)) - 1;
-        }
-        std::iter::from_fn(move || {
-            (word != 0).then(|| {
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                w * 64 + b
-            })
-        })
-    })
-}
-
 impl OnlineCorrelation {
     /// Empty accumulator over `genes` genes with the given thresholds.
     ///
@@ -193,8 +167,7 @@ impl OnlineCorrelation {
             mean: vec![0.0; genes],
             m2: vec![0.0; genes],
             comoment: vec![0.0; pairs],
-            present: vec![0u64; pairs.div_ceil(64)],
-            edges: 0,
+            net: Graph::new(genes),
             work_ops: 0,
         }
     }
@@ -215,12 +188,6 @@ impl OnlineCorrelation {
     #[inline]
     pub fn params(&self) -> NetworkParams {
         self.params
-    }
-
-    /// Edges currently above the retention cut.
-    #[inline]
-    pub fn edges(&self) -> usize {
-        self.edges
     }
 
     /// Abstract ops performed so far (for the simulated cost model).
@@ -258,69 +225,43 @@ impl OnlineCorrelation {
         }
     }
 
-    /// Whether the pair `(i, j)` currently satisfies the retention
+    /// The live network: every pair that satisfies the retention
     /// predicate (`ρ ≥ min_rho` and `p ≤ max_p` at the current sample
     /// count).
-    pub fn pair_retained(&self, i: usize, j: usize) -> bool {
-        let (i, j) = (i.min(j), i.max(j));
-        bit(&self.present, pair_index(self.genes, i, j))
-    }
-
-    /// The current thresholded network as a plain graph.
-    pub fn graph(&self) -> Graph {
-        let mut g = Graph::new(self.genes);
-        self.for_each_retained(|i, j| {
-            g.add_edge(i as VertexId, j as VertexId);
-        });
-        g
+    #[inline]
+    pub fn network(&self) -> &Graph {
+        &self.net
     }
 
     /// Retained edges with their current ρ, canonical order.
     pub fn weights(&self) -> Vec<((VertexId, VertexId), f64)> {
-        let mut out = Vec::with_capacity(self.edges);
-        self.for_each_retained(|i, j| {
-            out.push(((i as VertexId, j as VertexId), self.rho(i, j)));
-        });
-        out
-    }
-
-    /// Call `f(i, j)` for every retained pair, in canonical order: one
-    /// scan over the bitset's words, and a row cursor that only moves
-    /// forward.
-    fn for_each_retained(&self, mut f: impl FnMut(usize, usize)) {
-        let genes = self.genes;
-        // row i's pairs have flat indices start..end
-        let (mut i, mut start, mut end) = (0usize, 0usize, genes.saturating_sub(1));
-        for (w, &word) in self.present.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                while idx >= end {
-                    i += 1;
-                    start = end;
-                    end += genes - i - 1;
-                }
-                f(i, i + 1 + (idx - start));
-            }
-        }
+        self.net
+            .edges()
+            .map(|(u, v)| ((u, v), self.rho(u as usize, v as usize)))
+            .collect()
     }
 
     /// The accumulator arrays the `.csbn` checkpoint serialises:
     /// per-gene means and second moments, the co-moment triangle, and
-    /// the membership bitset — the checkpoint's only copy of the
-    /// network, which a resume rebuilds with [`OnlineCorrelation::graph`].
-    pub(crate) fn checkpoint_arrays(&self) -> (&[f64], &[f64], &[f64], &[u64]) {
-        (&self.mean, &self.m2, &self.comoment, &self.present)
+    /// the network as membership words (bit `pair_index(i, j)` set for
+    /// every edge) — the checkpoint's only copy of the network.
+    pub(crate) fn checkpoint_arrays(&self) -> (&[f64], &[f64], &[f64], Vec<u64>) {
+        let mut words = vec![0u64; self.comoment.len().div_ceil(64)];
+        for (u, v) in self.net.edges() {
+            let idx = pair_index(self.genes, u as usize, v as usize);
+            words[idx / 64] |= 1u64 << (idx % 64);
+        }
+        (&self.mean, &self.m2, &self.comoment, words)
     }
 
     /// Rebuild an accumulator from checkpointed state. Array lengths
     /// must match the gene count, bits past the pair triangle must be
-    /// zero (the live edge count is recomputed as the bitset popcount),
-    /// the thresholds must be finite and no second moment negative; the
-    /// caller has already rejected non-finite accumulator values while
-    /// decoding them. The recurrences continue **bit-identically** — the
-    /// restored means/moments are the exact `f64` bits the original held.
+    /// zero (the set bits are decoded into the network with a row cursor
+    /// that only moves forward), the thresholds must be finite and no
+    /// second moment negative; the caller has already rejected non-finite
+    /// accumulator values while decoding them. The recurrences continue
+    /// **bit-identically** — the restored means/moments are the exact
+    /// `f64` bits the original held.
     #[allow(clippy::too_many_arguments)] // mirrors the checkpoint field order
     pub(crate) fn from_checkpoint(
         genes: usize,
@@ -361,7 +302,22 @@ impl OnlineCorrelation {
                 }
             }
         }
-        let edges = present.iter().map(|w| w.count_ones() as usize).sum();
+        let mut net = Graph::new(genes);
+        // row i's pairs have flat indices start..end
+        let (mut i, mut start, mut end) = (0usize, 0usize, genes.saturating_sub(1));
+        for (w, &word) in present.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while idx >= end {
+                    i += 1;
+                    start = end;
+                    end += genes - i - 1;
+                }
+                net.add_edge(i as VertexId, (i + 1 + (idx - start)) as VertexId);
+            }
+        }
         Ok(OnlineCorrelation {
             genes,
             params,
@@ -369,8 +325,7 @@ impl OnlineCorrelation {
             mean,
             m2,
             comoment,
-            present,
-            edges,
+            net,
             work_ops,
         })
     }
@@ -439,10 +394,10 @@ impl OnlineCorrelation {
             lo: reject_cut(self.params, self.samples),
             n: self.samples,
             params: self.params,
-            present: &self.present,
+            net: &self.net,
         };
         let blocks = row_blocks(genes, &mut self.comoment);
-        let run = |(rows, first, c): Block<'_>| sweep.block(rows, first, c);
+        let run = |(rows, c): Block<'_>| sweep.block(rows, c);
         let changes: Vec<Vec<Change>> = if pairs >= PARALLEL_PAIR_THRESHOLD {
             blocks.into_par_iter().map(run).collect()
         } else {
@@ -451,30 +406,28 @@ impl OnlineCorrelation {
 
         let mut delta = EdgeDelta::default();
         for (i, j, keep) in changes.into_iter().flatten() {
-            let idx = pair_index(genes, i, j);
-            self.present[idx / 64] ^= 1u64 << (idx % 64);
+            let edge = (i as VertexId, j as VertexId);
             if keep {
-                self.edges += 1;
-                delta.inserts.push((i as VertexId, j as VertexId));
+                delta.inserts.push(edge);
             } else {
-                self.edges -= 1;
-                delta.removes.push((i as VertexId, j as VertexId));
+                delta.removes.push(edge);
             }
         }
+        self.net.apply(&delta);
         delta
     }
 }
 
-/// A row block of the sweep: its rows, the flat index of its first
-/// pair, and its slice of the co-moment triangle.
-type Block<'a> = (Range<usize>, usize, &'a mut [f64]);
+/// A row block of the sweep: its rows and its slice of the co-moment
+/// triangle.
+type Block<'a> = (Range<usize>, &'a mut [f64]);
 
 /// Cut the triangle's rows into blocks of about `BLOCK_PAIRS` pairs.
 /// The cut depends on the gene count alone, never on the thread count.
 fn row_blocks(genes: usize, comoment: &mut [f64]) -> Vec<Block<'_>> {
     let mut blocks = Vec::new();
     let mut rest = comoment;
-    let (mut row, mut first) = (0usize, 0usize);
+    let mut row = 0usize;
     while row + 1 < genes {
         let start = row;
         let mut count = 0usize;
@@ -484,8 +437,7 @@ fn row_blocks(genes: usize, comoment: &mut [f64]) -> Vec<Block<'_>> {
         }
         let (head, tail) = std::mem::take(&mut rest).split_at_mut(count);
         rest = tail;
-        blocks.push((start..row, first, head));
-        first += count;
+        blocks.push((start..row, head));
     }
     blocks
 }
@@ -532,28 +484,27 @@ struct Sweep<'a> {
     /// Samples seen, this batch included.
     n: usize,
     params: NetworkParams,
-    /// Membership before the batch.
-    present: &'a [u64],
+    /// The network before the batch.
+    net: &'a Graph,
 }
 
 impl Sweep<'_> {
     /// Advance and re-test the pairs of `rows`, whose co-moments are
-    /// `comoment` and whose first pair has flat index `first`. Returns
-    /// the membership changes in canonical order.
-    fn block(&self, rows: Range<usize>, first: usize, comoment: &mut [f64]) -> Vec<Change> {
+    /// `comoment`. Returns the membership changes in canonical order.
+    fn block(&self, rows: Range<usize>, comoment: &mut [f64]) -> Vec<Change> {
         let (genes, k) = (self.genes, self.k);
         let mut changes = Vec::new();
         // columns of the current row that take the exact predicate
         let mut exact: Vec<usize> = Vec::new();
-        let mut start = first;
         let mut rest = comoment;
         for i in rows {
             let (row, tail) = std::mem::take(&mut rest).split_at_mut(genes - i - 1);
             rest = tail;
-            let cols = start..start + row.len();
             // the retained pairs always do: a rejected one is a removal
+            let nbrs = self.net.neighbors(i as VertexId);
+            let above = &nbrs[nbrs.partition_point(|&j| j as usize <= i)..];
             exact.clear();
-            exact.extend(set_bits(self.present, cols.clone()).map(|idx| idx - start));
+            exact.extend(above.iter().map(|&j| j as usize - i - 1));
             let retained = exact.len();
             let di = &self.d[i * k..(i + 1) * k];
             let lo_i = self.lo * self.safe_sd[i];
@@ -574,15 +525,18 @@ impl Sweep<'_> {
                 exact.sort_unstable();
                 exact.dedup();
             }
+            // `exact` is ascending and holds every retained column, so
+            // one cursor over `above` tells which of them are retained
+            let mut next = 0usize;
             for &col in &exact {
                 let j = i + 1 + col;
-                let set = bit(self.present, start + col);
+                let set = above.get(next) == Some(&(j as VertexId));
+                next += usize::from(set);
                 let keep = self.keep(row[col], i, j);
                 if keep != set {
                     changes.push((i, j, keep));
                 }
             }
-            start = cols.end;
         }
         changes
     }
@@ -645,34 +599,41 @@ mod tests {
     }
 
     #[test]
-    fn pair_index_and_set_bit_walk_enumerate_the_triangle() {
+    fn membership_words_round_trip_the_network() {
         for genes in [2usize, 3, 7, 20, 70] {
             let mut all = Vec::new();
             for i in 0..genes {
                 for j in (i + 1)..genes {
                     assert_eq!(pair_index(genes, i, j), all.len());
-                    all.push((i, j));
+                    all.push((i as VertexId, j as VertexId));
                 }
             }
             assert_eq!(all.len(), genes * (genes - 1) / 2);
-            // every bit set: the walk yields every pair, in order
-            let mut oc = OnlineCorrelation::new(genes, NetworkParams::default());
-            for idx in 0..all.len() {
-                oc.present[idx / 64] |= 1u64 << (idx % 64);
+            // every pair, then every third: bit `pair_index` is set for
+            // exactly the network's edges, and decoding gives them back
+            for step in [1, 3] {
+                let mut oc = OnlineCorrelation::new(genes, NetworkParams::default());
+                let edges: Vec<_> = all.iter().copied().step_by(step).collect();
+                oc.net = Graph::from_edges(genes, &edges);
+                let (mean, m2, comoment, words) = oc.checkpoint_arrays();
+                let mut want = vec![0u64; all.len().div_ceil(64)];
+                for idx in (0..all.len()).step_by(step) {
+                    want[idx / 64] |= 1u64 << (idx % 64);
+                }
+                assert_eq!(words, want);
+                let back = OnlineCorrelation::from_checkpoint(
+                    genes,
+                    oc.params(),
+                    0,
+                    0,
+                    mean.to_vec(),
+                    m2.to_vec(),
+                    comoment.to_vec(),
+                    words,
+                )
+                .unwrap();
+                assert_eq!(back.network().edge_vec(), edges);
             }
-            let walk = |oc: &OnlineCorrelation| {
-                let mut pairs = Vec::new();
-                oc.for_each_retained(|i, j| pairs.push((i, j)));
-                pairs
-            };
-            assert_eq!(walk(&oc), all);
-            // every third bit: the walk yields exactly those pairs
-            oc.present.fill(0);
-            let third: Vec<(usize, usize)> = all.iter().copied().step_by(3).collect();
-            for idx in (0..all.len()).step_by(3) {
-                oc.present[idx / 64] |= 1u64 << (idx % 64);
-            }
-            assert_eq!(walk(&oc), third);
         }
     }
 
@@ -682,16 +643,16 @@ mod tests {
             let pairs = genes * genes.saturating_sub(1) / 2;
             let mut c = vec![0.0; pairs];
             let blocks = row_blocks(genes, &mut c);
-            let (mut row, mut first) = (0usize, 0usize);
-            for (rows, at, slice) in &blocks {
-                assert_eq!((rows.start, *at), (row, first));
+            let (mut row, mut covered) = (0usize, 0usize);
+            for (rows, slice) in &blocks {
+                assert_eq!(rows.start, row);
                 let count: usize = rows.clone().map(|i| genes - i - 1).sum();
                 assert_eq!(slice.len(), count);
                 assert!(count <= BLOCK_PAIRS || rows.len() == 1);
                 row = rows.end;
-                first += count;
+                covered += count;
             }
-            assert_eq!(first, pairs);
+            assert_eq!(covered, pairs);
             assert!(blocks.len() > 1 || pairs <= BLOCK_PAIRS);
         }
     }
@@ -708,8 +669,7 @@ mod tests {
         assert!(delta.removes.is_empty(), "first batch cannot remove edges");
         let batch = CorrelationNetwork::from_expression_seq(&a.matrix, params);
         assert!(batch.graph.m() > 0, "reference network must be non-trivial");
-        assert!(oc.graph().same_edges(&batch.graph));
-        assert_eq!(oc.edges(), batch.graph.m());
+        assert!(oc.network().same_edges(&batch.graph));
         assert_eq!(delta.inserts.len(), batch.graph.m());
         // ρ agrees with the batch coefficients to tight tolerance
         for &((u, v), rho) in &batch.weights {
@@ -744,7 +704,7 @@ mod tests {
                 );
             }
         }
-        assert!(whole.graph().same_edges(&split.graph()));
+        assert!(whole.network().same_edges(split.network()));
     }
 
     #[test]
@@ -766,8 +726,8 @@ mod tests {
                 assert!(mirror.add_edge(u, v), "phantom insert ({u},{v})");
             }
             churn += delta.len();
-            assert!(oc.graph().same_edges(&mirror));
-            assert_eq!(oc.edges(), mirror.m());
+            assert!(oc.network().same_edges(&mirror));
+            assert_eq!(oc.network().m(), mirror.m());
         }
         assert!(churn > 0, "stream must produce some churn");
         // noisy early estimates must have produced at least one retraction
@@ -811,9 +771,9 @@ mod tests {
         let mut oc = OnlineCorrelation::new(30, params);
         oc.ingest(&a.matrix);
         let w = oc.weights();
-        assert_eq!(w.len(), oc.edges());
+        assert_eq!(w.len(), oc.network().m());
         for ((u, v), rho) in w {
-            assert!(oc.pair_retained(u as usize, v as usize));
+            assert!(oc.network().has_edge(u, v));
             assert!(rho >= params.min_rho);
             let direct = a.matrix.pearson(u as usize, v as usize);
             assert!((rho - direct).abs() < 1e-9, "({u},{v}): {rho} vs {direct}");
@@ -856,9 +816,9 @@ mod tests {
         for (lo, hi) in [(0, 3), (3, 7), (7, 10)] {
             split.ingest(&a.matrix.columns(lo, hi));
         }
-        assert!(whole.edges() > 0);
-        assert!(whole.graph().same_edges(&split.graph()));
+        assert!(whole.network().m() > 0);
+        assert!(whole.network().same_edges(split.network()));
         let batch = CorrelationNetwork::from_expression_seq(&a.matrix, params);
-        assert!(whole.graph().same_edges(&batch.graph));
+        assert!(whole.network().same_edges(&batch.graph));
     }
 }

@@ -20,9 +20,22 @@ fn replay() -> ExpressionMatrix {
     synthesize_replay(DatasetPreset::Yng, 0.02, Some(8))
 }
 
-/// The edges of the retained network the accumulator reports.
-fn retained_edges(driver: &StreamDriver) -> Vec<Edge> {
-    driver.retained_weights().iter().map(|&(e, _)| e).collect()
+/// The retained edges, read off a checkpoint's membership words: the
+/// network a resume decodes.
+fn stored_edges(ck: &[u8], genes: usize) -> Vec<Edge> {
+    let store = Store::parse(ck).unwrap();
+    let payload = store.require_kind(SectionKind::OnlineCorrelation).unwrap();
+    let mut edges = Vec::new();
+    for u in 0..genes as u32 {
+        for v in u + 1..genes as u32 {
+            let (at, mask) = membership_bit(payload.len(), genes, (u, v));
+            let word = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+            if word & mask != 0 {
+                edges.push((u, v));
+            }
+        }
+    }
+    edges
 }
 
 /// Byte offset and mask of the membership bit of pair `(u, v)`, `u < v`,
@@ -77,6 +90,7 @@ fn resume_from_any_window_boundary_is_bit_identical() {
             lo = hi;
         }
         let ck = partial.checkpoint_bytes().unwrap();
+        let network = partial.network().edge_vec();
         drop(partial);
 
         // restore and finish the stream
@@ -85,8 +99,10 @@ fn resume_from_any_window_boundary_is_bit_identical() {
             .unwrap_or_else(|e| panic!("resume @{stop_after}: {e}"));
         assert_eq!(resumed.genes(), m.genes());
         assert_eq!(resumed.samples_ingested(), lo);
-        // the resumed network is exactly the accumulator's retained set
-        assert_eq!(resumed.network().edge_vec(), retained_edges(&resumed));
+        // the resumed network is exactly the checkpointed one, and the
+        // membership words hold exactly its edges
+        assert_eq!(resumed.network().edge_vec(), network);
+        assert_eq!(stored_edges(&ck, m.genes()), network);
         drive_to_end(&mut resumed, &m, cfg.batch);
 
         assert_eq!(
@@ -263,7 +279,7 @@ fn a_stale_network_copy_in_an_old_checkpoint_is_ignored() {
     let store = Store::parse(&old).expect("re-checksummed container parses");
     let mut resumed = StreamDriver::resume_from(&store).expect("old-layout checkpoint resumes");
     assert!(!resumed.network().has_edge(phantom.0, phantom.1));
-    assert_eq!(resumed.network().edge_vec(), retained_edges(&resumed));
+    assert_eq!(resumed.network().edge_vec(), stored_edges(&ck, m.genes()));
     drive_to_end(&mut resumed, &m, cfg.batch);
     assert_eq!(resumed.checksum(), PINNED_CHECKSUM);
 }
@@ -351,7 +367,7 @@ fn corrupted_checkpoints_are_rejected_not_resumed() {
 
 #[test]
 fn appended_checkpoints_resume_bit_identically() {
-    use casbn_store::io::{append_durable, MemFs, RetryPolicy};
+    use casbn_store::io::{append_durable, MemFs};
 
     // suspend → durably append into the same container → resume, repeatedly:
     // every generation must resume to the uninterrupted run's checksum,
@@ -369,13 +385,7 @@ fn appended_checkpoints_resume_bit_identically() {
         let lo = driver.samples_ingested();
         let hi = (lo + cfg.batch).min(m.samples());
         driver.ingest_window(&m.columns(lo, hi));
-        let out = append_durable(
-            &fs,
-            "ck.csbn",
-            &driver.checkpoint_writer(),
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        let out = append_durable(&fs, "ck.csbn", &driver.checkpoint_writer()).unwrap();
         generation += 1;
         assert_eq!(out.generation, generation);
         let container = fs.live("ck.csbn").unwrap();

@@ -8,9 +8,7 @@
 //! uninterrupted run's pinned checksum `17660843889947913608` exactly.
 
 use casbn_expr::{DatasetPreset, ExpressionMatrix};
-use casbn_store::io::{
-    append_durable, save_atomic, CrashFlush, FaultConfig, FaultFs, RetryPolicy, Vfs,
-};
+use casbn_store::io::{append_durable, save_atomic, CrashFlush, FaultConfig, FaultFs, Vfs};
 use casbn_store::{Store, StoreError};
 use casbn_stream::{synthesize_replay, StreamConfig, StreamDriver};
 
@@ -47,9 +45,9 @@ fn checkpointed_run(fs: &dyn Vfs, matrix: &ExpressionMatrix) -> Result<(), Store
         lo = hi;
         let w = driver.checkpoint_writer();
         if fs.exists(PATH) {
-            append_durable(fs, PATH, &w, RetryPolicy::default())?;
+            append_durable(fs, PATH, &w)?;
         } else {
-            save_atomic(fs, PATH, &w, RetryPolicy::default())?;
+            save_atomic(fs, PATH, &w)?;
         }
     }
     Ok(())

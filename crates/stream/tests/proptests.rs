@@ -71,9 +71,9 @@ proptest! {
         // edge set agrees with the batch network exactly at the ρ cut
         let batch = CorrelationNetwork::from_expression_seq(&arr.matrix, params);
         prop_assert!(
-            oc.graph().same_edges(&batch.graph),
+            oc.network().same_edges(&batch.graph),
             "online {} edges vs batch {}",
-            oc.edges(),
+            oc.network().m(),
             batch.graph.m()
         );
         prop_assert!(mirror.same_edges(&batch.graph));
@@ -134,6 +134,6 @@ proptest! {
                 );
             }
         }
-        prop_assert!(a.graph().same_edges(&b.graph()));
+        prop_assert!(a.network().same_edges(b.network()));
     }
 }

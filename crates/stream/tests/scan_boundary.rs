@@ -225,22 +225,30 @@ fn check_stream(m: &ExpressionMatrix, params: NetworkParams, split: &[usize], wh
                     "{ctx}: C({i},{j})"
                 );
                 assert_eq!(
-                    oc.pair_retained(i, j),
+                    oc.network().has_edge(i as u32, j as u32),
                     reference.present[idx],
                     "{ctx}: present({i},{j})"
                 );
                 idx += 1;
             }
         }
-        assert_eq!(oc.edges(), ref_weights.len(), "{ctx}: edges");
+        assert_eq!(oc.network().m(), ref_weights.len(), "{ctx}: edges");
         assert!(same_weights(&oc.weights(), &ref_weights), "{ctx}: weights");
-        let g = oc.graph();
-        assert_eq!(g.m(), ref_weights.len(), "{ctx}: graph edges");
+        let g = oc.network();
         assert!(
             ref_weights.iter().all(|&((u, v), _)| g.has_edge(u, v)),
             "{ctx}: graph"
         );
     }
+}
+
+/// The driver's network edges with their ρ, canonical order.
+fn driver_weights(driver: &StreamDriver) -> Vec<((u32, u32), f64)> {
+    driver
+        .network()
+        .edges()
+        .map(|(u, v)| ((u, v), driver.rho(u, v)))
+        .collect()
 }
 
 /// Rewrite the membership bitset of a checkpoint's accumulator section
@@ -328,7 +336,7 @@ fn check_resume_repair(m: &ExpressionMatrix, params: NetworkParams) {
         let store = Store::parse(&tampered).expect("tampered checkpoint parses");
         let mut resumed = StreamDriver::resume_from(&store).expect("tampered bits resume");
         assert_eq!(
-            resumed.retained_weights().len(),
+            resumed.network().m(),
             truth.len() - dropped.len() + added.len(),
             "{threads} threads: the tampered bits are live"
         );
@@ -344,7 +352,7 @@ fn check_resume_repair(m: &ExpressionMatrix, params: NetworkParams) {
             "{threads} threads: repaired removes"
         );
         assert!(
-            same_weights(&resumed.retained_weights(), &truth),
+            same_weights(&driver_weights(&resumed), &truth),
             "{threads} threads: repaired weights"
         );
     }

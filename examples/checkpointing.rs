@@ -38,11 +38,8 @@ fn main() {
     // Interrupted run: ingest half the windows, checkpoint, drop the
     // driver entirely (this is where a process would exit).
     let mut driver = StreamDriver::new(replay.genes(), cfg);
-    let mut lo = 0usize;
-    while lo < replay.samples() / 2 {
-        let hi = (lo + batch).min(replay.samples());
-        driver.ingest_window(&replay.columns(lo, hi));
-        lo = hi;
+    while driver.samples_ingested() < replay.samples() / 2 {
+        driver.ingest_next(&replay);
     }
     let checkpoint = driver.checkpoint_bytes().expect("checkpoint serialises");
     println!(
@@ -64,12 +61,7 @@ fn main() {
             .join(", ")
     );
     let mut resumed = StreamDriver::resume_from(&store).expect("checkpoint restores");
-    let mut lo = resumed.samples_ingested();
-    while lo < replay.samples() {
-        let hi = (lo + batch).min(replay.samples());
-        resumed.ingest_window(&replay.columns(lo, hi));
-        lo = hi;
-    }
+    while resumed.ingest_next(&replay).is_some() {}
     let summary = resumed.finish();
     println!(
         "resumed:       {} windows, checksum {}",

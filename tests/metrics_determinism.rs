@@ -23,12 +23,7 @@ fn run_workload(matrix: &ExpressionMatrix) {
     let net = CorrelationNetwork::from_expression(matrix, NetworkParams::default());
     assert!(net.graph.m() > 0, "workload must do real work");
     let mut driver = StreamDriver::new(matrix.genes(), StreamConfig::default());
-    let mut lo = 0;
-    while lo < matrix.samples() {
-        let hi = (lo + 2).min(matrix.samples());
-        driver.ingest_window(&matrix.columns(lo, hi));
-        lo = hi;
-    }
+    while driver.ingest_next(matrix).is_some() {}
     let summary = driver.finish();
     assert!(!summary.windows.is_empty());
 }

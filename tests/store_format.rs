@@ -12,7 +12,7 @@
 
 use casbn::graph::{store as graph_store, Graph};
 use casbn::mcode::{store as mcode_store, Cluster};
-use casbn::store::io::{append_durable, MemFs, RetryPolicy};
+use casbn::store::io::{append_durable, MemFs};
 use casbn::store::{SectionKind, Store, StoreWriter, ENDIAN_TAG, FORMAT_VERSION, MAGIC};
 use proptest::prelude::*;
 
@@ -137,7 +137,7 @@ proptest! {
             }
             let fs = MemFs::new();
             fs.install("t.csbn", &bytes);
-            append_durable(&fs, "t.csbn", &a, RetryPolicy::default())
+            append_durable(&fs, "t.csbn", &a)
                 .expect("append to a fresh container");
             bytes = fs.live("t.csbn").expect("appended file exists");
         }
