@@ -108,13 +108,17 @@ FLAGS:
                fail (exit 1) unless the run's deterministic checksum
                matches N — the CI streaming smoke gate (for `serve
                --script`: the FNV checksum over the response bytes)
-  --checkpoint `stream`: write a resumable .csbn checkpoint of the
-               accumulators/network/chordal state to FILE after the run
+  --checkpoint `stream`: write a resumable .csbn checkpoint (the
+               samples so far plus the chordal and window state,
+               O(genes x samples) bytes) to FILE after the run
                (appended in place when FILE is already a container);
                `serve`: write one durable checkpoint per ingested window
                and a final one at shutdown
-  --resume     `stream`: restore state from a checkpoint FILE and
-               continue the replay exactly where it stopped
+  --resume     `stream`: restore state from a checkpoint FILE by
+               replaying its samples in one sweep (the later the
+               checkpoint, the longer it takes) and continue the replay
+               exactly where it stopped; the replay must begin with the
+               checkpoint's samples
   --windows    `stream`: ingest at most N windows this run (pair with
                --checkpoint to suspend a long replay mid-stream)
   --degraded   best-effort open of a damaged container: a torn tail
@@ -212,12 +216,16 @@ integer window metrics ends the table (in --json mode it is a field of
 the document, which stays pipe-clean for `jq`).
 
 The run is suspendable: --checkpoint writes the driver's complete state
-(Welford/co-moment accumulators bit-exact, the membership bits the
-network is rebuilt from, incremental chordal subgraph and clock, window
-history) to a .csbn container, and --resume restores it and continues
-the replay where it stopped — a resumed run reproduces the uninterrupted run's windows and
-final checksum exactly. Pair --windows N with --checkpoint to suspend a
-long replay mid-stream.
+(the samples ingested so far, bit-exact, with the network's edge count,
+the incremental chordal subgraph and clock, the window history without
+wall times) to a .csbn container of O(genes x samples) bytes, and
+--resume replays those samples in one sweep, which rebuilds the
+correlation accumulators bit for bit, and continues the replay where it
+stopped. A resumed run reproduces the uninterrupted run's windows, final
+checksum and checkpoint bytes exactly; its wall-time percentiles cover
+only the windows it ran. The replay must begin with the checkpoint's
+samples, or the resume is refused naming the first sample that differs.
+Pair --windows N with --checkpoint to suspend a long replay mid-stream.
 
 USAGE:
   casbn stream (--preset yng|mid|unt|cre [--scale F] [--samples N] | --in FILE)
@@ -244,15 +252,18 @@ FLAGS:
   --replay-out write the synthesized replay to FILE and continue
   --expect-checksum
                exit 1 unless the deterministic checksum matches N
-  --checkpoint write a resumable .csbn checkpoint to FILE after the run.
-               A fresh FILE is written atomically (tmp + fsync + rename);
+  --checkpoint write a resumable .csbn checkpoint to FILE after the run:
+               O(genes x samples) bytes, the samples so far. A fresh
+               FILE is written atomically (tmp + fsync + rename);
                when FILE already holds a .csbn container the new state
                is appended *in place* as a durable generation — payloads
                and table are fsynced before the committing footer, so a
                crash at any write leaves the previous generation intact
-  --resume     restore state from a checkpoint FILE and continue (the
-               batch size and thresholds come from the checkpoint, so
-               --batch/--min-rho/--min-score are rejected here)
+  --resume     restore state from a checkpoint FILE and continue: one
+               replay sweep over its samples, so a later checkpoint
+               takes longer; the replay must begin with those samples
+               (the batch size and thresholds come from the checkpoint,
+               so --batch/--min-rho/--min-score are rejected here)
   --degraded   with --resume: if FILE is torn or bit-rotted, fall back
                to its newest fully valid generation (stderr warning)
                instead of refusing to resume
@@ -344,9 +355,10 @@ FLAGS:
                cluster G | rho U V | enrich G G… | stats | ingest N;
                `#` comments and blank lines are skipped
   --listen     TCP listen address, e.g. 127.0.0.1:7878
-  --checkpoint durable .csbn checkpoint FILE: written after every
-               ingested window and at shutdown (atomic replace first,
-               then appended in place as durable generations);
+  --checkpoint durable .csbn checkpoint FILE of O(genes x samples)
+               bytes: written after every ingested window and at
+               shutdown (atomic replace first, then appended in place
+               as durable generations);
                `casbn stream --resume FILE` and `casbn serve --in`
                accept the result
   --expect-checksum
@@ -1333,20 +1345,8 @@ fn run_stream(args: &Args) -> Result<Job<'_>, String> {
                     Store::open_lazy(&ckbytes).map_err(|e| format!("{ckpath}: {e}"))?
                 };
                 let d = StreamDriver::resume_from(&store).map_err(|e| format!("{ckpath}: {e}"))?;
-                if d.genes() != matrix.genes() {
-                    return Err(format!(
-                        "checkpoint holds {} genes but the replay has {}",
-                        d.genes(),
-                        matrix.genes()
-                    ));
-                }
-                if d.samples_ingested() > matrix.samples() {
-                    return Err(format!(
-                        "checkpoint is {} samples in but the replay holds only {}",
-                        d.samples_ingested(),
-                        matrix.samples()
-                    ));
-                }
+                d.check_replay(&matrix)
+                    .map_err(|e| format!("{ckpath}: {e}"))?;
                 d
             }
             None => StreamDriver::new(

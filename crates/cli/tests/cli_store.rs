@@ -349,6 +349,71 @@ fn stream_checkpoint_resume_reproduces_the_uninterrupted_checksum() {
 }
 
 #[test]
+fn stream_resume_refuses_a_replay_the_checkpoint_did_not_ingest() {
+    // checkpoint half a replay written to a file, then resume it against
+    // a copy with one value of sample 1 (the second row) changed: the
+    // resume must fail naming that sample and gene, not continue a
+    // different stream
+    let replay = tmp("diff.replay.tsv");
+    let ck = tmp("diff.ck.csbn");
+    let out = casbn(&[
+        "stream",
+        "--preset",
+        "yng",
+        "--scale",
+        "0.02",
+        "--samples",
+        "8",
+        "--replay-out",
+        &replay,
+        "--windows",
+        "2",
+        "--checkpoint",
+        &ck,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&replay).unwrap();
+    let mut row = 0;
+    let edited: Vec<String> = text
+        .lines()
+        .map(|line| {
+            if line.starts_with('#') {
+                return line.to_string();
+            }
+            row += 1;
+            if row != 2 {
+                return line.to_string();
+            }
+            let mut values: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let x: f64 = values[3].parse().unwrap();
+            values[3] = (x + 0.5).to_string();
+            values.join(" ")
+        })
+        .collect();
+    let other = tmp("diff.other.tsv");
+    std::fs::write(&other, edited.join("\n") + "\n").unwrap();
+
+    let out = casbn(&["stream", "--in", &other, "--resume", &ck]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("replay differs from the checkpoint at sample 1, gene 3"),
+        "{}",
+        stderr(&out)
+    );
+    // the replay it did ingest resumes to the uninterrupted checksum
+    let out = casbn(&[
+        "stream",
+        "--in",
+        &replay,
+        "--resume",
+        &ck,
+        "--expect-checksum",
+        "17660843889947913608",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
+#[test]
 fn checkpoint_into_an_existing_container_appends_a_generation() {
     // suspend after 2 windows into a fresh checkpoint, then resume and
     // suspend again into the SAME file: the second write appends a

@@ -25,6 +25,7 @@ use casbn_expr::{DatasetPreset, ExpressionMatrix};
 use casbn_graph::generators::gnm;
 use casbn_graph::io::{read_edge_list, write_edge_list, write_weighted_edge_list};
 use casbn_graph::store as graph_store;
+use casbn_graph::Graph;
 use casbn_mcode::store as mcode_store;
 use casbn_mcode::Cluster;
 use casbn_serve::protocol as serve_protocol;
@@ -874,8 +875,11 @@ struct CheckpointTarget {
     matrix: ExpressionMatrix,
     /// Checksum of the uninterrupted template run.
     reference: u64,
-    /// Pristine checkpoints taken at every interior window boundary.
-    pristine: Vec<Vec<u8>>,
+    /// Checkpoints taken at every interior window boundary, each with
+    /// the network its resume replays. A checkpoint holds no wall time,
+    /// so these bytes (and with them the iteration trace) are identical
+    /// across machines and runs.
+    pristine: Vec<(Vec<u8>, Graph)>,
 }
 
 impl CheckpointTarget {
@@ -890,9 +894,8 @@ impl CheckpointTarget {
         let mut driver = StreamDriver::new(matrix.genes(), cfg);
         while driver.ingest_next(&matrix).is_some() {
             if driver.samples_ingested() < matrix.samples() {
-                pristine.push(Self::canonicalize(
-                    &driver.checkpoint_bytes().expect("checkpoint serialises"),
-                ));
+                let ck = driver.checkpoint_bytes().expect("checkpoint serialises");
+                pristine.push((ck, driver.network().clone()));
             }
         }
         CheckpointTarget {
@@ -902,36 +905,6 @@ impl CheckpointTarget {
         }
     }
 
-    /// Zero the one non-deterministic field a checkpoint carries — the
-    /// measured wall-clock nanoseconds of each window record — so the
-    /// template bytes (and with them the whole iteration trace) are
-    /// identical across machines and runs. The driver's checksum covers
-    /// only the integer window metrics, so a zero wall time resumes and
-    /// replays exactly like the original.
-    fn canonicalize(bytes: &[u8]) -> Vec<u8> {
-        let store = Store::parse(bytes).expect("pristine checkpoint must parse");
-        let mut w = StoreWriter::new();
-        for (i, entry) in store.sections().iter().enumerate() {
-            let mut payload = store.payload(i).to_vec();
-            if SectionKind::from_u32(entry.kind) == Some(SectionKind::DriverState) {
-                // fixed driver fields: 72 bytes, then the stability-set
-                // count + entries, then the window count and 88-byte
-                // window records with the wall field in the last 8 bytes
-                let nprev = u64::from_le_bytes(payload[72..80].try_into().unwrap()) as usize;
-                let records = 80 + 4 * nprev + 8;
-                let nwin =
-                    u64::from_le_bytes(payload[records - 8..records].try_into().unwrap()) as usize;
-                for k in 0..nwin {
-                    let wall = records + 88 * k + 80;
-                    payload[wall..wall + 8].fill(0);
-                }
-            }
-            let kind = SectionKind::from_u32(entry.kind).expect("pristine kinds are known");
-            w.add(kind, entry.tag, payload);
-        }
-        w.to_bytes()
-    }
-
     /// Rebuild a pristine checkpoint with one section's payload bytes
     /// transformed — and every container checksum *recomputed*, so the
     /// tampering reaches the semantic validation layer instead of dying
@@ -939,13 +912,14 @@ impl CheckpointTarget {
     ///
     /// Every tamper targets a field the resume validation *checks*
     /// (counters, structure lengths, enum ranges, ordering invariants,
-    /// finite accumulators and thresholds). Values validation
-    /// legitimately cannot see — finite accumulator floats, clustering
+    /// finite samples and thresholds, the replayed network's edge count
+    /// and its hold on the chordal subgraph). Values validation
+    /// legitimately cannot see — finite sample values, clustering
     /// parameters, window history — are left alone: a plausible tampered
-    /// accumulator is indistinguishable from a real one, so mutating it
+    /// sample is indistinguishable from a real one, so mutating it
     /// would make the replay-checksum oracle flag unfalsifiable
     /// "violations".
-    fn tamper(&self, rng: &mut FuzzRng, base: &[u8]) -> Vec<u8> {
+    fn tamper(&self, rng: &mut FuzzRng, (base, network): &(Vec<u8>, Graph)) -> Vec<u8> {
         let store = Store::parse(base).expect("pristine checkpoint must parse");
         let sections = store.sections();
         let by_kind = |kind: SectionKind| {
@@ -954,15 +928,20 @@ impl CheckpointTarget {
                 .position(|e| e.kind == kind.as_u32())
                 .expect("pristine checkpoint has every section kind")
         };
-        let mode = rng.below(9);
+        let word = |payload: &[u8], i: usize| {
+            u64::from_le_bytes(payload[8 * i..8 * i + 8].try_into().unwrap())
+        };
+        let mode = rng.below(11);
         let victim = match mode {
             0 | 1 => rng.below(sections.len()),
-            3 | 4 => by_kind(SectionKind::DriverState),
+            2 => by_kind(SectionKind::Graph),
+            3 | 4 => by_kind(SectionKind::DriverHistory),
             5 | 6 => by_kind(SectionKind::ChordalState),
-            _ => by_kind(SectionKind::OnlineCorrelation),
+            _ => by_kind(SectionKind::StreamSamples),
         };
         let mut w = StoreWriter::new();
         for (i, entry) in sections.iter().enumerate() {
+            let kind = SectionKind::from_u32(entry.kind).expect("pristine kinds are known");
             let mut payload = store.payload(i).to_vec();
             if i == victim {
                 match mode {
@@ -980,30 +959,19 @@ impl CheckpointTarget {
                         rng.fill(&mut tail);
                         payload.extend_from_slice(&tail);
                     }
-                    // clear the membership bit of a chordal-subgraph edge
-                    // (if there is one): the network rebuilt from the
-                    // bitset loses it, and the chordal ⊆ network check
-                    // must catch that. The bitset is the payload's last
-                    // array, one bit per pair of the row-major upper
-                    // triangle.
+                    // give the chordal subgraph a pair the replayed
+                    // network lacks: the chordal ⊆ network check must
+                    // catch it
                     2 => {
-                        let edges = graph_store::load_csr(&store, CHECKPOINT_CHORDAL_TAG)
+                        let mut h = graph_store::load_csr(&store, CHECKPOINT_CHORDAL_TAG)
                             .expect("pristine chordal section loads")
-                            .to_graph()
-                            .edge_vec();
-                        if !edges.is_empty() {
-                            let (u, v) = edges[rng.below(edges.len())];
-                            let genes =
-                                u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-                            let (u, v) = (u as usize, v as usize);
-                            let pairs = genes * (genes - 1) / 2;
-                            let pair = u * (2 * genes - u - 1) / 2 + (v - u - 1);
-                            let at = payload.len() - 8 * pairs.div_ceil(64) + 8 * (pair / 64);
-                            let mut word =
-                                u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-                            word &= !(1u64 << (pair % 64));
-                            payload[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                            .to_graph();
+                        let (a, b) = (rng.below(h.n()) as u32, rng.below(h.n()) as u32);
+                        if a != b && !network.has_edge(a, b) {
+                            h.add_edge(a, b);
                         }
+                        graph_store::add_graph(&mut w, entry.tag, &h);
+                        continue;
                     }
                     // zero batch size: explicitly validated
                     3 => payload[..8].fill(0),
@@ -1011,8 +979,7 @@ impl CheckpointTarget {
                     // ascending and < genes, so u32::MAX up front breaks
                     // one or the other whenever the set is non-empty
                     4 => {
-                        let nprev = u64::from_le_bytes(payload[72..80].try_into().unwrap());
-                        if nprev > 0 {
+                        if word(&payload, 9) > 0 {
                             payload[80..84].copy_from_slice(&u32::MAX.to_le_bytes());
                         }
                     }
@@ -1023,26 +990,33 @@ impl CheckpointTarget {
                     }
                     // nonzero alignment spacer
                     6 => payload[4..8].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes()),
-                    // inflate the gene count: every array length and the
-                    // cross-section vertex-count checks depend on it
-                    7 => {
-                        let g = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                        payload[..8].copy_from_slice(&g.wrapping_add(1).to_le_bytes());
+                    // off-by-some gene count (word 0), sample count
+                    // (word 1) or edge count (word 5): the sample array's
+                    // length or the replayed network must disagree
+                    7..=9 => {
+                        let at = [0, 1, 5][mode - 7];
+                        let delta = 1 + rng.below(3) as u64;
+                        let x = word(&payload, at);
+                        let x = if rng.below(2) == 0 {
+                            x.wrapping_add(delta)
+                        } else {
+                            x.wrapping_sub(delta)
+                        };
+                        payload[8 * at..8 * at + 8].copy_from_slice(&x.to_le_bytes());
                     }
                     // poison one float: a threshold (min_rho, max_p at
-                    // words 3 and 4) or an accumulator (mean, m2 and the
-                    // co-moment triangle after them); the resume must
-                    // reject the non-finite value, not replay from it
+                    // words 3 and 4) or a stored sample (from word 6 on);
+                    // the resume must reject the non-finite value, not
+                    // replay from it
                     _ => {
-                        let genes = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-                        let floats = 2 + 2 * genes + genes * genes.saturating_sub(1) / 2;
-                        let at = 24 + 8 * rng.below(floats);
+                        let floats = 2 + (word(&payload, 0) * word(&payload, 1)) as usize;
+                        let f = rng.below(floats);
+                        let at = 8 * if f < 2 { 3 + f } else { 4 + f };
                         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
                         payload[at..at + 8].copy_from_slice(&bad.to_le_bytes());
                     }
                 }
             }
-            let kind = SectionKind::from_u32(entry.kind).expect("pristine kinds are known");
             w.add(kind, entry.tag, payload);
         }
         w.to_bytes()
@@ -1058,12 +1032,12 @@ impl Target for CheckpointTarget {
         let base = &self.pristine[rng.below(self.pristine.len())];
         match rng.below(8) {
             // pristine: exercises the full resume → replay oracle
-            0 => base.clone(),
+            0 => base.0.clone(),
             // semantically tampered but checksum-valid
             1..=3 => self.tamper(rng, base),
             // byte-mutated: hammers the checksum and framing layers
             _ => {
-                let mut bytes = base.clone();
+                let mut bytes = base.0.clone();
                 let rounds = rng.range(1, 10);
                 mutate(&mut bytes, rng, rounds);
                 bytes
@@ -1089,22 +1063,16 @@ impl Target for CheckpointTarget {
             }
             Ok(d) => d,
         };
+        // every checkpoint here is of the template's stream and no tamper
+        // changes a finite sample, so an accepted resume must hold the
+        // template's gene count and a prefix of its samples
+        if let Err(e) = driver.check_replay(&self.matrix) {
+            return Err(format!(
+                "resume accepted a checkpoint of another stream: {e}"
+            ));
+        }
         // the resume was accepted: it must now replay to the
         // uninterrupted run's exact checksum
-        if driver.genes() != self.matrix.genes() {
-            return Err(format!(
-                "resume accepted a checkpoint with {} genes (template has {})",
-                driver.genes(),
-                self.matrix.genes()
-            ));
-        }
-        if driver.samples_ingested() > self.matrix.samples() {
-            return Err(format!(
-                "resume accepted a checkpoint {} samples into an {}-sample stream",
-                driver.samples_ingested(),
-                self.matrix.samples()
-            ));
-        }
         if driver.config().batch == 0 {
             return Err("resume accepted a zero batch size".into());
         }
@@ -1427,7 +1395,7 @@ mod tests {
     #[test]
     fn pristine_checkpoints_replay_to_the_reference_checksum() {
         let mut t = CheckpointTarget::new();
-        let pristine = t.pristine.clone();
+        let pristine: Vec<Vec<u8>> = t.pristine.iter().map(|(ck, _)| ck.clone()).collect();
         for ck in &pristine {
             assert_eq!(t.run(ck).unwrap(), Outcome::Accepted);
         }

@@ -70,12 +70,16 @@ impl ServeEngine {
     /// Serve from an existing driver (a checkpoint resume): ingest
     /// continues after the samples the driver already ingested, and the
     /// current driver state publishes as the initial snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `replay` is the stream the driver ingested (see
+    /// [`StreamDriver::check_replay`]): continuing a different stream
+    /// would serve a network no replay produces.
     pub fn from_driver(driver: StreamDriver, replay: ExpressionMatrix) -> ServeEngine {
-        assert_eq!(
-            driver.genes(),
-            replay.genes(),
-            "replay gene count must match the driver"
-        );
+        if let Err(e) = driver.check_replay(&replay) {
+            panic!("{e}");
+        }
         let ctx = SnapshotContext::new(driver.genes());
         let snap = ServeSnapshot::from_driver(&driver, &ctx);
         ServeEngine {
@@ -261,5 +265,16 @@ mod tests {
         resumed_eng.ingest_windows(2).unwrap();
         eng.ingest_windows(2).unwrap();
         assert_eq!(resumed_eng.stream_checksum(), eng.stream_checksum());
+    }
+
+    #[test]
+    #[should_panic(expected = "replay differs from the checkpoint at sample 1, gene 3")]
+    fn a_driver_fed_another_replay_is_refused() {
+        let replay = tiny_replay();
+        let mut driver = StreamDriver::new(replay.genes(), StreamConfig::default());
+        driver.ingest_next(&replay);
+        let mut other = replay.clone();
+        other.row_mut(3)[1] += 1.0;
+        ServeEngine::from_driver(driver, other);
     }
 }

@@ -58,14 +58,6 @@ impl Enc {
         }
     }
 
-    /// Append a `u64` slice.
-    pub fn u64s(&mut self, xs: &[u64]) {
-        self.buf.reserve(xs.len() * 8);
-        for &x in xs {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
     /// Append an `f64` slice (bit-exact).
     pub fn f64s(&mut self, xs: &[f64]) {
         self.buf.reserve(xs.len() * 8);
@@ -181,18 +173,6 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
-    /// Read `count` `u64`s.
-    pub fn u64s(&mut self, count: usize) -> Result<Vec<u64>, StoreError> {
-        let need = count
-            .checked_mul(8)
-            .ok_or_else(|| StoreError::Malformed(format!("u64 count {count} overflows")))?;
-        let raw = self.take(need)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
     /// Read `count` `f64`s (bit-exact).
     pub fn f64s(&mut self, count: usize) -> Result<Vec<f64>, StoreError> {
         let need = count
@@ -250,16 +230,14 @@ mod tests {
         e.u64(u64::MAX - 1);
         e.f64(-0.125);
         e.u32s(&[1, 2, 3]);
-        e.u64s(&[9, 10]);
         e.f64s(&[f64::NAN, 1.5]);
-        assert_eq!(e.len(), 4 + 8 + 8 + 12 + 16 + 16);
+        assert_eq!(e.len(), 4 + 8 + 8 + 12 + 16);
         let p = e.into_payload();
         let mut d = Dec::new(&p);
         assert_eq!(d.u32().unwrap(), 7);
         assert_eq!(d.u64().unwrap(), u64::MAX - 1);
         assert_eq!(d.f64().unwrap(), -0.125);
         assert_eq!(d.u32s(3).unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.u64s(2).unwrap(), vec![9, 10]);
         let fs = d.f64s(2).unwrap();
         assert!(fs[0].is_nan(), "NaN bits round-trip");
         assert_eq!(fs[1], 1.5);
@@ -272,8 +250,8 @@ mod tests {
             let mut e = Enc::new();
             e.f64s(&[1.0, -0.0, bad, 2.0]);
             let p = e.into_payload();
-            match Dec::new(&p).finite_f64s(4, "comoment") {
-                Err(StoreError::Malformed(msg)) => assert!(msg.contains("`comoment`"), "{msg}"),
+            match Dec::new(&p).finite_f64s(4, "samples") {
+                Err(StoreError::Malformed(msg)) => assert!(msg.contains("`samples`"), "{msg}"),
                 other => panic!("{bad}: expected Malformed, got {other:?}"),
             }
         }

@@ -109,20 +109,29 @@ pub enum SectionKind {
     Matrix = 2,
     /// An MCODE cluster set (`casbn_mcode::store`).
     Clusters = 3,
-    /// Online-correlation accumulator state (stream checkpoint).
+    /// Retired: the online-correlation accumulators (means, second
+    /// moments, the co-moment triangle and one membership bit per pair).
+    /// Checkpoints written before the stream's samples were stored
+    /// instead carry it; nothing writes or reads it now, so they fail to
+    /// resume with a typed missing-section error. Kept so `casbn
+    /// inspect` still names the section.
     OnlineCorrelation = 4,
     /// Retired: the stream network as a CSR base plus insert/remove
-    /// overlays. Checkpoints written before the network was stored once
-    /// carry it; nothing writes it now, and
-    /// `casbn_stream::StreamDriver::resume_from` ignores it (the network
-    /// is rebuilt from the [`SectionKind::OnlineCorrelation`] bitset).
-    /// Kept so those checkpoints still resume and `casbn inspect` still
-    /// names the section.
+    /// overlays, carried by checkpoints older still. Nothing writes or
+    /// reads it; kept so `casbn inspect` still names the section.
     DeltaGraph = 5,
     /// Incremental-chordal maintainer state (stream checkpoint).
     ChordalState = 6,
-    /// Stream-driver window history and configuration (checkpoint).
+    /// Retired: the stream driver's window history with each window's
+    /// wall-clock time. Superseded by [`SectionKind::DriverHistory`];
+    /// kept so `casbn inspect` still names the section.
     DriverState = 7,
+    /// The stream's ingested samples and the accumulator's scalars
+    /// (stream checkpoint): no pair state, the resume replays them.
+    StreamSamples = 8,
+    /// Stream-driver configuration and window history, without wall
+    /// times (stream checkpoint).
+    DriverHistory = 9,
 }
 
 impl SectionKind {
@@ -142,6 +151,8 @@ impl SectionKind {
             5 => SectionKind::DeltaGraph,
             6 => SectionKind::ChordalState,
             7 => SectionKind::DriverState,
+            8 => SectionKind::StreamSamples,
+            9 => SectionKind::DriverHistory,
             _ => return None,
         })
     }
@@ -157,6 +168,8 @@ impl SectionKind {
             Some(SectionKind::DeltaGraph) => "delta-graph",
             Some(SectionKind::ChordalState) => "chordal-state",
             Some(SectionKind::DriverState) => "driver-state",
+            Some(SectionKind::StreamSamples) => "stream-samples",
+            Some(SectionKind::DriverHistory) => "driver-history",
             None => "unknown",
         }
     }
@@ -326,6 +339,8 @@ mod tests {
             SectionKind::DeltaGraph,
             SectionKind::ChordalState,
             SectionKind::DriverState,
+            SectionKind::StreamSamples,
+            SectionKind::DriverHistory,
         ] {
             assert_eq!(SectionKind::from_u32(k.as_u32()), Some(k));
             assert_ne!(SectionKind::name_of(k.as_u32()), "unknown");

@@ -21,6 +21,8 @@ fn bytes_counter_key(kind: u32) -> &'static str {
         "delta-graph" => "store.bytes.delta-graph",
         "chordal-state" => "store.bytes.chordal-state",
         "driver-state" => "store.bytes.driver-state",
+        "stream-samples" => "store.bytes.stream-samples",
+        "driver-history" => "store.bytes.driver-history",
         _ => "store.bytes.unknown",
     }
 }

@@ -19,7 +19,7 @@ fn sample() -> Vec<u8> {
     );
     w.add(SectionKind::Matrix, 1, vec![0xEE; 13]); // 3 pad bytes
     w.add(SectionKind::Clusters, 2, vec![]);
-    w.add(SectionKind::DriverState, 0, vec![7; 64]);
+    w.add(SectionKind::DriverHistory, 0, vec![7; 64]);
     w.to_bytes()
 }
 

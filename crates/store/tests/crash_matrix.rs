@@ -15,13 +15,13 @@ const PATH: &str = "ck.csbn";
 fn rounds() -> Vec<StoreWriter> {
     let mut g0 = StoreWriter::with_creator("crash-matrix");
     g0.add(SectionKind::Graph, 0, vec![0x11; 56]);
-    g0.add(SectionKind::DriverState, 0, vec![0x22; 72]);
+    g0.add(SectionKind::DriverHistory, 0, vec![0x22; 72]);
     let mut g1 = StoreWriter::new();
     g1.add(SectionKind::Graph, 0, vec![0x33; 64]);
-    g1.add(SectionKind::OnlineCorrelation, 0, vec![0x44; 40]);
+    g1.add(SectionKind::StreamSamples, 0, vec![0x44; 40]);
     let mut g2 = StoreWriter::new();
     g2.add(SectionKind::Graph, 0, vec![0x55; 48]);
-    g2.add(SectionKind::DriverState, 0, vec![0x66; 80]);
+    g2.add(SectionKind::DriverHistory, 0, vec![0x66; 80]);
     vec![g0, g1, g2]
 }
 

@@ -1,6 +1,16 @@
 //! The streaming pipeline driver: replay windows → online correlation →
 //! network deltas → incremental chordal filter → MCODE, with per-window
 //! latency, churn and cluster-stability reporting.
+//!
+//! **Checkpoints.** [`StreamDriver::checkpoint_bytes`] stores the
+//! samples ingested so far, never the pair triangle: four sections of
+//! `O(genes × samples)` bytes in all (about 1.7 MB for YNG at 40 samples).
+//! [`StreamDriver::resume_from`] replays those samples through a fresh
+//! accumulator in one sweep, which rebuilds the moments, co-moments and
+//! network bit for bit, then checks the network against the stored edge
+//! count and chordal subgraph. A checkpoint holds no wall-clock time, so
+//! its bytes depend on the replay alone: a run resumed at any window and
+//! driven on writes the same checkpoint as the run it continues.
 
 use crate::online::OnlineCorrelation;
 use casbn_chordal::{is_chordal, ChordalConfig, SelectionRule};
@@ -70,6 +80,8 @@ pub struct WindowReport {
     /// window.
     pub sim_chordal: f64,
     /// Wall-clock time of the whole window (ingest through clustering).
+    /// Zero for a window restored from a checkpoint, which stores no wall
+    /// time.
     pub wall: Duration,
 }
 
@@ -84,8 +96,10 @@ pub struct StreamSummary {
     /// pinned by CI's streaming smoke gate.
     pub checksum: u64,
     /// Median per-window wall latency, nanoseconds (nearest-rank over
-    /// the windows; 0 for an empty run). Wall fields are host timings —
-    /// excluded from every determinism comparison.
+    /// the windows this process ran: a resumed run's percentiles leave out
+    /// the windows restored from its checkpoint; 0 when it ran none).
+    /// Wall fields are host timings — excluded from every determinism
+    /// comparison.
     pub wall_p50_nanos: u64,
     /// 95th-percentile per-window wall latency, nanoseconds.
     pub wall_p95_nanos: u64,
@@ -137,6 +151,8 @@ pub struct StreamDriver {
     mcode_scratch: McodeScratch,
     clusters: Vec<Cluster>,
     windows: Vec<WindowReport>,
+    /// Leading windows restored from a checkpoint (their wall is zero).
+    restored: usize,
     sim_ingest_last: f64,
     sim_chordal_last: f64,
 }
@@ -157,6 +173,7 @@ impl StreamDriver {
             mcode_scratch: McodeScratch::new(genes),
             clusters: Vec::new(),
             windows: Vec::new(),
+            restored: 0,
             sim_ingest_last: 0.0,
             sim_chordal_last: 0.0,
         }
@@ -284,14 +301,49 @@ impl StreamDriver {
         self.online.samples()
     }
 
+    /// Check that `replay` is the stream this driver ingested: the same
+    /// gene count, at least as many samples, and its first
+    /// [`StreamDriver::samples_ingested`] samples equal, bit for bit, to
+    /// the ones the driver holds. A resumed driver must be fed the replay
+    /// it was checkpointed from; the error names the first sample and gene
+    /// that differ.
+    pub fn check_replay(&self, replay: &ExpressionMatrix) -> Result<(), String> {
+        let (genes, seen) = (self.genes(), self.samples_ingested());
+        if replay.genes() != genes {
+            return Err(format!(
+                "checkpoint holds {genes} genes but the replay has {}",
+                replay.genes()
+            ));
+        }
+        if replay.samples() < seen {
+            return Err(format!(
+                "checkpoint is {seen} samples in but the replay holds only {}",
+                replay.samples()
+            ));
+        }
+        let history = self.online.history();
+        for s in 0..seen {
+            for g in 0..genes {
+                let (kept, given) = (history[s * genes + g], replay.row(g)[s]);
+                if kept.to_bits() != given.to_bits() {
+                    return Err(format!(
+                        "replay differs from the checkpoint at sample {s}, gene {g}: \
+                         checkpoint {kept}, replay {given}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Serialise the driver's complete resumable state into a `.csbn`
-    /// checkpoint container: the online-correlation accumulators
-    /// (bit-exact `f64`s) and the network as one membership bit per
-    /// pair, the incremental-chordal subgraph and clock, and
-    /// the driver's window history and configuration. A driver restored
-    /// with [`StreamDriver::resume_from`] and fed the rest of the
-    /// stream reproduces the uninterrupted run's windows and final
-    /// checksum **exactly**.
+    /// checkpoint container: the samples ingested so far with the
+    /// accumulator's scalars and the network's edge count, the
+    /// incremental-chordal subgraph and clock, and the driver's window
+    /// history (without wall times) and configuration. A driver restored
+    /// with [`StreamDriver::resume_from`] and fed the rest of the stream
+    /// reproduces the uninterrupted run's windows, final checksum and
+    /// checkpoint bytes **exactly**.
     pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, StoreError> {
         self.checkpoint_writer().try_to_bytes()
     }
@@ -305,22 +357,19 @@ impl StreamDriver {
     pub fn checkpoint_writer(&self) -> StoreWriter {
         let mut w = StoreWriter::new();
 
-        // online-correlation accumulator state
-        let (mean, m2, comoment, present) = self.online.checkpoint_arrays();
+        // the ingested samples and the accumulator's scalars: the resume
+        // replays the samples, the edge count cross-checks the result
         let mut e = Enc::new();
         e.u64(self.online.genes() as u64);
         e.u64(self.online.samples() as u64);
         e.u64(self.online.work_ops());
         e.f64(self.cfg.network.min_rho);
         e.f64(self.cfg.network.max_p);
-        e.f64s(mean);
-        e.f64s(m2);
-        e.f64s(comoment);
-        e.u64s(&present);
-        w.add(SectionKind::OnlineCorrelation, 0, e.into_payload());
+        e.u64(self.online.network().m() as u64);
+        e.f64s(self.online.history());
+        w.add(SectionKind::StreamSamples, 0, e.into_payload());
 
-        // the maintained chordal subgraph (the network is stored once,
-        // as the accumulator's membership words)
+        // the maintained chordal subgraph
         graph_store::add_graph(&mut w, CHECKPOINT_CHORDAL_TAG, self.chordal.subgraph());
 
         // incremental-chordal scalars (config, cost model, clock, ops)
@@ -364,30 +413,27 @@ impl StreamDriver {
             e.f64(r.stability);
             e.f64(r.sim_ingest);
             e.f64(r.sim_chordal);
-            // a u128 nanosecond count past u64::MAX (584 years of wall
-            // time) saturates instead of silently wrapping
-            e.u64(u64::try_from(r.wall.as_nanos()).unwrap_or(u64::MAX));
         }
-        w.add(SectionKind::DriverState, 0, e.into_payload());
+        w.add(SectionKind::DriverHistory, 0, e.into_payload());
         w
     }
 
     /// Restore a driver from a checkpoint container written by
-    /// [`StreamDriver::checkpoint_bytes`]. The live network is decoded
-    /// from the accumulator's membership words; a
-    /// [`SectionKind::DeltaGraph`] section, which checkpoints written
-    /// before the network was stored once still carry, is ignored. All
-    /// cross-section consistency (matching vertex/gene counts, the
-    /// chordal subgraph staying a subgraph of the network, sorted
-    /// stability sets) is
-    /// re-validated, and so are the accumulators (finite means, second
-    /// moments and co-moments, no negative second moment, finite
-    /// thresholds); violations surface as [`StoreError::Malformed`].
+    /// [`StreamDriver::checkpoint_bytes`]: replay the stored samples
+    /// through a fresh accumulator in one batch (no `stream.*` counter is
+    /// charged and no window is reported), then restore the rest. The
+    /// replayed network must have the stored edge count and hold the
+    /// stored chordal subgraph, which must be chordal; gene and vertex
+    /// counts must agree, the samples and thresholds be finite and the
+    /// stability set sorted. Violations surface as
+    /// [`StoreError::Malformed`]. A checkpoint in the older triangle
+    /// layout lacks the [`SectionKind::StreamSamples`] section and fails
+    /// with [`StoreError::MissingSection`].
     pub fn resume_from(store: &Store<'_>) -> Result<StreamDriver, StoreError> {
         let malformed = |what: &str| StoreError::Malformed(what.into());
 
-        // online accumulator
-        let mut d = Dec::new(store.require_kind(SectionKind::OnlineCorrelation)?);
+        // the samples and scalars
+        let mut d = Dec::new(store.require_kind(SectionKind::StreamSamples)?);
         let genes = d.dim()?;
         let samples = d.dim()?;
         let work_ops = d.u64()?;
@@ -395,25 +441,32 @@ impl StreamDriver {
             min_rho: d.f64()?,
             max_p: d.f64()?,
         };
-        let mean = d.finite_f64s(genes, "mean")?;
-        let m2 = d.finite_f64s(genes, "m2")?;
-        let pairs = genes
-            .checked_mul(genes.saturating_sub(1))
-            .map(|x| x / 2)
-            .ok_or_else(|| malformed("gene count overflows the pair triangle"))?;
-        let comoment = d.finite_f64s(pairs, "comoment")?;
-        let present = d.u64s(pairs.div_ceil(64))?;
+        let edges = d.dim()?;
+        let values = genes
+            .checked_mul(samples)
+            .ok_or_else(|| malformed("sample count overflows the sample array"))?;
+        let history = d.finite_f64s(values, "samples")?;
         d.finish()?;
-        let online = OnlineCorrelation::from_checkpoint(
-            genes, network, samples, work_ops, mean, m2, comoment, present,
-        )
-        .map_err(|e| StoreError::Malformed(e.into()))?;
 
-        // network (decoded from the membership words) + chordal subgraph
-        let net = online.network();
+        // the chordal subgraph, before the replay: its stored vertex
+        // count bounds the gene count the replay sizes its O(genes²)
+        // triangle by
         let h = graph_store::load_csr(store, CHECKPOINT_CHORDAL_TAG)?.to_graph();
         if h.n() != genes {
             return Err(malformed("checkpoint vertex counts disagree"));
+        }
+
+        // the samples, replayed into a fresh accumulator; the network
+        // must match the stored edge count and hold the chordal subgraph
+        let online = OnlineCorrelation::replayed(genes, samples, network, &history, work_ops)
+            .map_err(|e| StoreError::Malformed(e.into()))?;
+        drop(history);
+        let net = online.network();
+        if net.m() != edges {
+            return Err(StoreError::Malformed(format!(
+                "replayed network has {} edges but the checkpoint records {edges}",
+                net.m()
+            )));
         }
         for (u, v) in h.edges() {
             if !net.has_edge(u, v) {
@@ -456,7 +509,7 @@ impl StreamDriver {
         );
 
         // driver state
-        let mut d = Dec::new(store.require_kind(SectionKind::DriverState)?);
+        let mut d = Dec::new(store.require_kind(SectionKind::DriverHistory)?);
         let batch = d.dim()?;
         if batch == 0 {
             return Err(malformed("window batch size must be positive"));
@@ -476,7 +529,7 @@ impl StreamDriver {
         {
             return Err(malformed("stability set must be ascending and in range"));
         }
-        let nwindows = d.count(88)?;
+        let nwindows = d.count(80)?;
         let mut windows = Vec::with_capacity(nwindows);
         for _ in 0..nwindows {
             windows.push(WindowReport {
@@ -490,7 +543,7 @@ impl StreamDriver {
                 stability: d.f64()?,
                 sim_ingest: d.f64()?,
                 sim_chordal: d.f64()?,
-                wall: Duration::from_nanos(d.u64()?),
+                wall: Duration::ZERO,
             });
         }
         d.finish()?;
@@ -515,6 +568,7 @@ impl StreamDriver {
             cur_clustered: Vec::new(),
             mcode_scratch: McodeScratch::new(genes),
             clusters: Vec::new(),
+            restored: windows.len(),
             windows,
             sim_ingest_last,
             sim_chordal_last,
@@ -538,12 +592,12 @@ impl StreamDriver {
     }
 
     /// Finish the run: consume the driver and summarise. The summary's
-    /// wall-latency percentiles are nearest-rank over the per-window
-    /// wall times (wall fields: reported, never compared).
+    /// wall-latency percentiles are nearest-rank over the wall times of
+    /// the windows this process ran, not those restored from a checkpoint
+    /// (wall fields: reported, never compared).
     pub fn finish(self) -> StreamSummary {
         let checksum = self.checksum();
-        let mut walls: Vec<u64> = self
-            .windows
+        let mut walls: Vec<u64> = self.windows[self.restored..]
             .iter()
             .map(|w| w.wall.as_nanos() as u64)
             .collect();

@@ -24,14 +24,13 @@
 //! * [`replay`] — the sample-major on-disk stream format and the
 //!   deterministic preset-based replay synthesizer.
 //!
-//! The driver's complete state — accumulators and the network they own
-//! (stored once, as one membership bit per pair), chordal subgraph,
-//! window history —
-//! checkpoints into a `.csbn` container
-//! ([`StreamDriver::checkpoint_bytes`]) and resumes bit-identically
+//! The driver's complete state — the samples ingested so far, chordal
+//! subgraph, window history — checkpoints into a `.csbn` container of
+//! `O(genes × samples)` bytes ([`StreamDriver::checkpoint_bytes`]) and
+//! resumes bit-identically by replaying the samples in one sweep
 //! ([`StreamDriver::resume_from`]): a resumed run reproduces the
-//! uninterrupted run's final checksum exactly (`casbn stream
-//! --checkpoint/--resume` on the CLI).
+//! uninterrupted run's final checksum and checkpoint bytes exactly
+//! (`casbn stream --checkpoint/--resume` on the CLI).
 
 pub mod driver;
 pub mod online;

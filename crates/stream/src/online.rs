@@ -82,15 +82,21 @@
 //! **The network.** The sweep reads row `i`'s retained pairs from the
 //! network's sorted neighbour list above `i`, with a cursor that only
 //! moves forward. [`OnlineCorrelation::weights`] walks the network's
-//! edges: `O(genes + edges)`, not `O(pairs)`. A checkpoint stores the
-//! network as membership words, one bit per pair of the row-major upper
-//! triangle; they are encoded from the graph when a checkpoint is
-//! written and decoded back into it on resume.
+//! edges: `O(genes + edges)`, not `O(pairs)`.
+//!
+//! **The samples.** The accumulator also keeps every sample it has
+//! ingested, append-only and sample-major ([`OnlineCorrelation::history`]):
+//! `8·genes·n` bytes, 1.7 MB for YNG's 5,348 genes at 40 samples, against
+//! the triangle's 114 MB. A checkpoint stores these samples and no pair
+//! state. Because both recurrences are sample-sequential, replaying them
+//! as one batch (`OnlineCorrelation::replayed`) rebuilds the exact bits
+//! of every moment, co-moment and the network; the cost is one sweep
+//! over all `n` samples, so a later checkpoint takes longer to resume.
+//! Memory stays `O(genes²)` for the live triangle.
 //!
 //! **Finite inputs.** `ingest` expects finite samples; the replay
-//! reader rejects any other. The accumulators then stay finite while
-//! sample magnitudes stay below about 1e150. A checkpoint whose
-//! accumulators are not finite does not resume.
+//! reader and the checkpoint decoder reject any other. The accumulators
+//! then stay finite while sample magnitudes stay below about 1e150.
 //!
 //! [`CorrelationNetwork::from_expression_seq`]: casbn_expr::CorrelationNetwork::from_expression_seq
 
@@ -134,6 +140,8 @@ pub struct OnlineCorrelation {
     comoment: Vec<f64>,
     /// The live network: the pairs that satisfy the retention predicate.
     net: Graph,
+    /// Every sample ingested so far, sample-major (`[s·genes + g]`).
+    history: Vec<f64>,
     /// Abstract ops charged (moment updates + co-moment updates + pair
     /// scans), the unit the streaming perf workloads feed to the LogP
     /// cost model.
@@ -158,18 +166,42 @@ impl OnlineCorrelation {
     ///
     /// Memory is `O(genes²)` for the co-moment triangle — the price of
     /// exact incremental all-pairs correlation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair triangle's size overflows or the allocator
+    /// refuses it.
     pub fn new(genes: usize, params: NetworkParams) -> Self {
-        let pairs = genes * genes.saturating_sub(1) / 2;
-        OnlineCorrelation {
+        Self::try_new(genes, params).expect("the pair triangle fits in memory")
+    }
+
+    /// [`OnlineCorrelation::new`], or an error when the pair count
+    /// overflows or the allocator refuses the triangle. The triangle is
+    /// reserved before anything else is allocated.
+    fn try_new(genes: usize, params: NetworkParams) -> Result<Self, &'static str> {
+        let pairs = genes
+            .checked_mul(genes.saturating_sub(1))
+            .ok_or("gene count overflows the pair triangle")?
+            / 2;
+        let mut comoment = Vec::new();
+        comoment
+            .try_reserve_exact(pairs)
+            .map_err(|_| "the pair triangle does not fit in memory")?;
+        // zeroed by writing, so each page faults once: a lazily zeroed
+        // page read by the first sweep maps the shared zero page and
+        // faults again on the write that follows
+        comoment.resize(pairs, 0.0);
+        Ok(OnlineCorrelation {
             genes,
             params,
             samples: 0,
             mean: vec![0.0; genes],
             m2: vec![0.0; genes],
-            comoment: vec![0.0; pairs],
+            comoment,
             net: Graph::new(genes),
+            history: Vec::new(),
             work_ops: 0,
-        }
+        })
     }
 
     /// Number of genes.
@@ -241,93 +273,49 @@ impl OnlineCorrelation {
             .collect()
     }
 
-    /// The accumulator arrays the `.csbn` checkpoint serialises:
-    /// per-gene means and second moments, the co-moment triangle, and
-    /// the network as membership words (bit `pair_index(i, j)` set for
-    /// every edge) — the checkpoint's only copy of the network.
-    pub(crate) fn checkpoint_arrays(&self) -> (&[f64], &[f64], &[f64], Vec<u64>) {
-        let mut words = vec![0u64; self.comoment.len().div_ceil(64)];
-        for (u, v) in self.net.edges() {
-            let idx = pair_index(self.genes, u as usize, v as usize);
-            words[idx / 64] |= 1u64 << (idx % 64);
-        }
-        (&self.mean, &self.m2, &self.comoment, words)
+    /// Every sample ingested so far, sample-major: sample `s`'s value of
+    /// gene `g` sits at `s·genes + g`. This is all a checkpoint stores of
+    /// the accumulator besides its scalars.
+    #[inline]
+    pub fn history(&self) -> &[f64] {
+        &self.history
     }
 
-    /// Rebuild an accumulator from checkpointed state. Array lengths
-    /// must match the gene count, bits past the pair triangle must be
-    /// zero (the set bits are decoded into the network with a row cursor
-    /// that only moves forward), the thresholds must be finite and no
-    /// second moment negative; the caller has already rejected non-finite
-    /// accumulator values while decoding them. The recurrences continue
-    /// **bit-identically** — the restored means/moments are the exact
-    /// `f64` bits the original held.
-    #[allow(clippy::too_many_arguments)] // mirrors the checkpoint field order
-    pub(crate) fn from_checkpoint(
+    /// Rebuild an accumulator from `samples` checkpointed samples
+    /// (`history`, sample-major as [`OnlineCorrelation::history`] holds
+    /// them) by replaying them as one batch, then restore the
+    /// checkpoint's `work_ops`. The recurrences are sample-sequential, so
+    /// every moment, co-moment and network edge comes back
+    /// **bit-identical** to the accumulator that wrote them. The replay
+    /// charges no `stream.*` counter. The thresholds must be finite; the
+    /// caller has already rejected non-finite samples while decoding them.
+    pub(crate) fn replayed(
         genes: usize,
-        params: NetworkParams,
         samples: usize,
+        params: NetworkParams,
+        history: &[f64],
         work_ops: u64,
-        mean: Vec<f64>,
-        m2: Vec<f64>,
-        comoment: Vec<f64>,
-        present: Vec<u64>,
     ) -> Result<OnlineCorrelation, &'static str> {
-        let pairs = genes
-            .checked_mul(genes.saturating_sub(1))
-            .map(|x| x / 2)
-            .ok_or("gene count overflows the pair triangle")?;
         if !params.min_rho.is_finite() {
             return Err("checkpoint min_rho is not finite");
         }
         if !params.max_p.is_finite() {
             return Err("checkpoint max_p is not finite");
         }
-        if mean.len() != genes || m2.len() != genes {
-            return Err("per-gene moment array length mismatch");
+        if Some(history.len()) != genes.checked_mul(samples) {
+            return Err("sample array length mismatch");
         }
-        if m2.iter().any(|&m| m < 0.0) {
-            return Err("checkpoint m2 holds a negative second moment");
-        }
-        if comoment.len() != pairs {
-            return Err("co-moment triangle length mismatch");
-        }
-        if present.len() != pairs.div_ceil(64) {
-            return Err("membership bitset length mismatch");
-        }
-        if pairs % 64 != 0 {
-            if let Some(&last) = present.last() {
-                if last >> (pairs % 64) != 0 {
-                    return Err("membership bits set beyond the pair triangle");
-                }
+        let mut online = OnlineCorrelation::try_new(genes, params)?;
+        // gene-major rows for the batch, read off the sample-major log
+        let mut rows = vec![0.0f64; history.len()];
+        for (s, sample) in history.chunks_exact(genes.max(1)).enumerate() {
+            for (g, &x) in sample.iter().enumerate() {
+                rows[g * samples + s] = x;
             }
         }
-        let mut net = Graph::new(genes);
-        // row i's pairs have flat indices start..end
-        let (mut i, mut start, mut end) = (0usize, 0usize, genes.saturating_sub(1));
-        for (w, &word) in present.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                while idx >= end {
-                    i += 1;
-                    start = end;
-                    end += genes - i - 1;
-                }
-                net.add_edge(i as VertexId, (i + 1 + (idx - start)) as VertexId);
-            }
-        }
-        Ok(OnlineCorrelation {
-            genes,
-            params,
-            samples,
-            mean,
-            m2,
-            comoment,
-            net,
-            work_ops,
-        })
+        online.advance(&ExpressionMatrix::from_rows(genes, samples, rows));
+        online.work_ops = work_ops;
+        Ok(online)
     }
 
     /// Ingest one batch of samples (a genes × k matrix, columns are the
@@ -345,9 +333,22 @@ impl OnlineCorrelation {
             batch.genes(),
             self.genes
         );
-        let k = batch.samples();
-        let genes = self.genes;
-        let pairs = self.comoment.len();
+        let (genes, k, pairs) = (self.genes, batch.samples(), self.comoment.len());
+        // charged at the analytic sites (outside the parallel region),
+        // so the counters are thread-count-invariant
+        if k > 0 && genes > 0 {
+            casbn_obs::counter_add("stream.moment_updates", (genes * k) as u64);
+            casbn_obs::counter_add("stream.comoment_updates", (pairs * k) as u64);
+        }
+        casbn_obs::counter_add("stream.scan_pairs", pairs as u64);
+        self.advance(batch)
+    }
+
+    /// [`OnlineCorrelation::ingest`] without the telemetry counters:
+    /// advance the moments, log the samples, sweep the triangle and apply
+    /// the delta.
+    fn advance(&mut self, batch: &ExpressionMatrix) -> EdgeDelta {
+        let (genes, k, pairs) = (self.genes, batch.samples(), self.comoment.len());
 
         // per-gene Welford moments, sample-sequential; record the
         // pre-update deviations gene-major (a row reads its own k terms)
@@ -355,11 +356,13 @@ impl OnlineCorrelation {
         // contiguous run per sample)
         let mut d = vec![0.0f64; genes * k];
         let mut d2 = vec![0.0f64; genes * k];
+        self.history.reserve(genes * k);
         for s in 0..k {
             self.samples += 1;
             let n = self.samples as f64;
             for g in 0..genes {
                 let x = batch.row(g)[s];
+                self.history.push(x);
                 let dev = x - self.mean[g];
                 self.mean[g] += dev / n;
                 let dev2 = x - self.mean[g];
@@ -368,16 +371,7 @@ impl OnlineCorrelation {
                 d2[s * genes + g] = dev2;
             }
         }
-        // charged at the analytic sites (outside the parallel region),
-        // so the counters are thread-count-invariant
-        if k > 0 && genes > 0 {
-            self.work_ops += (genes * k) as u64;
-            casbn_obs::counter_add("stream.moment_updates", (genes * k) as u64);
-            self.work_ops += (pairs * k) as u64;
-            casbn_obs::counter_add("stream.comoment_updates", (pairs * k) as u64);
-        }
-        self.work_ops += pairs as u64;
-        casbn_obs::counter_add("stream.scan_pairs", pairs as u64);
+        self.work_ops += ((genes + pairs) * k + pairs) as u64;
 
         // one sweep: advance every co-moment and re-test its pair
         let sd: Vec<f64> = self.m2.iter().map(|&m| m.sqrt()).collect();
@@ -599,42 +593,54 @@ mod tests {
     }
 
     #[test]
-    fn membership_words_round_trip_the_network() {
-        for genes in [2usize, 3, 7, 20, 70] {
-            let mut all = Vec::new();
-            for i in 0..genes {
-                for j in (i + 1)..genes {
-                    assert_eq!(pair_index(genes, i, j), all.len());
-                    all.push((i as VertexId, j as VertexId));
+    fn replayed_history_rebuilds_the_accumulator_bit_for_bit() {
+        let a = arr(40, 14, 5);
+        let params = NetworkParams {
+            min_rho: 0.7,
+            max_p: 0.05,
+        };
+        for genes in [0usize, 1, 40] {
+            let m = ExpressionMatrix::from_rows(genes, 14, a.matrix.data()[..genes * 14].to_vec());
+            let mut live = OnlineCorrelation::new(genes, params);
+            for (lo, hi) in [(0, 3), (3, 4), (4, 4), (4, 9), (9, 14)] {
+                live.ingest(&m.columns(lo, hi));
+            }
+            for s in 0..14 {
+                for g in 0..genes {
+                    assert_eq!(
+                        live.history()[s * genes + g].to_bits(),
+                        m.row(g)[s].to_bits()
+                    );
                 }
             }
-            assert_eq!(all.len(), genes * (genes - 1) / 2);
-            // every pair, then every third: bit `pair_index` is set for
-            // exactly the network's edges, and decoding gives them back
-            for step in [1, 3] {
-                let mut oc = OnlineCorrelation::new(genes, NetworkParams::default());
-                let edges: Vec<_> = all.iter().copied().step_by(step).collect();
-                oc.net = Graph::from_edges(genes, &edges);
-                let (mean, m2, comoment, words) = oc.checkpoint_arrays();
-                let mut want = vec![0u64; all.len().div_ceil(64)];
-                for idx in (0..all.len()).step_by(step) {
-                    want[idx / 64] |= 1u64 << (idx % 64);
-                }
-                assert_eq!(words, want);
-                let back = OnlineCorrelation::from_checkpoint(
-                    genes,
-                    oc.params(),
-                    0,
-                    0,
-                    mean.to_vec(),
-                    m2.to_vec(),
-                    comoment.to_vec(),
-                    words,
-                )
-                .unwrap();
-                assert_eq!(back.network().edge_vec(), edges);
+            let back =
+                OnlineCorrelation::replayed(genes, 14, params, live.history(), live.work_ops())
+                    .unwrap();
+            assert_eq!(back.samples(), live.samples());
+            assert_eq!(back.work_ops(), live.work_ops());
+            assert_eq!(back.history(), live.history());
+            assert_eq!(back.network().edge_vec(), live.network().edge_vec());
+            for g in 0..genes {
+                assert_eq!(back.mean(g).to_bits(), live.mean(g).to_bits(), "mean {g}");
+                assert_eq!(back.m2(g).to_bits(), live.m2(g).to_bits(), "m2 {g}");
+            }
+            for (x, y) in back.comoment.iter().zip(&live.comoment) {
+                assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+        let ok = NetworkParams::default();
+        assert!(OnlineCorrelation::replayed(3, 2, ok, &[1.0; 7], 0).is_err());
+        let nan = NetworkParams {
+            min_rho: f64::NAN,
+            ..ok
+        };
+        assert!(OnlineCorrelation::replayed(3, 0, nan, &[], 0).is_err());
+        // a pair count past usize, and a triangle of 2^60 bytes: both
+        // are refused before anything is allocated or touched
+        let err = OnlineCorrelation::replayed(1 << 40, 0, ok, &[], 0).err();
+        assert_eq!(err, Some("gene count overflows the pair triangle"));
+        let err = OnlineCorrelation::replayed(1 << 29, 0, ok, &[], 0).err();
+        assert_eq!(err, Some("the pair triangle does not fit in memory"));
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! reproduce the uninterrupted run **bit-identically** — same per-window
 //! metrics, same final FNV checksum, same chordal subgraph, same
 //! network. This is the acceptance gate of the persistence subsystem:
-//! the checkpoint stores the exact `f64` bits of the Welford/co-moment
-//! accumulators and the membership bitset the network is rebuilt from,
-//! so the resumed recurrences continue on identical state.
+//! the checkpoint stores the exact `f64` bits of every sample ingested,
+//! and replaying them rebuilds the Welford/co-moment accumulators and the
+//! network bit for bit, so the resumed recurrences continue on identical
+//! state.
 
-use casbn_expr::{DatasetPreset, ExpressionMatrix};
-use casbn_graph::{Edge, Graph};
-use casbn_store::{Enc, SectionKind, Store, StoreError, StoreWriter};
+use casbn_expr::{DatasetPreset, ExpressionMatrix, NetworkParams};
+use casbn_graph::{Graph, VertexId};
+use casbn_store::{SectionKind, Store, StoreError, StoreWriter};
 use casbn_stream::{synthesize_replay, StreamConfig, StreamDriver};
 
 /// Checksum of the uninterrupted replay, the value CI's streaming smoke
@@ -20,49 +21,11 @@ fn replay() -> ExpressionMatrix {
     synthesize_replay(DatasetPreset::Yng, 0.02, Some(8))
 }
 
-/// The retained edges, read off a checkpoint's membership words: the
-/// network a resume decodes.
-fn stored_edges(ck: &[u8], genes: usize) -> Vec<Edge> {
-    let store = Store::parse(ck).unwrap();
-    let payload = store.require_kind(SectionKind::OnlineCorrelation).unwrap();
-    let mut edges = Vec::new();
-    for u in 0..genes as u32 {
-        for v in u + 1..genes as u32 {
-            let (at, mask) = membership_bit(payload.len(), genes, (u, v));
-            let word = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-            if word & mask != 0 {
-                edges.push((u, v));
-            }
-        }
-    }
-    edges
-}
-
-/// Byte offset and mask of the membership bit of pair `(u, v)`, `u < v`,
-/// inside an `OnlineCorrelation` payload of `len` bytes: the bitset is
-/// the payload's last array, one bit per pair of the row-major upper
-/// triangle.
-fn membership_bit(len: usize, genes: usize, (u, v): Edge) -> (usize, u64) {
-    let (u, v) = (u as usize, v as usize);
-    let pairs = genes * (genes - 1) / 2;
-    let pair = u * (2 * genes - u - 1) / 2 + (v - u - 1);
-    (
-        len - 8 * pairs.div_ceil(64) + 8 * (pair / 64),
-        1 << (pair % 64),
-    )
-}
-
 /// Drive `driver` over `matrix` from its current position to the end.
 fn drive_to_end(driver: &mut StreamDriver, matrix: &ExpressionMatrix, batch: usize) {
-    drive_until(driver, matrix, batch, matrix.samples());
-}
-
-/// Drive `driver` over `matrix` from its current position until
-/// `samples` samples are in.
-fn drive_until(driver: &mut StreamDriver, matrix: &ExpressionMatrix, batch: usize, samples: usize) {
     let mut lo = driver.samples_ingested();
-    while lo < samples {
-        let hi = (lo + batch).min(samples);
+    while lo < matrix.samples() {
+        let hi = (lo + batch).min(matrix.samples());
         driver.ingest_window(&matrix.columns(lo, hi));
         lo = hi;
     }
@@ -99,10 +62,8 @@ fn resume_from_any_window_boundary_is_bit_identical() {
             .unwrap_or_else(|e| panic!("resume @{stop_after}: {e}"));
         assert_eq!(resumed.genes(), m.genes());
         assert_eq!(resumed.samples_ingested(), lo);
-        // the resumed network is exactly the checkpointed one, and the
-        // membership words hold exactly its edges
+        // the replay rebuilds exactly the checkpointed network
         assert_eq!(resumed.network().edge_vec(), network);
-        assert_eq!(stored_edges(&ck, m.genes()), network);
         drive_to_end(&mut resumed, &m, cfg.batch);
 
         assert_eq!(
@@ -186,37 +147,66 @@ fn resumed_summary_matches_uninterrupted_summary() {
     assert_eq!(a.total_churn(), b.total_churn());
 }
 
+/// A chordless 4-cycle `a–b–c–d–a` of `g`, if it has one.
+fn chordless_c4(g: &Graph) -> Option<[VertexId; 4]> {
+    for (a, b) in g.edges() {
+        for &c in g.neighbors(b) {
+            if c == a || g.has_edge(a, c) {
+                continue;
+            }
+            for &d in g.neighbors(c) {
+                if d != b && d != a && g.has_edge(d, a) && !g.has_edge(b, d) {
+                    return Some([a, b, c, d]);
+                }
+            }
+        }
+    }
+    None
+}
+
+/// `ck` with the payload of its `kind` sections rewritten by `edit`,
+/// every checksum recomputed.
+fn rewrite(ck: &[u8], kind: SectionKind, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let store = Store::parse(ck).unwrap();
+    let mut w = StoreWriter::new();
+    for (i, entry) in store.sections().iter().enumerate() {
+        let k = SectionKind::from_u32(entry.kind).unwrap();
+        let mut payload = store.payload(i).to_vec();
+        if k == kind {
+            edit(&mut payload);
+        }
+        w.add(k, entry.tag, payload);
+    }
+    w.to_bytes()
+}
+
 #[test]
 fn non_chordal_checkpoint_subgraph_is_rejected() {
     // a tampered-but-rechecksummed checkpoint whose chordal section
-    // holds a chordless C4 (kept a subgraph of the network by setting
-    // the C4 pairs' membership bits) must fail the resume validation,
-    // not silently seed the maintainer with non-chordal state
+    // holds a chordless C4 of the replayed network must fail the resume
+    // validation, not silently seed the maintainer with non-chordal
+    // state. Loose thresholds give a network that holds one.
     use casbn_graph::store as graph_store;
 
     let m = replay();
-    let cfg = StreamConfig::default();
+    let cfg = StreamConfig {
+        network: NetworkParams {
+            min_rho: 0.3,
+            max_p: 1.0,
+        },
+        ..Default::default()
+    };
     let mut driver = StreamDriver::new(m.genes(), cfg);
-    driver.ingest_window(&m.columns(0, 2));
+    driver.ingest_window(&m.columns(0, 4));
+    let [a, b, c, d] = chordless_c4(driver.network()).expect("the loose network has a C4");
+    let c4 = Graph::from_edges(m.genes(), &[(a, b), (b, c), (c, d), (d, a)]);
     let ck = driver.checkpoint_bytes().unwrap();
     let store = Store::parse(&ck).unwrap();
-
-    let c4 = Graph::from_edges(m.genes(), &[(0, 1), (1, 2), (2, 3), (0, 3)]);
     let mut w = StoreWriter::new();
     for (i, entry) in store.sections().iter().enumerate() {
-        let kind = SectionKind::from_u32(entry.kind).unwrap();
-        let mut payload = store.payload(i).to_vec();
-        match kind {
-            SectionKind::OnlineCorrelation => {
-                for e in c4.edges() {
-                    let (at, mask) = membership_bit(payload.len(), m.genes(), e);
-                    let word = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-                    payload[at..at + 8].copy_from_slice(&(word | mask).to_le_bytes());
-                }
-                w.add(kind, entry.tag, payload);
-            }
+        match SectionKind::from_u32(entry.kind).unwrap() {
             SectionKind::Graph => graph_store::add_graph(&mut w, entry.tag, &c4),
-            _ => w.add(kind, entry.tag, payload),
+            kind => w.add(kind, entry.tag, store.payload(i).to_vec()),
         }
     }
     let tampered = w.to_bytes();
@@ -231,109 +221,112 @@ fn non_chordal_checkpoint_subgraph_is_rejected() {
 }
 
 #[test]
-fn a_stale_network_copy_in_an_old_checkpoint_is_ignored() {
-    // checkpoints written before the network was stored once carry a
-    // second copy of it, the delta-graph section. A resume must take
-    // the network from the accumulator's bitset, so a (re-checksummed)
-    // copy holding a phantom edge changes nothing downstream.
-    let m = replay();
-    let cfg = StreamConfig::default();
-    let mut driver = StreamDriver::new(m.genes(), cfg);
-    drive_until(&mut driver, &m, cfg.batch, 4);
-    let ck = driver.checkpoint_bytes().unwrap();
-    let store = Store::parse(&ck).unwrap();
-    assert!(
-        store.find(SectionKind::DeltaGraph, 0).is_none(),
-        "the network is not written twice"
+fn an_old_layout_checkpoint_fails_typed() {
+    // a committed checkpoint in the layout that stored the co-moment
+    // triangle, membership bits and wall times: it has none of the
+    // current stream sections, so it fails with a typed error naming the
+    // first one the resume needs
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/corpus/checkpoint-resume/seed-old-layout.csbn"
     );
-
-    let phantom = (0, 1);
-    let mut stale = driver.network().clone();
-    assert!(
-        stale.add_edge(phantom.0, phantom.1),
-        "the phantom edge is new"
-    );
-    // the retired section's layout: n, m, pending, epoch, threshold,
-    // base m, the base CSR, then two empty overlays (offsets only)
-    let csr = stale.to_csr();
-    let mut e = Enc::new();
-    e.u64(stale.n() as u64);
-    e.u64(stale.m() as u64);
-    e.u64(0);
-    e.u64(0);
-    e.u64((stale.n() / 4).max(256) as u64);
-    e.u64(stale.m() as u64);
-    e.u32s(csr.xadj());
-    e.u32s(csr.adjncy());
-    for _overlay in 0..2 {
-        e.u32s(&vec![0; stale.n() + 1]);
+    let bytes = std::fs::read(path).unwrap();
+    let store = Store::parse(&bytes).expect("the old container still parses");
+    assert!(store.find(SectionKind::OnlineCorrelation, 0).is_some());
+    match StreamDriver::resume_from(&store) {
+        Err(StoreError::MissingSection(kind)) => assert_eq!(kind, "stream-samples"),
+        Err(e) => panic!("expected a missing-section error, got {e}"),
+        Ok(_) => panic!("an old-layout checkpoint must not resume"),
     }
-    let mut w = StoreWriter::new();
-    for (i, entry) in store.sections().iter().enumerate() {
-        let kind = SectionKind::from_u32(entry.kind).unwrap();
-        w.add(kind, entry.tag, store.payload(i).to_vec());
-    }
-    w.add(SectionKind::DeltaGraph, 0, e.into_payload());
-    let old = w.to_bytes();
-
-    let store = Store::parse(&old).expect("re-checksummed container parses");
-    let mut resumed = StreamDriver::resume_from(&store).expect("old-layout checkpoint resumes");
-    assert!(!resumed.network().has_edge(phantom.0, phantom.1));
-    assert_eq!(resumed.network().edge_vec(), stored_edges(&ck, m.genes()));
-    drive_to_end(&mut resumed, &m, cfg.batch);
-    assert_eq!(resumed.checksum(), PINNED_CHECKSUM);
 }
 
 #[test]
-fn poisoned_accumulators_are_rejected_naming_the_field() {
-    // a re-checksummed checkpoint whose accumulator section holds a
-    // non-finite float, a negative second moment or a non-finite
-    // threshold must not resume: it would persist into every later
-    // checkpoint and snapshot
+fn tampered_sample_sections_are_rejected_naming_the_field() {
+    // a re-checksummed checkpoint whose sample section holds a
+    // non-finite sample or threshold, a sample count that disagrees with
+    // its array, or an edge count the replay does not reproduce must not
+    // resume: it would persist into every later checkpoint and snapshot
     let m = replay();
     let cfg = StreamConfig::default();
     let mut driver = StreamDriver::new(m.genes(), cfg);
     driver.ingest_window(&m.columns(0, 4));
     let ck = driver.checkpoint_bytes().unwrap();
-    let store = Store::parse(&ck).unwrap();
     let genes = m.genes();
-    // payload words: genes, samples, work_ops, min_rho, max_p, then
-    // mean[genes], m2[genes] and the co-moment triangle
-    let (mean, m2, comoment) = (5, 5 + genes, 5 + 2 * genes);
-    let poison = |word: usize, value: f64| {
-        let mut w = StoreWriter::new();
-        for (i, entry) in store.sections().iter().enumerate() {
-            let kind = SectionKind::from_u32(entry.kind).unwrap();
-            let mut payload = store.payload(i).to_vec();
-            if kind == SectionKind::OnlineCorrelation {
-                payload[8 * word..8 * word + 8].copy_from_slice(&value.to_le_bytes());
-            }
-            w.add(kind, entry.tag, payload);
-        }
-        w.to_bytes()
+    // payload words: genes, samples, work_ops, min_rho, max_p, edges,
+    // then the samples, sample-major
+    let set = |word: usize, bits: u64| {
+        rewrite(&ck, SectionKind::StreamSamples, |p| {
+            p[8 * word..8 * word + 8].copy_from_slice(&bits.to_le_bytes())
+        })
     };
+    let edges = driver.network().m() as u64;
     let cases = [
-        (3, f64::NAN, "min_rho"),
-        (4, f64::INFINITY, "max_p"),
-        (mean + 7, f64::NAN, "`mean`"),
-        (m2 + genes - 1, f64::INFINITY, "`m2`"),
-        (m2 + 2, -1.0, "m2"),
-        (comoment, f64::NEG_INFINITY, "`comoment`"),
-        (comoment + 1000, f64::NAN, "`comoment`"),
+        (3, f64::NAN.to_bits(), "min_rho"),
+        (4, f64::INFINITY.to_bits(), "max_p"),
+        (6, f64::NAN.to_bits(), "`samples`"),
+        (6 + 3 * genes + 7, f64::NEG_INFINITY.to_bits(), "`samples`"),
+        (5, edges + 1, "edges"),
+        (1, 3, "trailing bytes"),
     ];
-    for (word, value, field) in cases {
-        let bytes = poison(word, value);
+    for (word, bits, field) in cases {
+        let bytes = set(word, bits);
         let store = Store::parse(&bytes).expect("re-checksummed container parses");
         match StreamDriver::resume_from(&store) {
-            Ok(_) => panic!("{field} = {value} must not resume"),
+            Ok(_) => panic!("word {word} = {bits:#x} must not resume"),
             Err(StoreError::Malformed(msg)) => {
-                assert!(msg.contains(field), "{field} = {value}: {msg}")
+                assert!(msg.contains(field), "word {word} = {bits:#x}: {msg}")
             }
-            Err(e) => panic!("{field} = {value}: expected Malformed, got {e}"),
+            Err(e) => panic!("word {word} = {bits:#x}: expected Malformed, got {e}"),
+        }
+    }
+    // one sample too many is a short section
+    let long = set(1, 5);
+    let store = Store::parse(&long).unwrap();
+    assert!(matches!(
+        StreamDriver::resume_from(&store),
+        Err(StoreError::ShortSection { .. })
+    ));
+    // an empty history with a huge gene count: the replay would size
+    // its pair triangle by the gene count, which the chordal section's
+    // vertex count must bound first
+    for huge in [200_000u64, 1 << 40] {
+        let bytes = rewrite(&ck, SectionKind::StreamSamples, |p| {
+            p.truncate(48);
+            p[..8].copy_from_slice(&huge.to_le_bytes());
+            p[8..16].fill(0);
+        });
+        match StreamDriver::resume_from(&Store::parse(&bytes).unwrap()) {
+            Err(StoreError::Malformed(msg)) => assert!(msg.contains("vertex counts"), "{msg}"),
+            Err(e) => panic!("genes = {huge}: expected Malformed, got {e}"),
+            Ok(_) => panic!("genes = {huge} must not resume"),
         }
     }
     // the untouched checkpoint still resumes
-    assert!(StreamDriver::resume_from(&store).is_ok());
+    assert!(StreamDriver::resume_from(&Store::parse(&ck).unwrap()).is_ok());
+}
+
+#[test]
+fn a_resumed_driver_refuses_another_replay() {
+    let m = replay();
+    let mut driver = StreamDriver::new(m.genes(), StreamConfig::default());
+    driver.ingest_window(&m.columns(0, 4));
+    let ck = driver.checkpoint_bytes().unwrap();
+    let resumed = StreamDriver::resume_from(&Store::parse(&ck).unwrap()).unwrap();
+    assert_eq!(resumed.check_replay(&m), Ok(()));
+    // one bit of one sample before the resume point
+    let mut other = m.clone();
+    let x = other.row(5)[2];
+    other.row_mut(5)[2] = f64::from_bits(x.to_bits() ^ 1);
+    let err = resumed.check_replay(&other).unwrap_err();
+    assert!(err.contains("at sample 2, gene 5"), "{err}");
+    // a change after the resume point is the rest of the stream
+    let mut later = m.clone();
+    later.row_mut(5)[4] += 1.0;
+    assert_eq!(resumed.check_replay(&later), Ok(()));
+    // too short a replay, or one of other genes
+    assert!(resumed.check_replay(&m.columns(0, 3)).is_err());
+    let fewer = ExpressionMatrix::from_rows(1, 8, m.row(0).to_vec());
+    assert!(resumed.check_replay(&fewer).unwrap_err().contains("genes"));
 }
 
 #[test]

@@ -11,9 +11,10 @@
 //! (inside it), planted modules whose ρ spread across every threshold,
 //! `min_rho` set to the exact bits of 60 computed ρ, `min_rho` of 0 and
 //! below 0, `max_p` of 1 and of 1e-12, and several batch splits, one
-//! with an empty batch. A resumed driver whose membership bits disagree
-//! with its moments must repair them on an empty batch (bits of
-//! chordal-subgraph edges excepted: clearing one fails the resume).
+//! with an empty batch. A driver resumed from a checkpoint must replay
+//! its samples into the reference's network and ρ at every thread
+//! count, and refuse a checkpoint whose chordal subgraph or edge count
+//! the replayed network contradicts.
 //!
 //! One `#[test]` only: the rayon thread override is process-global.
 
@@ -251,36 +252,35 @@ fn driver_weights(driver: &StreamDriver) -> Vec<((u32, u32), f64)> {
         .collect()
 }
 
-/// Rewrite the membership bitset of a checkpoint's accumulator section
-/// with `tamper`, checksums recomputed. The bitset is the section's
-/// tail: after five scalar words, the means, the second moments and the
-/// co-moment triangle.
-fn with_present(ck: &[u8], tamper: impl Fn(&mut [u64])) -> Vec<u8> {
+/// `ck` with the payload of its `kind` section rewritten by `edit`,
+/// checksums recomputed.
+fn with_section(ck: &[u8], kind: SectionKind, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
     let store = Store::parse(ck).expect("checkpoint parses");
     let mut w = StoreWriter::new();
     for (s, entry) in store.sections().iter().enumerate() {
-        let kind = SectionKind::from_u32(entry.kind).expect("known section kind");
+        let k = SectionKind::from_u32(entry.kind).expect("known section kind");
         let mut payload = store.payload(s).to_vec();
-        if kind == SectionKind::OnlineCorrelation {
-            let at = 8 * (5 + 2 * GENES + GENES * (GENES - 1) / 2);
-            let mut bits: Vec<u64> = payload[at..]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            tamper(&mut bits);
-            for (c, b) in payload[at..].chunks_exact_mut(8).zip(&bits) {
-                c.copy_from_slice(&b.to_le_bytes());
-            }
+        if k == kind {
+            edit(&mut payload);
         }
-        w.add(kind, entry.tag, payload);
+        w.add(k, entry.tag, payload);
     }
     w.to_bytes()
 }
 
-/// A driver resumed with membership bits that disagree with its moments
-/// repairs every one of them on an empty batch, at every thread count.
-/// Clearing the bit of a chordal-subgraph edge is refused at resume.
-fn check_resume_repair(m: &ExpressionMatrix, params: NetworkParams) {
+/// The resume error of a tampered checkpoint.
+fn resume_error(bytes: &[u8]) -> String {
+    match StreamDriver::resume_from(&Store::parse(bytes).expect("tampered checkpoint parses")) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("a tampered checkpoint must not resume"),
+    }
+}
+
+/// A checkpoint resumed at every thread count replays its samples into
+/// the reference's exact network and ρ, and the next window's delta is
+/// the reference's. A chordal-subgraph edge the replayed network lacks,
+/// and an edge count the replay does not reproduce, fail the resume.
+fn check_resume_replay(m: &ExpressionMatrix, params: NetworkParams) {
     let cfg = StreamConfig {
         network: params,
         ..Default::default()
@@ -294,68 +294,56 @@ fn check_resume_repair(m: &ExpressionMatrix, params: NetworkParams) {
     let truth = reference.weights();
     assert!(truth.len() > 10, "the resumed network must be non-trivial");
     let ck = driver.checkpoint_bytes().expect("checkpoint serialises");
-    // the resumed network is rebuilt from the bits, so clearing the bit
-    // of a pair the chordal subgraph holds must fail the resume
-    let pair = |(u, v): (u32, u32)| {
-        let (u, v) = (u as usize, v as usize);
-        u * (2 * GENES - u - 1) / 2 + (v - u - 1)
-    };
-    let chordal: Vec<usize> = driver.chordal().edges().map(pair).collect();
-    let cut = *chordal
-        .first()
-        .expect("the chordal subgraph is non-trivial");
-    let broken = with_present(&ck, |bits| bits[cut / 64] &= !(1u64 << (cut % 64)));
-    match StreamDriver::resume_from(&Store::parse(&broken).expect("tampered checkpoint parses")) {
-        Err(e) => assert!(e.to_string().contains("not a subgraph"), "{e}"),
-        Ok(_) => panic!("a chordal edge outside the network must not resume"),
-    }
-    // clear every third retained pair outside the chordal subgraph, set
-    // pairs 0, 1, 2 and every 997th pair (flat index)
-    let dropped: Vec<usize> = reference
+    let absent = reference
         .present
         .iter()
-        .enumerate()
-        .filter(|&(idx, &p)| p && chordal.binary_search(&idx).is_err())
-        .map(|(idx, _)| idx)
-        .step_by(3)
-        .collect();
-    let added: Vec<usize> = (0..reference.present.len())
-        .filter(|&idx| (idx < 3 || idx % 997 == 0) && !reference.present[idx])
-        .collect();
-    let tampered = with_present(&ck, |bits| {
-        for &idx in &dropped {
-            bits[idx / 64] &= !(1u64 << (idx % 64));
-        }
-        for &idx in &added {
-            bits[idx / 64] |= 1u64 << (idx % 64);
-        }
-    });
-    assert!(!dropped.is_empty() && !added.is_empty());
+        .position(|&p| !p)
+        .expect("some pair is not retained");
+    let (inserts, removes) = reference.ingest(&m.columns(7, SAMPLES));
+    assert!(!inserts.is_empty() || !removes.is_empty());
+    let after = reference.weights();
     for threads in THREADS {
         std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-        let store = Store::parse(&tampered).expect("tampered checkpoint parses");
-        let mut resumed = StreamDriver::resume_from(&store).expect("tampered bits resume");
-        assert_eq!(
-            resumed.network().m(),
-            truth.len() - dropped.len() + added.len(),
-            "{threads} threads: the tampered bits are live"
-        );
-        let report = resumed.ingest_window(&ExpressionMatrix::zeros(GENES, 0));
-        assert_eq!(
-            report.inserts,
-            dropped.len(),
-            "{threads} threads: repaired inserts"
-        );
-        assert_eq!(
-            report.removes,
-            added.len(),
-            "{threads} threads: repaired removes"
-        );
+        let store = Store::parse(&ck).expect("checkpoint parses");
+        let mut resumed = StreamDriver::resume_from(&store).expect("checkpoint resumes");
         assert!(
             same_weights(&driver_weights(&resumed), &truth),
-            "{threads} threads: repaired weights"
+            "{threads} threads: replayed weights"
+        );
+        let report = resumed.ingest_window(&m.columns(7, SAMPLES));
+        assert_eq!(report.inserts, inserts.len(), "{threads} threads: inserts");
+        assert_eq!(report.removes, removes.len(), "{threads} threads: removes");
+        assert!(
+            same_weights(&driver_weights(&resumed), &after),
+            "{threads} threads: weights after the next window"
         );
     }
+
+    // a chordal subgraph holding a pair the replayed network lacks
+    let (mut i, mut rest) = (0usize, absent);
+    while rest >= GENES - i - 1 {
+        rest -= GENES - i - 1;
+        i += 1;
+    }
+    let outside = (i as u32, (i + 1 + rest) as u32);
+    let mut h = driver.chordal().clone();
+    assert!(h.add_edge(outside.0, outside.1));
+    let store = Store::parse(&ck).expect("checkpoint parses");
+    let mut w = StoreWriter::new();
+    for (s, entry) in store.sections().iter().enumerate() {
+        match SectionKind::from_u32(entry.kind).expect("known section kind") {
+            SectionKind::Graph => casbn_graph::store::add_graph(&mut w, entry.tag, &h),
+            kind => w.add(kind, entry.tag, store.payload(s).to_vec()),
+        }
+    }
+    let err = resume_error(&w.to_bytes());
+    assert!(err.contains("not a subgraph"), "{err}");
+    // an edge count the replay does not reproduce (word 5)
+    let miscounted = with_section(&ck, SectionKind::StreamSamples, |p| {
+        p[40..48].copy_from_slice(&(truth.len() as u64 - 1).to_le_bytes())
+    });
+    let err = resume_error(&miscounted);
+    assert!(err.contains("edges"), "{err}");
 }
 
 #[test]
@@ -412,6 +400,6 @@ fn fused_sweep_matches_the_naive_reference_bit_for_bit() {
     for &rho in &on_cut {
         check_stream(&m, p(rho, 1.0), &[10], "min_rho on a computed ρ");
     }
-    check_resume_repair(&m, p(0.7, 0.05));
+    check_resume_replay(&m, p(0.7, 0.05));
     std::env::remove_var("RAYON_NUM_THREADS");
 }

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! The checkpoint holds the driver's complete resumable state: the
-//! Welford/co-moment correlation accumulators (exact `f64` bits) and
-//! the membership bitset the network is rebuilt from, the incremental
-//! chordal subgraph with its simulated clock, and the window history.
+//! samples ingested so far (exact `f64` bits), which the resume replays
+//! to rebuild the correlation accumulators and the network, the
+//! incremental chordal subgraph with its simulated clock, and the window
+//! history.
 //! On the command line the same flow is
 //! `casbn stream … --windows N --checkpoint ck.csbn` followed by
 //! `casbn stream … --resume ck.csbn`.
