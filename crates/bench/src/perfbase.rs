@@ -16,9 +16,7 @@
 //!   repeats. Wall time varies across hosts, so [`diff`] reports wall
 //!   regressions as warnings unless explicitly asked to gate on them.
 
-use casbn_chordal::{
-    maximal_chordal_subgraph_with, ChordalConfig, ChordalResult, DswScratch, WorkCounter,
-};
+use casbn_chordal::{maximal_chordal_subgraph_with, ChordalResult, DswScratch, WorkCounter};
 use casbn_core::{Filter, IncrementalChordal, ParallelChordalNoCommFilter};
 use casbn_distsim::CostModel;
 use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
@@ -220,9 +218,9 @@ fn dsw_workload(name: &str, g: &Graph, repeats: usize) -> WorkloadResult {
     };
     // one untimed pass so buffer capacities ratchet before measurement —
     // keeps even `--repeats 1` a steady-state number
-    maximal_chordal_subgraph_with(g, ChordalConfig::default(), &mut scratch, &mut result);
+    maximal_chordal_subgraph_with(g, &mut scratch, &mut result);
     let (wall, counters, (ops, retained)) = timed_counted(repeats, || {
-        maximal_chordal_subgraph_with(g, ChordalConfig::default(), &mut scratch, &mut result);
+        maximal_chordal_subgraph_with(g, &mut scratch, &mut result);
         (result.work.ops, result.graph.m())
     });
     WorkloadResult {

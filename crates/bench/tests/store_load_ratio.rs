@@ -1,11 +1,10 @@
 //! Acceptance gate of the `.csbn` store: loading the YNG network from a
 //! container (full checksum validation + CSR reconstruction from the
 //! section bytes) must be at least 5× faster than parsing the same
-//! graph from whitespace edge-list text at scale 0.15. In practice the
-//! ratio is well over an order of magnitude — the container path does
-//! two bulk array reads where the text path runs a per-edge
-//! tokenise/parse/insert loop — so the 5× bound has a wide margin
-//! against scheduler noise.
+//! graph from whitespace edge-list text at scale 0.15. The container
+//! path does two bulk array reads where the text path runs a per-edge
+//! tokenise/parse/insert loop; release runs on a 2-vCPU VM measured
+//! 5.7–7.3×, so the 5× bound's margin against scheduler noise is thin.
 
 use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
 use casbn_graph::io::read_edge_list;

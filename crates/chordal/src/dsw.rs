@@ -25,45 +25,24 @@
 //!
 //! # Selection rule
 //!
-//! Which unprocessed vertex to pick next is a degree of freedom:
-//!
-//! * [`SelectionRule::MaxCardinality`] (default, DSW's original choice) —
-//!   pick the vertex with the largest candidate clique, **ties broken by
-//!   smallest label**. Tie-breaking and the choice of start vertex are
-//!   exactly where the paper's *vertex ordering* experiments bite: the
-//!   Natural / High-Degree / Low-Degree / RCM orderings relabel the graph,
-//!   which perturbs the traversal ("the ones with the higher degree are
-//!   *likely* to be processed first", §III-A) and hence the extracted
-//!   subgraph — without changing its chordality guarantee.
-//! * [`SelectionRule::LabelOrder`] — strictly ascending vertex label; a
-//!   pure graph-traversal variant kept for ablation. It is cheaper per
-//!   step but markedly worse at capturing dense modules, because a
-//!   candidate clique seeded by a noise edge can block a module clique
-//!   from ever forming (the `max_cardinality_beats_label_order_on_modules`
-//!   test pins the gap: it keeps about 30% fewer edges of a planted
-//!   partition).
+//! The next vertex processed is the unprocessed one with the largest
+//! candidate clique (DSW's maximum-cardinality rule), **ties broken by
+//! smallest label**. Tie-breaking and the choice of start vertex are
+//! exactly where the paper's *vertex ordering* experiments bite: the
+//! Natural / High-Degree / Low-Degree / RCM orderings relabel the graph,
+//! which perturbs the traversal ("the ones with the higher degree are
+//! *likely* to be processed first", §III-A) and hence the extracted
+//! subgraph — without changing its chordality guarantee.
 
 use casbn_graph::{nbhood, Graph, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
-/// Vertex selection rule for the DSW traversal.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelectionRule {
-    /// Process the vertex with the largest candidate set next
-    /// (ties by smallest label). DSW's rule; the default.
-    #[default]
-    MaxCardinality,
-    /// Process vertices in strictly ascending label order (ablation).
-    LabelOrder,
-}
-
-/// Configuration for [`maximal_chordal_subgraph`].
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct ChordalConfig {
-    /// Vertex selection rule.
-    pub selection: SelectionRule,
-}
+/// Carries no settings. It stays only because the benchmark crate passes
+/// `ChordalConfig::default()` to `casbn_core::IncrementalChordal::with_config`,
+/// which ignores it; the DSW functions take no configuration.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ChordalConfig;
 
 /// Abstract work counter fed to the distributed-simulation cost model:
 /// counts candidate-set operations (the unit the `O(E·d)` bound is
@@ -147,14 +126,14 @@ impl DswScratch {
 /// Allocates fresh scratch per call; hot paths that extract repeatedly
 /// should hold a [`DswScratch`] + [`ChordalResult`] and call
 /// [`maximal_chordal_subgraph_with`] instead.
-pub fn maximal_chordal_subgraph(g: &Graph, config: ChordalConfig) -> ChordalResult {
+pub fn maximal_chordal_subgraph(g: &Graph) -> ChordalResult {
     let mut scratch = DswScratch::new(g.n());
     let mut result = ChordalResult {
         graph: Graph::new(g.n()),
         order: Vec::with_capacity(g.n()),
         work: WorkCounter::default(),
     };
-    maximal_chordal_subgraph_with(g, config, &mut scratch, &mut result);
+    maximal_chordal_subgraph_with(g, &mut scratch, &mut result);
     result
 }
 
@@ -166,7 +145,6 @@ pub fn maximal_chordal_subgraph(g: &Graph, config: ChordalConfig) -> ChordalResu
 /// at the workspace root).
 pub fn maximal_chordal_subgraph_with(
     g: &Graph,
-    config: ChordalConfig,
     scratch: &mut DswScratch,
     result: &mut ChordalResult,
 ) {
@@ -199,31 +177,23 @@ pub fn maximal_chordal_subgraph_with(
     // the original dense heap broke by smallest label — which the
     // ascending label cursor reproduces exactly.
     heap.clear();
-    let mut pick_label = 0usize; // cursor for LabelOrder and empty-cand picks
+    let mut pick_label = 0usize; // cursor for empty-cand picks
     for _ in 0..n {
-        let v = match config.selection {
-            SelectionRule::LabelOrder => {
-                while processed[pick_label] {
-                    pick_label += 1;
+        let v = loop {
+            match heap.pop() {
+                Some(key) => {
+                    let (sz, u) = unpack_key(key);
+                    if !processed[u as usize] && cand[u as usize].len() == sz {
+                        break u;
+                    }
                 }
-                pick_label as VertexId
+                None => {
+                    while processed[pick_label] {
+                        pick_label += 1;
+                    }
+                    break pick_label as VertexId;
+                }
             }
-            SelectionRule::MaxCardinality => loop {
-                match heap.pop() {
-                    Some(key) => {
-                        let (sz, u) = unpack_key(key);
-                        if !processed[u as usize] && cand[u as usize].len() == sz {
-                            break u;
-                        }
-                    }
-                    None => {
-                        while processed[pick_label] {
-                            pick_label += 1;
-                        }
-                        break pick_label as VertexId;
-                    }
-                }
-            },
         };
         processed[v as usize] = true;
         order.push(v);
@@ -267,7 +237,7 @@ pub fn maximal_chordal_subgraph_with(
                     grew = true;
                 }
             }
-            if grew && config.selection == SelectionRule::MaxCardinality {
+            if grew {
                 heap.push(pack_key(cand[u as usize].len(), u));
             }
         }
@@ -343,7 +313,7 @@ mod tests {
     fn chordal_input_is_fixed_point_for_cliques() {
         for n in [3, 5, 8] {
             let g = clique(n);
-            let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+            let r = maximal_chordal_subgraph(&g);
             assert!(r.graph.same_edges(&g), "K{n} should be kept whole");
         }
     }
@@ -351,14 +321,14 @@ mod tests {
     #[test]
     fn tree_input_is_kept_whole() {
         let g = Graph::from_edges(7, &[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]);
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         assert!(r.graph.same_edges(&g));
     }
 
     #[test]
     fn c4_drops_exactly_one_edge() {
         let g = cycle(4);
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         assert_eq!(r.graph.m(), 3);
         assert_valid_chordal_subgraph(&g, &r.graph);
     }
@@ -368,7 +338,7 @@ mod tests {
         // a maximal chordal subgraph of a chordless cycle is a spanning path
         for n in [5, 6, 10, 25] {
             let g = cycle(n);
-            let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+            let r = maximal_chordal_subgraph(&g);
             assert_eq!(r.graph.m(), n - 1, "C{n}");
             assert_valid_chordal_subgraph(&g, &r.graph);
         }
@@ -378,17 +348,15 @@ mod tests {
     fn output_always_chordal_on_random_graphs() {
         for seed in 0..5 {
             let g = gnm(120, 360, seed);
-            for sel in [SelectionRule::LabelOrder, SelectionRule::MaxCardinality] {
-                let r = maximal_chordal_subgraph(&g, ChordalConfig { selection: sel });
-                assert_valid_chordal_subgraph(&g, &r.graph);
-            }
+            let r = maximal_chordal_subgraph(&g);
+            assert_valid_chordal_subgraph(&g, &r.graph);
         }
     }
 
     #[test]
     fn order_is_reverse_peo() {
         let g = gnm(60, 150, 3);
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         let mut peo = r.order.clone();
         peo.reverse();
         assert!(crate::test_chordal::check_peo(&r.graph, &peo));
@@ -398,7 +366,7 @@ mod tests {
     fn preserves_planted_cliques_substantially() {
         // hypothesis H0: dense modules survive chordal filtering
         let (g, truth) = planted_partition(200, 4, 10, 1.0, 80, 11);
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         for module in &truth.modules {
             let (orig_sg, _) = g.induced_subgraph(module);
             let (filt_sg, _) = r.graph.induced_subgraph(module);
@@ -418,10 +386,10 @@ mod tests {
         // different labelings generally give different (sized) subgraphs —
         // this is the phenomenon H0b studies
         let g = gnm(100, 400, 9);
-        let r1 = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r1 = maximal_chordal_subgraph(&g);
         let perm: Vec<VertexId> = (0..100u32).map(|v| 99 - v).collect();
         let gp = g.permuted(&perm);
-        let r2 = maximal_chordal_subgraph(&gp, ChordalConfig::default());
+        let r2 = maximal_chordal_subgraph(&gp);
         // sizes may coincide but edge sets essentially never do; compare
         // unpermuted edge sets
         let back: Vec<VertexId> = perm.clone(); // reversal is an involution
@@ -436,7 +404,7 @@ mod tests {
     fn repair_maximal_is_maximal_on_small_graphs() {
         for seed in 0..4 {
             let g = gnm(24, 70, seed);
-            let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+            let r = maximal_chordal_subgraph(&g);
             let fixed = repair_maximal(&g, &r.graph);
             assert!(is_chordal(&fixed));
             // every remaining absent edge must break chordality when added
@@ -456,7 +424,7 @@ mod tests {
         // the greedy pass should capture the large majority of the edges the
         // repaired (truly maximal) subgraph has
         let g = barabasi_albert(150, 4, 2);
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         let fixed = repair_maximal(&g, &r.graph);
         let ratio = r.graph.m() as f64 / fixed.m() as f64;
         assert!(ratio > 0.75, "greedy/maximal ratio {ratio:.2}");
@@ -480,62 +448,28 @@ mod tests {
             Graph::new(5),
             gnm(60, 300, 8),
         ];
-        for sel in [SelectionRule::MaxCardinality, SelectionRule::LabelOrder] {
-            for g in &graphs {
-                let cfg = ChordalConfig { selection: sel };
-                let fresh = maximal_chordal_subgraph(g, cfg);
-                maximal_chordal_subgraph_with(g, cfg, &mut scratch, &mut result);
-                assert!(result.graph.same_edges(&fresh.graph));
-                assert_eq!(result.order, fresh.order);
-                assert_eq!(result.work, fresh.work);
-            }
+        for g in &graphs {
+            let fresh = maximal_chordal_subgraph(g);
+            maximal_chordal_subgraph_with(g, &mut scratch, &mut result);
+            assert!(result.graph.same_edges(&fresh.graph));
+            assert_eq!(result.order, fresh.order);
+            assert_eq!(result.work, fresh.work);
         }
     }
 
     #[test]
     fn work_counter_grows_with_graph() {
-        let small = maximal_chordal_subgraph(&gnm(50, 100, 1), ChordalConfig::default());
-        let large = maximal_chordal_subgraph(&gnm(500, 1500, 1), ChordalConfig::default());
+        let small = maximal_chordal_subgraph(&gnm(50, 100, 1));
+        let large = maximal_chordal_subgraph(&gnm(500, 1500, 1));
         assert!(large.work.ops > small.work.ops);
     }
 
     #[test]
     fn empty_graph_ok() {
-        let r = maximal_chordal_subgraph(&Graph::new(0), ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&Graph::new(0));
         assert_eq!(r.graph.n(), 0);
-        let r = maximal_chordal_subgraph(&Graph::new(4), ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&Graph::new(4));
         assert_eq!(r.graph.m(), 0);
         assert_eq!(r.order.len(), 4);
-    }
-
-    #[test]
-    fn max_cardinality_beats_label_order_on_modules() {
-        // 16 modules of 10 vertices (p_in 0.55) plus 300 noise edges:
-        // max-cardinality keeps 575 of the 708 edges, label order 403.
-        // At 10× the size (8,000 vertices, 160 modules, 3,000 noise
-        // edges, seed 13) the counts are 5,812 vs 4,079 of 6,952.
-        let (g, _) = planted_partition(800, 16, 10, 0.55, 300, 13);
-        let mc = maximal_chordal_subgraph(&g, ChordalConfig::default());
-        let lo = maximal_chordal_subgraph(
-            &g,
-            ChordalConfig {
-                selection: SelectionRule::LabelOrder,
-            },
-        );
-        let (mc, lo) = (mc.graph.m(), lo.graph.m());
-        assert!(mc > lo, "max-cardinality kept {mc} edges, label order {lo}");
-        assert!(4 * mc > 5 * lo, "gap too small: {mc} vs {lo}");
-    }
-
-    #[test]
-    fn max_cardinality_selection_also_valid() {
-        let g = gnm(90, 270, 8);
-        let r = maximal_chordal_subgraph(
-            &g,
-            ChordalConfig {
-                selection: SelectionRule::MaxCardinality,
-            },
-        );
-        assert_valid_chordal_subgraph(&g, &r.graph);
     }
 }

@@ -47,7 +47,7 @@ pub fn random_chordal(n: usize, max_attach: usize, seed: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsw::{maximal_chordal_subgraph, ChordalConfig};
+    use crate::dsw::maximal_chordal_subgraph;
     use crate::test_chordal::is_chordal;
     use casbn_graph::algo::connected_components;
 
@@ -71,7 +71,7 @@ mod tests {
         // chordal subgraph of itself.
         for seed in 0..15 {
             let g = random_chordal(60, 4, seed);
-            let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+            let r = maximal_chordal_subgraph(&g);
             assert!(
                 r.graph.same_edges(&g),
                 "chordal input was reduced: {} -> {} edges (seed {seed})",

@@ -12,9 +12,9 @@
 //! * [`is_chordal`] / [`mcs_order`] / [`check_peo`] — chordality testing via
 //!   Maximum Cardinality Search and perfect-elimination-ordering
 //!   verification (Tarjan & Yannakakis style).
-//! * [`maximal_chordal_subgraph`] — the DSW clique-candidate algorithm. The
-//!   vertex *selection rule* is configurable: strict label order (what the
-//!   paper's ordering experiments assume) or max-cardinality.
+//! * [`maximal_chordal_subgraph`] — the DSW clique-candidate algorithm
+//!   under its maximum-cardinality selection rule (ties by smallest
+//!   label, which is where the paper's ordering experiments bite).
 //! * [`repair_maximal`] — optional post-pass that re-offers every rejected
 //!   edge, guaranteeing maximality (used by the test-suite to quantify how
 //!   close the greedy pass is to maximal).
@@ -25,7 +25,7 @@ pub mod test_chordal;
 
 pub use dsw::{
     maximal_chordal_subgraph, maximal_chordal_subgraph_with, repair_maximal, ChordalConfig,
-    ChordalResult, DswScratch, SelectionRule, WorkCounter,
+    ChordalResult, DswScratch, WorkCounter,
 };
 pub use generate::random_chordal;
 pub use test_chordal::{

@@ -1,8 +1,6 @@
 //! Property-based tests for the chordal machinery.
 
-use casbn_chordal::{
-    check_peo, is_chordal, maximal_chordal_subgraph, repair_maximal, ChordalConfig, SelectionRule,
-};
+use casbn_chordal::{check_peo, is_chordal, maximal_chordal_subgraph, repair_maximal};
 use casbn_graph::{Graph, VertexId};
 use proptest::prelude::*;
 
@@ -47,19 +45,17 @@ proptest! {
 
     #[test]
     fn dsw_output_is_chordal_subgraph(g in arb_graph(24)) {
-        for sel in [SelectionRule::LabelOrder, SelectionRule::MaxCardinality] {
-            let r = maximal_chordal_subgraph(&g, ChordalConfig { selection: sel });
-            prop_assert!(is_chordal(&r.graph));
-            prop_assert_eq!(r.graph.n(), g.n());
-            for (u, v) in r.graph.edges() {
-                prop_assert!(g.has_edge(u, v));
-            }
+        let r = maximal_chordal_subgraph(&g);
+        prop_assert!(is_chordal(&r.graph));
+        prop_assert_eq!(r.graph.n(), g.n());
+        for (u, v) in r.graph.edges() {
+            prop_assert!(g.has_edge(u, v));
         }
     }
 
     #[test]
     fn dsw_order_reversed_is_peo(g in arb_graph(20)) {
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         let mut peo = r.order.clone();
         peo.reverse();
         prop_assert!(check_peo(&r.graph, &peo));
@@ -69,7 +65,7 @@ proptest! {
     fn chordal_graphs_are_fixed_points_after_repair(g in arb_graph(16)) {
         // repair_maximal on (g, dsw(g)) must be maximal: no absent edge can
         // be added back
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         let fixed = repair_maximal(&g, &r.graph);
         prop_assert!(is_chordal(&fixed));
         for (u, v) in g.edges() {
@@ -92,14 +88,14 @@ proptest! {
     #[test]
     fn is_chordal_agrees_with_simplicial_elimination(g in arb_graph(16)) {
         prop_assert_eq!(is_chordal(&g), chordal_by_simplicial_elimination(&g));
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         prop_assert!(chordal_by_simplicial_elimination(&r.graph));
     }
 
     #[test]
     fn adding_edges_to_dsw_result_never_needed_for_chordality(g in arb_graph(14)) {
         // i.e., result of DSW is chordal even before repair
-        let r = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&g);
         prop_assert!(is_chordal(&r.graph));
     }
 
@@ -111,10 +107,10 @@ proptest! {
         // the parallel filters run one DSW per rank on real OS threads —
         // the extraction must be thread-safe and give every thread the
         // identical result (proptest draws the thread count)
-        let base = maximal_chordal_subgraph(&g, ChordalConfig::default());
+        let base = maximal_chordal_subgraph(&g);
         let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..nthreads)
-                .map(|_| scope.spawn(|| maximal_chordal_subgraph(&g, ChordalConfig::default())))
+                .map(|_| scope.spawn(|| maximal_chordal_subgraph(&g)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("DSW thread panicked")).collect()
         });

@@ -359,8 +359,8 @@ FLAGS:
                bytes: written after every ingested window and at
                shutdown (atomic replace first, then appended in place
                as durable generations);
-               `casbn stream --resume FILE` and `casbn serve --in`
-               accept the result
+               resume it with `casbn stream --resume FILE`
+               (`--in` refuses a checkpoint)
   --expect-checksum
                with --script: exit 1 unless the FNV-1a checksum over
                the response bytes matches N — the CI serve-smoke gate
@@ -743,12 +743,25 @@ fn load_with(path: &str, on_container: impl FnOnce(&Store<'_>, usize)) -> Result
         // and only the sections actually decoded get checksummed — a
         // corrupt graph payload still fails typed on first access
         let store = Store::open_lazy(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        refuse_checkpoint(path, &store)?;
         on_container(&store, bytes.len());
         graph_store::load_first_graph(&store).map_err(|e| format!("{path}: {e}"))
     } else {
         let (g, _) = read_edge_list(&bytes[..], 0).map_err(|e| e.to_string())?;
         Ok(g)
     }
+}
+
+/// Refuse a stream checkpoint where a network is expected: its only
+/// graph section is the chordal subgraph, not the network.
+fn refuse_checkpoint(path: &str, store: &Store<'_>) -> Result<(), String> {
+    if store.find_kind(SectionKind::StreamSamples).is_some() {
+        return Err(format!(
+            "{path}: a stream checkpoint, not a network; \
+             resume it with `casbn stream --resume {path}`"
+        ));
+    }
+    Ok(())
 }
 
 fn load(path: &str) -> Result<Graph, String> {
@@ -1482,6 +1495,7 @@ fn run_serve(args: &Args) -> Result<Job<'_>, String> {
                 let bytes = read(path)?;
                 if is_store_bytes(&bytes) {
                     let store = Store::open_lazy(&bytes).map_err(|e| format!("{path}: {e}"))?;
+                    refuse_checkpoint(path, &store)?;
                     match graph_store::load_first_graph(&store) {
                         Ok(g) => ServeEngine::from_graph(g, &McodeParams::default()),
                         Err(graph_err) => {

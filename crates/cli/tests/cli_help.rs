@@ -126,6 +126,12 @@ fn serve_help_snapshot_matches_serve_usage_constant() {
         assert!(!SERVE_USAGE.contains(gone), "serve help still names {gone}");
     }
     assert!(!USAGE.contains("--threads"), "USAGE still names --threads");
+    // a checkpoint resumes through `stream`; `serve --in` refuses it
+    assert!(
+        SERVE_USAGE.contains("resume it with `casbn stream --resume FILE`")
+            && SERVE_USAGE.contains("`--in` refuses a checkpoint"),
+        "serve help must point checkpoints at `casbn stream --resume`"
+    );
 }
 
 #[test]

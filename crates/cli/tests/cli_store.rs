@@ -617,3 +617,37 @@ fn degraded_resume_recovers_a_torn_checkpoint_through_the_binary() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(stdout(&out).contains("torn tail"), "{}", stdout(&out));
 }
+
+#[test]
+fn network_readers_refuse_a_stream_checkpoint() {
+    // a checkpoint's only graph section is the chordal subgraph, so
+    // reading it as a network would serve the wrong graph
+    let ck = tmp("refused.ck.csbn");
+    let _ = std::fs::remove_file(&ck);
+    let out = casbn(&[
+        "stream",
+        "--preset",
+        "yng",
+        "--scale",
+        "0.02",
+        "--samples",
+        "8",
+        "--batch",
+        "2",
+        "--windows",
+        "3",
+        "--checkpoint",
+        &ck,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    for cmd in ["serve", "stats"] {
+        let out = casbn(&[cmd, "--in", &ck]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("{ck}: a stream checkpoint"))
+                && err.contains(&format!("casbn stream --resume {ck}")),
+            "{cmd}: {err}"
+        );
+    }
+}

@@ -1,7 +1,7 @@
 //! Sequential and parallel maximal-chordal sampling filters (paper §III-A).
 
 use crate::filter::{assemble, Filter, FilterOutput, FilterStats};
-use casbn_chordal::{maximal_chordal_subgraph, ChordalConfig};
+use casbn_chordal::maximal_chordal_subgraph;
 use casbn_distsim::{decode_edges, encode_edges, run, CostModel, RankCtx};
 use casbn_graph::{Edge, Graph, Partition, PartitionKind, VertexId};
 
@@ -10,19 +10,14 @@ const TAG_BORDER: u64 = 1;
 
 /// Sequential maximal chordal subgraph filter — the baseline of every
 /// parallel comparison and the filter used for the per-ordering analyses
-/// (Figs. 4–9).
+/// (Figs. 4–9). Simulated time is charged under [`CostModel::default`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SequentialChordalFilter {
-    /// DSW configuration (selection rule).
-    pub config: ChordalConfig,
-    /// Cost model used for simulated timing.
-    pub cost: CostModel,
-}
+pub struct SequentialChordalFilter;
 
 impl SequentialChordalFilter {
-    /// Filter with the default DSW configuration and cost model.
+    /// The sequential filter.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -33,9 +28,9 @@ impl Filter for SequentialChordalFilter {
 
     fn filter(&self, g: &Graph, _seed: u64) -> FilterOutput {
         let started = std::time::Instant::now();
-        let r = maximal_chordal_subgraph(g, self.config);
+        let r = maximal_chordal_subgraph(g);
         let wall = started.elapsed();
-        let sim = r.work.ops as f64 * self.cost.seconds_per_op;
+        let sim = r.work.ops as f64 * CostModel::default().seconds_per_op;
         FilterOutput {
             stats: FilterStats {
                 nranks: 1,
@@ -68,12 +63,7 @@ struct RankLocal {
 }
 
 impl RankLocal {
-    fn compute(
-        n_global: usize,
-        verts: Vec<VertexId>,
-        internal_edges: &[Edge],
-        config: ChordalConfig,
-    ) -> Self {
+    fn compute(n_global: usize, verts: Vec<VertexId>, internal_edges: &[Edge]) -> Self {
         let mut g2l = vec![u32::MAX; n_global];
         for (i, &v) in verts.iter().enumerate() {
             g2l[v as usize] = i as u32;
@@ -86,7 +76,7 @@ impl RankLocal {
             local.push_edge_unsorted(g2l[u as usize], g2l[v as usize]);
         }
         local.sort_adjacency();
-        let r = maximal_chordal_subgraph(&local, config);
+        let r = maximal_chordal_subgraph(&local);
         RankLocal {
             verts,
             g2l,
@@ -167,21 +157,12 @@ pub struct ParallelChordalNoCommFilter {
     pub nranks: usize,
     /// Data-distribution strategy (hypothesis H0c's second axis).
     pub partition: PartitionKind,
-    /// DSW configuration for the local phase.
-    pub config: ChordalConfig,
-    /// Cost model used for simulated timing.
-    pub cost: CostModel,
 }
 
 impl ParallelChordalNoCommFilter {
     /// Filter on `nranks` processors with partition strategy `partition`.
     pub fn new(nranks: usize, partition: PartitionKind) -> Self {
-        ParallelChordalNoCommFilter {
-            nranks,
-            partition,
-            config: ChordalConfig::default(),
-            cost: CostModel::default(),
-        }
+        ParallelChordalNoCommFilter { nranks, partition }
     }
 }
 
@@ -198,11 +179,11 @@ impl Filter for ParallelChordalNoCommFilter {
         // thread (`Partition::rank_edges`), so the O(m) edge
         // classification runs in parallel and is charged to the
         // simulated clock — the main thread only builds the partition.
-        let result = run(self.nranks, self.cost, |ctx: &mut RankCtx| {
+        let result = run(self.nranks, CostModel::default(), |ctx: &mut RankCtx| {
             let rank = ctx.rank() as u32;
             let re = part.rank_edges(g, rank);
             ctx.compute(re.scan_ops);
-            let local = RankLocal::compute(n, re.verts, &re.internal, self.config);
+            let local = RankLocal::compute(n, re.verts, &re.internal);
             ctx.compute(local.work);
 
             // triangle rule on border edges
@@ -277,21 +258,12 @@ pub struct ParallelChordalCommFilter {
     pub nranks: usize,
     /// Data-distribution strategy.
     pub partition: PartitionKind,
-    /// DSW configuration for the local phase.
-    pub config: ChordalConfig,
-    /// Cost model used for simulated timing.
-    pub cost: CostModel,
 }
 
 impl ParallelChordalCommFilter {
     /// Filter on `nranks` processors with partition strategy `partition`.
     pub fn new(nranks: usize, partition: PartitionKind) -> Self {
-        ParallelChordalCommFilter {
-            nranks,
-            partition,
-            config: ChordalConfig::default(),
-            cost: CostModel::default(),
-        }
+        ParallelChordalCommFilter { nranks, partition }
     }
 
     /// Sender of the mutual border edges for pair `(i, j)`; the parity
@@ -318,11 +290,11 @@ impl Filter for ParallelChordalCommFilter {
         // Every rank derives its own border view locally; the mutual edge
         // list of a pair is whatever the sender ships, so no global
         // mutual-edge map is built on the main thread.
-        let result = run(self.nranks, self.cost, |ctx: &mut RankCtx| {
+        let result = run(self.nranks, CostModel::default(), |ctx: &mut RankCtx| {
             let rank = ctx.rank();
             let re = part.rank_edges(g, rank as u32);
             ctx.compute(re.scan_ops);
-            let local = RankLocal::compute(n, re.verts, &re.internal, self.config);
+            let local = RankLocal::compute(n, re.verts, &re.internal);
             ctx.compute(local.work);
             let mut kept: Vec<Edge> = local.global_edges();
 

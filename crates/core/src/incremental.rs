@@ -73,7 +73,6 @@ pub struct IncBatchStats {
 #[derive(Clone, Debug)]
 pub struct IncrementalChordal {
     h: Graph,
-    config: ChordalConfig,
     cost: CostModel,
     clock: SimClock,
     ops_total: u64,
@@ -94,18 +93,17 @@ pub struct IncrementalChordal {
 }
 
 impl IncrementalChordal {
-    /// Empty chordal subgraph over `n` vertices with the default DSW
-    /// configuration and cost model.
+    /// Empty chordal subgraph over `n` vertices with the default cost
+    /// model.
     pub fn new(n: usize) -> Self {
-        Self::with_config(n, ChordalConfig::default(), CostModel::default())
+        Self::with_config(n, ChordalConfig, CostModel::default())
     }
 
-    /// Empty chordal subgraph with explicit DSW configuration and cost
-    /// model.
-    pub fn with_config(n: usize, config: ChordalConfig, cost: CostModel) -> Self {
+    /// Empty chordal subgraph charged under `cost`. The [`ChordalConfig`]
+    /// carries no settings and is ignored.
+    pub fn with_config(n: usize, _config: ChordalConfig, cost: CostModel) -> Self {
         IncrementalChordal {
             h: Graph::new(n),
-            config,
             cost,
             clock: SimClock::default(),
             ops_total: 0,
@@ -134,30 +132,17 @@ impl IncrementalChordal {
     }
 
     /// Rebuild a maintainer from checkpointed state: the chordal
-    /// subgraph `h`, the DSW configuration, the cost model, and the
-    /// clock/op counters accumulated so far. The scratch buffers are
-    /// re-created empty — they are behaviour-neutral (the scratch-reuse
-    /// output-identity is pinned by the PR 4 differential suites), so a
-    /// resumed maintainer replays future deltas bit-identically to one
-    /// that never stopped.
-    pub fn from_state(
-        h: Graph,
-        config: ChordalConfig,
-        cost: CostModel,
-        sim_seconds: f64,
-        ops_total: u64,
-    ) -> Self {
-        let mut inc = Self::with_config(h.n(), config, cost);
+    /// subgraph `h`, the cost model, and the clock/op counters
+    /// accumulated so far. The scratch buffers are re-created empty —
+    /// they are behaviour-neutral (the differential suites pin the
+    /// scratch-reuse output identity), so a resumed maintainer replays
+    /// future deltas bit-identically to one that never stopped.
+    pub fn from_state(h: Graph, cost: CostModel, sim_seconds: f64, ops_total: u64) -> Self {
+        let mut inc = Self::with_config(h.n(), ChordalConfig, cost);
         inc.h = h;
         inc.clock.sync_to(sim_seconds);
         inc.ops_total = ops_total;
         inc
-    }
-
-    /// The DSW configuration in force.
-    #[inline]
-    pub fn config(&self) -> ChordalConfig {
-        self.config
     }
 
     /// The cost model the maintenance clock is charged under.
@@ -370,12 +355,7 @@ impl IncrementalChordal {
         }
         *ops += region_deg2 / 2;
         self.h.clear_component_edges(region);
-        maximal_chordal_subgraph_with(
-            &self.local,
-            self.config,
-            &mut self.dsw,
-            &mut self.dsw_result,
-        );
+        maximal_chordal_subgraph_with(&self.local, &mut self.dsw, &mut self.dsw_result);
         let r = &self.dsw_result;
         *ops += r.work.ops;
         for (lu, lv) in r.graph.edges() {
@@ -696,7 +676,6 @@ mod tests {
         }
         let mut resumed = IncrementalChordal::from_state(
             straight.subgraph().clone(),
-            straight.config(),
             straight.cost_model(),
             straight.sim_seconds(),
             straight.total_ops(),

@@ -20,8 +20,8 @@
 //!   border edges can be duplicated (deduplicated during assembly, with
 //!   the duplicate count reported — paper bound: ≤ b duplications).
 //! * [`ParallelRandomWalkFilter`] — the control filter: per-partition
-//!   random walks (1/d edge choice, |E|/2 selections), border edges kept
-//!   on an unbiased per-edge coin flip.
+//!   vertex sweeps of 1/d edge choices until |E|/2 selections, border
+//!   edges kept on an unbiased per-edge coin flip.
 //! * [`IncrementalChordal`] — the streaming counterpart of the sequential
 //!   chordal filter: maintains a chordal subgraph of a live network
 //!   [`casbn_graph::Graph`] under edge-delta batches instead of
@@ -29,7 +29,9 @@
 //!
 //! Every filter implements [`Filter`] and reports a [`FilterStats`] with
 //! both real wall-clock and the [`casbn_distsim`] simulated makespan, the
-//! latter being what the scalability figure (Fig. 10) plots.
+//! latter being what the scalability figure (Fig. 10) plots. The paper's
+//! filters have one configuration each: DSW under its maximum-cardinality
+//! selection, simulated time under [`casbn_distsim::CostModel::default`].
 
 pub mod baselines;
 pub mod chordal_filters;
@@ -45,7 +47,7 @@ pub use chordal_filters::{
 pub use cycle_break::{break_cycles, CycleBreakReport};
 pub use filter::{Filter, FilterOutput, FilterStats};
 pub use incremental::{IncBatchStats, IncrementalChordal};
-pub use random_walk::{ParallelRandomWalkFilter, WalkMode};
+pub use random_walk::ParallelRandomWalkFilter;
 
 use casbn_graph::{apply_ordering, Graph, OrderingKind};
 

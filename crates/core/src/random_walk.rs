@@ -1,49 +1,31 @@
 //! The control filter: parallel random-walk sampling (paper §III-A,
 //! "Parallel Random Walk Based Sampling").
 //!
-//! The walk is a pure graph traversal: at a vertex of degree `d`, one
-//! incident edge is selected with probability `1/d` and traversed. No
-//! visited list is kept — vertices and edges can be selected repeatedly.
-//! The walk stops once the number of *selection events* reaches half the
-//! edge count; the sampled graph is the set of distinct selected edges.
-//! The rationale tested (and refuted for cluster finding) in the paper:
-//! tightly connected regions are re-visited more often, so cliques should
-//! survive.
+//! The "1/d edge selection" runs as a per-vertex sweep: in a shuffled
+//! vertex order, every vertex of degree `d` selects one of its incident
+//! edges with probability `1/d`. No visited list is kept — vertices and
+//! edges can be selected repeatedly — and sweeps repeat until the number
+//! of *selection events* reaches half the edge count; the sampled graph
+//! is the set of distinct selected edges. A sweep caps the retained
+//! degree near 2, which is what leaves the control *unable* to keep dense
+//! regions, reproducing the paper's empirical result ("there are not
+//! enough edges retained … to identify very dense groups of nodes": zero
+//! clusters) against its stated rationale that tightly connected regions
+//! are re-visited more often, so cliques should survive.
 //!
-//! In the parallel version each rank walks its own partition's internal
+//! In the parallel version each rank sweeps its own partition's internal
 //! subgraph, and each border edge is kept or dropped on an independent
 //! fair coin flip. The flip is implemented as a hash of (seed, edge), so
 //! both ranks incident to a border edge agree without exchanging messages
 //! — the algorithm is trivially communication-free and "perfectly
-//! scalable", as the paper notes.
+//! scalable", as the paper notes. Simulated time is charged under
+//! [`CostModel::default`].
 
 use crate::filter::{assemble, Filter, FilterOutput, FilterStats};
 use casbn_distsim::{run, CostModel, RankCtx};
 use casbn_graph::{Edge, Graph, Partition, PartitionKind, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// How the "1/d edge selection" is realised. The paper's wording admits
-/// two readings; both are implemented, and
-/// [`ParallelRandomWalkFilter::traversal`] selects the second.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WalkMode {
-    /// **Per-vertex sweep** (default): every vertex of degree `d` selects
-    /// one of its incident edges with probability `1/d`; sweeps repeat
-    /// until the selection budget (|E|/2) is spent. Retained degree is
-    /// capped near 2 per sweep, which is what makes the control *unable*
-    /// to keep dense regions — reproducing the paper's empirical result
-    /// ("there are not enough edges retained … to identify very dense
-    /// groups of nodes": zero clusters).
-    #[default]
-    VertexSweep,
-    /// A positional random walk restarted every few selections ("the
-    /// traversal process is continued iteratively"). Walks concentrate in
-    /// dense regions, so this variant retains locally dense traces — the
-    /// paper's stated *rationale* for random-walk sampling, which its own
-    /// experiments then refute.
-    Traversal,
-}
 
 /// Parallel random-walk filter (the paper's control).
 #[derive(Clone, Copy, Debug)]
@@ -52,27 +34,12 @@ pub struct ParallelRandomWalkFilter {
     pub nranks: usize,
     /// Data-distribution strategy.
     pub partition: PartitionKind,
-    /// Selection mechanism.
-    pub mode: WalkMode,
-    /// Cost model used for simulated timing.
-    pub cost: CostModel,
 }
 
 impl ParallelRandomWalkFilter {
     /// Filter on `nranks` processors with partition strategy `partition`.
     pub fn new(nranks: usize, partition: PartitionKind) -> Self {
-        ParallelRandomWalkFilter {
-            nranks,
-            partition,
-            mode: WalkMode::default(),
-            cost: CostModel::default(),
-        }
-    }
-
-    /// Use the positional-traversal variant instead of the vertex sweep.
-    pub fn traversal(mut self) -> Self {
-        self.mode = WalkMode::Traversal;
-        self
+        ParallelRandomWalkFilter { nranks, partition }
     }
 }
 
@@ -131,51 +98,6 @@ fn sweep_edges(g: &Graph, target_selections: usize, rng: &mut ChaCha8Rng) -> (Ve
     (picked, steps)
 }
 
-/// Positional walk with periodic restarts until `target_selections`
-/// edge-selection events have occurred; returns the distinct selected
-/// edges and the number of steps taken.
-fn random_walk_edges(
-    g: &Graph,
-    target_selections: usize,
-    rng: &mut ChaCha8Rng,
-) -> (Vec<Edge>, u64) {
-    let n = g.n();
-    if n == 0 || g.m() == 0 || target_selections == 0 {
-        return (Vec::new(), 0);
-    }
-    let mut picked: Vec<Edge> = Vec::with_capacity(target_selections.min(g.m()));
-    let mut at: VertexId = rng.gen_range(0..n) as VertexId;
-    let mut steps = 0u64;
-    let mut selections = 0usize;
-    // The paper's traversal is "continued iteratively": the walk restarts
-    // from a fresh random vertex every few selections, spreading the
-    // selection budget across the (highly fragmented) correlation network
-    // instead of camping inside one dense region. Without restarts a
-    // single walker fully samples whatever module it lands in, which
-    // contradicts the paper's observed zero-cluster outcome.
-    const RESTART_EVERY: usize = 8;
-    while selections < target_selections {
-        let d = g.degree(at);
-        if d == 0 {
-            // leave isolated vertices (and disconnected dust)
-            at = rng.gen_range(0..n) as VertexId;
-            steps += 1;
-            continue;
-        }
-        let next = g.neighbors(at)[rng.gen_range(0..d)];
-        picked.push((at.min(next), at.max(next)));
-        selections += 1;
-        steps += 1;
-        at = next;
-        if selections.is_multiple_of(RESTART_EVERY) {
-            at = rng.gen_range(0..n) as VertexId;
-        }
-    }
-    picked.sort_unstable();
-    picked.dedup();
-    (picked, steps)
-}
-
 impl Filter for ParallelRandomWalkFilter {
     fn name(&self) -> String {
         format!("randomwalk-p{}", self.nranks)
@@ -187,7 +109,7 @@ impl Filter for ParallelRandomWalkFilter {
 
         // Each rank classifies its own edges inside its thread (see
         // `Partition::rank_edges`), charged to the simulated clock.
-        let result = run(self.nranks, self.cost, |ctx: &mut RankCtx| {
+        let result = run(self.nranks, CostModel::default(), |ctx: &mut RankCtx| {
             let rank = ctx.rank() as u32;
             let re = part.rank_edges(g, rank);
             ctx.compute(re.scan_ops);
@@ -202,10 +124,7 @@ impl Filter for ParallelRandomWalkFilter {
             // per-rank deterministic RNG substream
             let mut rng = ChaCha8Rng::seed_from_u64(splitmix64(seed ^ (rank as u64)));
             let target = local.m() / 2;
-            let (edges, steps) = match self.mode {
-                WalkMode::VertexSweep => sweep_edges(&local, target, &mut rng),
-                WalkMode::Traversal => random_walk_edges(&local, target, &mut rng),
-            };
+            let (edges, steps) = sweep_edges(&local, target, &mut rng);
             ctx.compute(steps);
 
             let mut kept: Vec<Edge> = edges

@@ -912,13 +912,13 @@ impl CheckpointTarget {
     ///
     /// Every tamper targets a field the resume validation *checks*
     /// (counters, structure lengths, enum ranges, ordering invariants,
-    /// finite samples and thresholds, the replayed network's edge count
-    /// and its hold on the chordal subgraph). Values validation
-    /// legitimately cannot see — finite sample values, clustering
-    /// parameters, window history — are left alone: a plausible tampered
-    /// sample is indistinguishable from a real one, so mutating it
-    /// would make the replay-checksum oracle flag unfalsifiable
-    /// "violations".
+    /// finite samples, thresholds, cost, clock, MCODE and window
+    /// scalars, the replayed network's edge count and its hold on the
+    /// chordal subgraph). Values validation legitimately cannot see —
+    /// a finite sample, clustering parameter or window value — are left
+    /// alone: a plausible tampered sample is indistinguishable from a
+    /// real one, so mutating it would make the replay-checksum oracle
+    /// flag unfalsifiable "violations".
     fn tamper(&self, rng: &mut FuzzRng, (base, network): &(Vec<u8>, Graph)) -> Vec<u8> {
         let store = Store::parse(base).expect("pristine checkpoint must parse");
         let sections = store.sections();
@@ -937,7 +937,14 @@ impl CheckpointTarget {
             2 => by_kind(SectionKind::Graph),
             3 | 4 => by_kind(SectionKind::DriverHistory),
             5 | 6 => by_kind(SectionKind::ChordalState),
-            _ => by_kind(SectionKind::StreamSamples),
+            7..=9 => by_kind(SectionKind::StreamSamples),
+            _ => by_kind(
+                [
+                    SectionKind::StreamSamples,
+                    SectionKind::ChordalState,
+                    SectionKind::DriverHistory,
+                ][rng.below(3)],
+            ),
         };
         let mut w = StoreWriter::new();
         for (i, entry) in sections.iter().enumerate() {
@@ -983,9 +990,10 @@ impl CheckpointTarget {
                             payload[80..84].copy_from_slice(&u32::MAX.to_le_bytes());
                         }
                     }
-                    // out-of-range selection-rule discriminant
+                    // unknown selection word: only 0 (maximum
+                    // cardinality) is valid
                     5 => {
-                        let bad = 2 + (rng.u64() % 1000) as u32;
+                        let bad = 1 + (rng.u64() % 1000) as u32;
                         payload[..4].copy_from_slice(&bad.to_le_bytes());
                     }
                     // nonzero alignment spacer
@@ -1004,14 +1012,37 @@ impl CheckpointTarget {
                         };
                         payload[8 * at..8 * at + 8].copy_from_slice(&x.to_le_bytes());
                     }
-                    // poison one float: a threshold (min_rho, max_p at
-                    // words 3 and 4) or a stored sample (from word 6 on);
-                    // the resume must reject the non-finite value, not
-                    // replay from it
+                    // poison one float; the resume must reject the
+                    // non-finite value, not replay from it or carry it
+                    // into later checkpoints
                     _ => {
-                        let floats = 2 + (word(&payload, 0) * word(&payload, 1)) as usize;
-                        let f = rng.below(floats);
-                        let at = 8 * if f < 2 { 3 + f } else { 4 + f };
+                        let at = match kind {
+                            // a threshold (min_rho, max_p at words 3 and
+                            // 4) or a stored sample (from word 6 on)
+                            SectionKind::StreamSamples => {
+                                let floats = 2 + (word(&payload, 0) * word(&payload, 1)) as usize;
+                                let f = rng.below(floats);
+                                8 * if f < 2 { 3 + f } else { 4 + f }
+                            }
+                            // a cost-model field or the clock (words 1–4)
+                            SectionKind::ChordalState => 8 * rng.range(1, 5),
+                            // vwp, min_score, fluff, the two last-window
+                            // costs, or a window's stability, sim_ingest
+                            // or sim_chordal (its words 7–9)
+                            _ => {
+                                let records = 80 + 4 * word(&payload, 9) as usize;
+                                let windows = u64::from_le_bytes(
+                                    payload[records..records + 8].try_into().unwrap(),
+                                ) as usize;
+                                let f = rng.below(5 + 3 * windows);
+                                if f < 5 {
+                                    8 * [1, 2, 5, 7, 8][f]
+                                } else {
+                                    let (w, field) = ((f - 5) / 3, (f - 5) % 3);
+                                    records + 8 + 80 * w + 8 * (7 + field)
+                                }
+                            }
+                        };
                         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
                         payload[at..at + 8].copy_from_slice(&bad.to_le_bytes());
                     }

@@ -132,6 +132,12 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Read one finite `f64`, rejecting NaN and ±∞ with a
+    /// [`StoreError::Malformed`] that names `field`.
+    pub fn finite_f64(&mut self, field: &str) -> Result<f64, StoreError> {
+        finite(self.f64()?, field)
+    }
+
     /// Read a `u64` dimension/counter field into `usize`, rejecting
     /// values that overflow the platform (the shared helper every codec
     /// uses for scalar dimensions whose array reads are bounds-checked
@@ -194,13 +200,10 @@ impl<'a> Dec<'a> {
         let raw = self.take(need)?;
         let mut out = Vec::with_capacity(count);
         for c in raw.chunks_exact(8) {
-            let x = f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()));
-            if !x.is_finite() {
-                return Err(StoreError::Malformed(format!(
-                    "non-finite value {x} in field `{field}`"
-                )));
-            }
-            out.push(x);
+            out.push(finite(
+                f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())),
+                field,
+            )?);
         }
         Ok(out)
     }
@@ -215,6 +218,17 @@ impl<'a> Dec<'a> {
             )));
         }
         Ok(())
+    }
+}
+
+/// `x` if finite, else a [`StoreError::Malformed`] naming `field`.
+fn finite(x: f64, field: &str) -> Result<f64, StoreError> {
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(StoreError::Malformed(format!(
+            "non-finite value {x} in field `{field}`"
+        )))
     }
 }
 
@@ -252,6 +266,13 @@ mod tests {
             let p = e.into_payload();
             match Dec::new(&p).finite_f64s(4, "samples") {
                 Err(StoreError::Malformed(msg)) => assert!(msg.contains("`samples`"), "{msg}"),
+                other => panic!("{bad}: expected Malformed, got {other:?}"),
+            }
+            let mut d = Dec::new(&p);
+            assert_eq!(d.finite_f64("vwp").unwrap(), 1.0);
+            assert_eq!(d.finite_f64("vwp").unwrap().to_bits(), (-0.0f64).to_bits());
+            match d.finite_f64("vwp") {
+                Err(StoreError::Malformed(msg)) => assert!(msg.contains("`vwp`"), "{msg}"),
                 other => panic!("{bad}: expected Malformed, got {other:?}"),
             }
         }

@@ -13,7 +13,7 @@
 //! driven on writes the same checkpoint as the run it continues.
 
 use crate::online::OnlineCorrelation;
-use casbn_chordal::{is_chordal, ChordalConfig, SelectionRule};
+use casbn_chordal::{is_chordal, ChordalConfig};
 use casbn_core::IncrementalChordal;
 use casbn_distsim::CostModel;
 use casbn_expr::{ExpressionMatrix, NetworkParams};
@@ -162,11 +162,7 @@ impl StreamDriver {
     pub fn new(genes: usize, cfg: StreamConfig) -> Self {
         StreamDriver {
             online: OnlineCorrelation::new(genes, cfg.network),
-            chordal: IncrementalChordal::with_config(
-                genes,
-                casbn_chordal::ChordalConfig::default(),
-                cfg.cost,
-            ),
+            chordal: IncrementalChordal::with_config(genes, ChordalConfig, cfg.cost),
             cfg,
             prev_clustered: Vec::new(),
             cur_clustered: Vec::new(),
@@ -372,12 +368,10 @@ impl StreamDriver {
         // the maintained chordal subgraph
         graph_store::add_graph(&mut w, CHECKPOINT_CHORDAL_TAG, self.chordal.subgraph());
 
-        // incremental-chordal scalars (config, cost model, clock, ops)
+        // incremental-chordal scalars (selection word, cost model, clock,
+        // ops); the word is always 0, DSW's maximum-cardinality rule
         let mut e = Enc::new();
-        e.u32(match self.chordal.config().selection {
-            SelectionRule::MaxCardinality => 0,
-            SelectionRule::LabelOrder => 1,
-        });
+        e.u32(0);
         e.u32(0); // alignment spacer
         let cost = self.chordal.cost_model();
         e.f64(cost.seconds_per_op);
@@ -424,8 +418,9 @@ impl StreamDriver {
     /// charged and no window is reported), then restore the rest. The
     /// replayed network must have the stored edge count and hold the
     /// stored chordal subgraph, which must be chordal; gene and vertex
-    /// counts must agree, the samples and thresholds be finite and the
-    /// stability set sorted. Violations surface as
+    /// counts must agree, the samples, thresholds and every stored
+    /// cost, clock, MCODE and window scalar be finite, and the stability
+    /// set sorted. Violations surface as
     /// [`StoreError::Malformed`]. A checkpoint in the older triangle
     /// layout lacks the [`SectionKind::StreamSamples`] section and fails
     /// with [`StoreError::MissingSection`].
@@ -484,29 +479,21 @@ impl StreamDriver {
 
         // chordal maintainer scalars
         let mut d = Dec::new(store.require_kind(SectionKind::ChordalState)?);
-        let selection = match d.u32()? {
-            0 => SelectionRule::MaxCardinality,
-            1 => SelectionRule::LabelOrder,
-            _ => return Err(malformed("unknown DSW selection rule")),
-        };
+        if d.u32()? != 0 {
+            return Err(malformed("unknown DSW selection rule"));
+        }
         if d.u32()? != 0 {
             return Err(malformed("chordal-state spacer not zero"));
         }
         let cost = CostModel {
-            seconds_per_op: d.f64()?,
-            latency: d.f64()?,
-            seconds_per_byte: d.f64()?,
+            seconds_per_op: d.finite_f64("seconds_per_op")?,
+            latency: d.finite_f64("latency")?,
+            seconds_per_byte: d.finite_f64("seconds_per_byte")?,
         };
-        let sim_seconds = d.f64()?;
+        let sim_seconds = d.finite_f64("sim_seconds")?;
         let ops_total = d.u64()?;
         d.finish()?;
-        let chordal = IncrementalChordal::from_state(
-            h,
-            ChordalConfig { selection },
-            cost,
-            sim_seconds,
-            ops_total,
-        );
+        let chordal = IncrementalChordal::from_state(h, cost, sim_seconds, ops_total);
 
         // driver state
         let mut d = Dec::new(store.require_kind(SectionKind::DriverHistory)?);
@@ -514,14 +501,14 @@ impl StreamDriver {
         if batch == 0 {
             return Err(malformed("window batch size must be positive"));
         }
-        let vwp = d.f64()?;
-        let min_score = d.f64()?;
+        let vwp = d.finite_f64("vwp")?;
+        let min_score = d.finite_f64("min_score")?;
         let haircut = d.u64()? != 0;
         let fluff_present = d.u64()? != 0;
-        let fluff_value = d.f64()?;
+        let fluff_value = d.finite_f64("fluff")?;
         let min_size = d.dim()?;
-        let sim_ingest_last = d.f64()?;
-        let sim_chordal_last = d.f64()?;
+        let sim_ingest_last = d.finite_f64("sim_ingest_last")?;
+        let sim_chordal_last = d.finite_f64("sim_chordal_last")?;
         let nprev = d.count(4)?;
         let prev_clustered = d.u32s(nprev)?;
         if prev_clustered.windows(2).any(|w| w[0] >= w[1])
@@ -540,9 +527,9 @@ impl StreamDriver {
                 network_edges: d.dim()?,
                 chordal_edges: d.dim()?,
                 clusters: d.dim()?,
-                stability: d.f64()?,
-                sim_ingest: d.f64()?,
-                sim_chordal: d.f64()?,
+                stability: d.finite_f64("stability")?,
+                sim_ingest: d.finite_f64("sim_ingest")?,
+                sim_chordal: d.finite_f64("sim_chordal")?,
                 wall: Duration::ZERO,
             });
         }

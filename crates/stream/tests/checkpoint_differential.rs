@@ -244,8 +244,10 @@ fn an_old_layout_checkpoint_fails_typed() {
 fn tampered_sample_sections_are_rejected_naming_the_field() {
     // a re-checksummed checkpoint whose sample section holds a
     // non-finite sample or threshold, a sample count that disagrees with
-    // its array, or an edge count the replay does not reproduce must not
-    // resume: it would persist into every later checkpoint and snapshot
+    // its array, or an edge count the replay does not reproduce, or
+    // whose chordal-state or driver-history section holds a non-finite
+    // scalar or an unknown selection word, must not resume: it would
+    // persist into every later checkpoint and snapshot
     let m = replay();
     let cfg = StreamConfig::default();
     let mut driver = StreamDriver::new(m.genes(), cfg);
@@ -277,6 +279,84 @@ fn tampered_sample_sections_are_rejected_naming_the_field() {
                 assert!(msg.contains(field), "word {word} = {bits:#x}: {msg}")
             }
             Err(e) => panic!("word {word} = {bits:#x}: expected Malformed, got {e}"),
+        }
+    }
+    // the chordal-state and driver-history scalars: a NaN cost, clock,
+    // MCODE or window value would persist into every later checkpoint.
+    // chordal-state words: selection + spacer, seconds_per_op, latency,
+    // seconds_per_byte, sim_seconds, ops
+    let nan = f64::NAN.to_bits();
+    // driver-history words: batch, vwp, min_score, haircut, fluff flag,
+    // fluff, min_size, sim_ingest_last, sim_chordal_last, then the
+    // stability set (its length, then u32s) and the window records of
+    // ten words each, whose last three are stability, sim_ingest and
+    // sim_chordal
+    let history = Store::parse(&ck).unwrap();
+    let history = history.require_kind(SectionKind::DriverHistory).unwrap();
+    let nprev = u64::from_le_bytes(history[72..80].try_into().unwrap()) as usize;
+    let window0 = 80 + 4 * nprev + 8;
+    let scalar_cases = [
+        (SectionKind::ChordalState, 8, nan, "`seconds_per_op`"),
+        (
+            SectionKind::ChordalState,
+            16,
+            f64::INFINITY.to_bits(),
+            "`latency`",
+        ),
+        (SectionKind::ChordalState, 24, nan, "`seconds_per_byte`"),
+        (
+            SectionKind::ChordalState,
+            32,
+            f64::NEG_INFINITY.to_bits(),
+            "`sim_seconds`",
+        ),
+        (
+            SectionKind::ChordalState,
+            0,
+            1,
+            "unknown DSW selection rule",
+        ),
+        (
+            SectionKind::ChordalState,
+            0,
+            7,
+            "unknown DSW selection rule",
+        ),
+        (SectionKind::DriverHistory, 8, nan, "`vwp`"),
+        (SectionKind::DriverHistory, 16, nan, "`min_score`"),
+        (
+            SectionKind::DriverHistory,
+            40,
+            f64::INFINITY.to_bits(),
+            "`fluff`",
+        ),
+        (SectionKind::DriverHistory, 56, nan, "`sim_ingest_last`"),
+        (SectionKind::DriverHistory, 64, nan, "`sim_chordal_last`"),
+        (SectionKind::DriverHistory, window0 + 56, nan, "`stability`"),
+        (
+            SectionKind::DriverHistory,
+            window0 + 64,
+            nan,
+            "`sim_ingest`",
+        ),
+        (
+            SectionKind::DriverHistory,
+            window0 + 72,
+            nan,
+            "`sim_chordal`",
+        ),
+    ];
+    for (kind, at, bits, field) in scalar_cases {
+        let bytes = rewrite(&ck, kind, |p| {
+            p[at..at + 8].copy_from_slice(&bits.to_le_bytes())
+        });
+        let store = Store::parse(&bytes).expect("re-checksummed container parses");
+        match StreamDriver::resume_from(&store) {
+            Ok(_) => panic!("{field} = {bits:#x} must not resume"),
+            Err(StoreError::Malformed(msg)) => {
+                assert!(msg.contains(field), "{field} = {bits:#x}: {msg}")
+            }
+            Err(e) => panic!("{field} = {bits:#x}: expected Malformed, got {e}"),
         }
     }
     // one sample too many is a short section

@@ -4,7 +4,7 @@
 //! track a from-scratch DSW extraction of the same network snapshot to
 //! within 2%.
 
-use casbn_chordal::{is_chordal, maximal_chordal_subgraph, ChordalConfig};
+use casbn_chordal::{is_chordal, maximal_chordal_subgraph};
 use casbn_core::IncrementalChordal;
 use casbn_expr::{DatasetPreset, ExpressionMatrix, NetworkParams};
 use casbn_graph::Graph;
@@ -37,7 +37,7 @@ fn drive(matrix: &ExpressionMatrix, batch: usize, params: NetworkParams) -> Vec<
         }
 
         // from-scratch DSW on the same snapshot
-        let scratch = maximal_chordal_subgraph(&net, ChordalConfig::default());
+        let scratch = maximal_chordal_subgraph(&net);
         counts.push((inc.retained_edges(), scratch.graph.m()));
         lo = hi;
     }

@@ -33,8 +33,7 @@ fn incremental_maintenance_is_5x_cheaper_than_rebuild_at_scale_015() {
         // what a batch pipeline would pay instead for this window: re-run
         // all-pairs Pearson over all samples seen so far plus a
         // from-scratch DSW of the resulting network
-        let scratch =
-            casbn_chordal::maximal_chordal_subgraph(&net, casbn_chordal::ChordalConfig::default());
+        let scratch = casbn_chordal::maximal_chordal_subgraph(&net);
         let rebuild = rebuild_sim_seconds(genes, hi, scratch.work.ops, cost);
         assert!(stats.sim_seconds > 0.0, "window {window} charged nothing");
         let ratio = rebuild / stats.sim_seconds;

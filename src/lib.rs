@@ -83,7 +83,7 @@ pub mod prelude {
     pub use casbn_core::{
         break_cycles, Filter, FilterOutput, ForestFireFilter, ParallelChordalCommFilter,
         ParallelChordalNoCommFilter, ParallelRandomWalkFilter, RandomEdgeFilter, RandomNodeFilter,
-        SequentialChordalFilter, WalkMode,
+        SequentialChordalFilter,
     };
     pub use casbn_expr::{CorrelationNetwork, DatasetPreset, SyntheticMicroarray};
     pub use casbn_graph::{

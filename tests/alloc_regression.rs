@@ -13,9 +13,7 @@
 //! This test binary contains exactly one `#[test]` so no concurrent test
 //! can pollute the global counter.
 
-use casbn::chordal::{
-    maximal_chordal_subgraph_with, ChordalConfig, ChordalResult, DswScratch, WorkCounter,
-};
+use casbn::chordal::{maximal_chordal_subgraph_with, ChordalResult, DswScratch, WorkCounter};
 use casbn::graph::generators::planted_partition;
 use casbn::graph::Graph;
 use casbn::mcode::{mcode_cluster_into, Cluster, McodeParams, McodeScratch};
@@ -71,10 +69,10 @@ fn steady_state_dsw_and_mcode_allocate_nothing() {
         work: WorkCounter::default(),
     };
     for _ in 0..3 {
-        maximal_chordal_subgraph_with(&g, ChordalConfig::default(), &mut scratch, &mut result);
+        maximal_chordal_subgraph_with(&g, &mut scratch, &mut result);
     }
     let dsw_allocs = allocations_in(|| {
-        maximal_chordal_subgraph_with(&g, ChordalConfig::default(), &mut scratch, &mut result);
+        maximal_chordal_subgraph_with(&g, &mut scratch, &mut result);
     });
     assert!(result.graph.m() > 0, "extraction must do real work");
     assert_eq!(
@@ -122,12 +120,7 @@ fn steady_state_dsw_and_mcode_allocate_nothing() {
     let mut warmups = 0;
     loop {
         let a = allocations_in(|| {
-            maximal_chordal_subgraph_with(
-                &g,
-                ChordalConfig::default(),
-                &mut dsw_scratch,
-                &mut result,
-            );
+            maximal_chordal_subgraph_with(&g, &mut dsw_scratch, &mut result);
             mcode_cluster_into(&g, &params, &mut scratch, &mut clusters);
         });
         if a == 0 {
@@ -140,7 +133,7 @@ fn steady_state_dsw_and_mcode_allocate_nothing() {
         );
     }
     let enabled_allocs = allocations_in(|| {
-        maximal_chordal_subgraph_with(&g, ChordalConfig::default(), &mut dsw_scratch, &mut result);
+        maximal_chordal_subgraph_with(&g, &mut dsw_scratch, &mut result);
         mcode_cluster_into(&g, &params, &mut scratch, &mut clusters);
     });
     assert_eq!(
@@ -151,7 +144,7 @@ fn steady_state_dsw_and_mcode_allocate_nothing() {
     // …and switching telemetry back off keeps the paths allocation-free
     casbn::obs::set_enabled(false);
     let disabled_allocs = allocations_in(|| {
-        maximal_chordal_subgraph_with(&g, ChordalConfig::default(), &mut dsw_scratch, &mut result);
+        maximal_chordal_subgraph_with(&g, &mut dsw_scratch, &mut result);
         mcode_cluster_into(&g, &params, &mut scratch, &mut clusters);
     });
     assert_eq!(

@@ -79,7 +79,7 @@ fn facade_reexports_compile_and_work() {
     // tiny sanity pass over the prelude surface
     let g = casbn::graph::generators::gnm(50, 100, 1);
     assert!(!casbn::chordal::is_chordal(&g) || g.m() < 50);
-    let r = casbn::chordal::maximal_chordal_subgraph(&g, casbn::chordal::ChordalConfig::default());
+    let r = casbn::chordal::maximal_chordal_subgraph(&g);
     assert!(casbn::chordal::is_chordal(&r.graph));
     let out = SequentialChordalFilter::new().filter(&g, 0);
     assert_eq!(out.graph.m(), r.graph.m());

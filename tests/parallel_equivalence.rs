@@ -10,7 +10,7 @@
 //! ranks. The no-comm variant additionally respects the paper's ≤ b
 //! duplicated-border-edge bound.
 
-use casbn::chordal::{maximal_chordal_subgraph, ChordalConfig};
+use casbn::chordal::maximal_chordal_subgraph;
 use casbn::expr::{CorrelationNetwork, NetworkParams, SyntheticMicroarray, SyntheticParams};
 use casbn::graph::generators::{gnm, planted_partition};
 use casbn::prelude::*;
@@ -75,7 +75,7 @@ impl RefLocal {
         for &(u, v) in internal {
             local.add_edge(g2l[u as usize], g2l[v as usize]);
         }
-        let r = maximal_chordal_subgraph(&local, ChordalConfig::default());
+        let r = maximal_chordal_subgraph(&local);
         RefLocal {
             verts,
             g2l,
